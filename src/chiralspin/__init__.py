@@ -43,6 +43,7 @@ from .materials import (
 )
 from .models import (
     CascadeSpec,
+    Generator,
     LindbladModel,
     ModeSpec,
     SpinSite,

@@ -6,10 +6,6 @@ directory gets a MANIFEST of content hashes so identical configs can be
 checked for byte-identical reruns. Exit codes: 0 success, 2 validation
 error, 3 integration/fit failure, 4 I/O failure; diagnostics go to stderr
 as ``LEVEL key=value`` lines.
-
-``CHIRALSPIN_THREADS`` (default 1) parallelizes independent experiment
-points; it changes wall time only, never metrics, because results merge in
-deterministic parameter order and all I/O stays on this single writer.
 """
 
 from __future__ import annotations
@@ -140,17 +136,23 @@ class RunConfig:
 
     @staticmethod
     def _check_positive(data: dict):
+        def number(path: str, value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise DomainError(f"{path} must be a finite number, got {value!r}")
+            return value
+
         geometry = data.get("geometry", {})
         for key, value in geometry.items():
-            if value <= 0:
+            if number(f"geometry.{key}", value) <= 0:
                 raise DomainError(f"geometry.{key} must be positive, got {value}")
         integ = data.get("integrator", {})
         for key in ("dt", "t_final", "rate_scale_hz", "tolerance"):
-            if key in integ and integ[key] <= 0:
+            if key in integ and number(f"integrator.{key}", integ[key]) <= 0:
                 raise DomainError(f"integrator.{key} must be positive, got {integ[key]}")
         cascade = data.get("cascade", {})
         for key in ("gamma_hz", "gamma_prime_hz"):
-            if key in cascade and cascade[key] < 0:
+            if key in cascade and number(f"cascade.{key}", cascade[key]) < 0:
                 raise DomainError(f"cascade.{key} must be non-negative, got {cascade[key]}")
 
     @classmethod
@@ -518,37 +520,56 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
 # -- entry points ------------------------------------------------------------
 
 
-def run(config_path, overrides=(), experiment_name=None, output_dir=None) -> int:
-    """Execute one configured run; returns the process exit code."""
+def _execute(load_config, output_dir=None, *, write=True, show=None) -> int:
+    """Load a config, run its experiment and write its outputs; returns the exit code.
+
+    This is the one place errors become exit codes: 2 for config and domain
+    errors (an unreadable config file included), 3 for integration, fit and
+    convergence failures, 4 for any other I/O failure. ``show`` is called
+    with the report before anything is written; ``write=False`` skips the
+    output files.
+    """
+    stage = "config"
     try:
-        config = RunConfig.load(config_path)
-        if experiment_name is not None:
-            config = config.with_overrides([f"experiment.name={experiment_name}"])
-        config = config.with_overrides(overrides)
-    except (DomainError, OSError) as exc:
-        _diag("ERROR", invariant="config_schema", detail=exc)
-        return 2
-    try:
+        config = load_config()
+        stage = "run"
         report = _dispatch(config)
+        if show is not None:
+            show(report)
+        if write:
+            stage = "output"
+            outdir = Path(output_dir) if output_dir else config.output_directory()
+            files = emit_report(report, outdir, config.output_formats())
+            _diag("INFO", experiment=report.name, outputs=len(files), directory=outdir)
     except IntegrationError as exc:
         _diag("ERROR", invariant="trace_drift", step=exc.step, detail=exc)
         return 3
     except (FitError, ConvergenceError) as exc:
         _diag("ERROR", invariant=type(exc).__name__, detail=exc)
         return 3
-    except DomainError as exc:
-        _diag("ERROR", invariant="domain", detail=exc)
-        return 2
-    try:
-        outdir = Path(output_dir) if output_dir else config.output_directory()
-        files = emit_report(report, outdir, config.output_formats())
     except OSError as exc:
+        if stage == "config":
+            _diag("ERROR", invariant="config_schema", detail=exc)
+            return 2
         _diag("ERROR", invariant="io", detail=exc)
         return 4
-    _diag("INFO", experiment=report.name, outputs=len(files), directory=outdir)
+    except DomainError as exc:
+        _diag("ERROR", invariant="config_schema" if stage == "config" else "domain", detail=exc)
+        return 2
     for key, ok in report.pass_flags.items():
         _diag("INFO" if ok else "WARN", flag=key, passed=ok)
     return 0
+
+
+def run(config_path, overrides=(), experiment_name=None, output_dir=None) -> int:
+    """Execute one configured run; returns the process exit code."""
+    def load():
+        config = RunConfig.load(config_path)
+        if experiment_name is not None:
+            config = config.with_overrides([f"experiment.name={experiment_name}"])
+        return config.with_overrides(overrides)
+
+    return _execute(load, output_dir)
 
 
 def _budget_table_text(budget_dict: dict) -> str:
@@ -615,20 +636,9 @@ def main(argv=None) -> int:
                            "parameters": {"delta_hz": args.delta, "n": args.n,
                                           **({"drive_u": args.drive_u} if args.drive_u is not None else {})}},
         }
-        try:
-            config = RunConfig.from_dict(config_dict)
-            report = _couplings(config)
-        except DomainError as exc:
-            _diag("ERROR", invariant="domain", detail=exc)
-            return 2
-        print(_budget_table_text(report.parameters["budget"]))
-        if args.output:
-            try:
-                emit_report(report, args.output)
-            except OSError as exc:
-                _diag("ERROR", invariant="io", detail=exc)
-                return 4
-        return 0
+        return _execute(lambda: RunConfig.from_dict(config_dict), args.output,
+                        write=bool(args.output),
+                        show=lambda report: print(_budget_table_text(report.parameters["budget"])))
 
     if args.command == "simulate":
         return run(args.config, args.overrides, experiment_name="simulate", output_dir=args.output)
@@ -641,31 +651,8 @@ def main(argv=None) -> int:
             "cascade": {"gamma_hz": 1.0, "k_z_d": 0.7},
             "experiment": {"name": args.name},
         }
-        try:
-            config = RunConfig.from_dict(minimal).with_overrides(args.overrides)
-        except DomainError as exc:
-            _diag("ERROR", invariant="config_schema", detail=exc)
-            return 2
-        try:
-            report = _dispatch(config)
-        except IntegrationError as exc:
-            _diag("ERROR", invariant="trace_drift", step=exc.step, detail=exc)
-            return 3
-        except (FitError, ConvergenceError) as exc:
-            _diag("ERROR", invariant=type(exc).__name__, detail=exc)
-            return 3
-        except DomainError as exc:
-            _diag("ERROR", invariant="domain", detail=exc)
-            return 2
-        try:
-            outdir = args.output or config.output_directory()
-            emit_report(report, outdir, config.output_formats())
-        except OSError as exc:
-            _diag("ERROR", invariant="io", detail=exc)
-            return 4
-        for key, ok in report.pass_flags.items():
-            _diag("INFO" if ok else "WARN", flag=key, passed=ok)
-        return 0
+        return _execute(lambda: RunConfig.from_dict(minimal).with_overrides(args.overrides),
+                        args.output)
 
     if args.command == "validate":
         from .validation import run_invariant_suite

@@ -1,5 +1,12 @@
 """Time evolution of Lindblad models and non-Hermitian Hamiltonians.
 
+Every evolution integrates one encoding of the generator,
+:class:`~chiralspin.models.Generator`: L(rho) = -i(K rho - rho K^dag) plus
+sandwich terms r z rho z^dag. A Lindblad model enters with
+K = H - (i/2) sum r z^dag z; a non-Hermitian Hamiltonian enters with K = H_nh,
+with or without its jump, and a pure state as rho = |psi><psi|. One step loop
+serves them all.
+
 All evolutions are nondimensionalized by ``rate_scale`` so step sizes stay
 O(1) across many orders of magnitude of physical rates. The stepper is a
 fixed-step classical 4th-order method with a step-doubling error estimate:
@@ -20,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DensityMatrix, Operator
+from .core import DensityMatrix, Operator, identity
 from .errors import ConvergenceError, DomainError, FitError, IntegrationError
-from .models import LindbladModel
+from .models import Generator, LindbladModel
 
 __all__ = [
     "IntegratorConfig",
@@ -73,6 +80,8 @@ class IntegratorConfig:
             raise DomainError("sample_stride must be >= 1")
         if self.record_states_stride < 0:
             raise DomainError("record_states_stride must be >= 0")
+        if self.diagnostics_stride is not None and self.diagnostics_stride < 1:
+            raise DomainError("diagnostics_stride must be >= 1")
 
 
 @dataclass
@@ -90,12 +99,12 @@ class Trajectory:
     diagnostics: dict[str, float] = field(default_factory=dict)
     states: list[DensityMatrix] | None = None
     state_times: np.ndarray | None = None
-    final_vector: np.ndarray | None = None
 
 
-def _generator_scale(h_scaled: np.ndarray, jumps_scaled) -> float:
+def _generator_scale(h_scaled: np.ndarray, sandwiches) -> float:
+    """||H||_2 + sum_k r_k ||z_k||_2^2: sets the default step, from H and not from K."""
     scale = float(np.linalg.norm(h_scaled, 2)) if h_scaled.size else 0.0
-    for rate, z in jumps_scaled:
+    for rate, z in sandwiches:
         scale += rate * float(np.linalg.norm(z, 2)) ** 2
     return scale
 
@@ -117,34 +126,6 @@ def _taylor4(f: np.ndarray, h: float) -> np.ndarray:
     return eye + hf @ (eye + hf @ (eye / 2.0 + hf @ (eye / 6.0 + hf / 24.0)))
 
 
-def _superoperator(h: np.ndarray, jumps, anticommutator: bool) -> np.ndarray:
-    """Matrix of the generator on row-major vectorized density matrices."""
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    f = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
-    for rate, z in jumps:
-        f = f + rate * np.kron(z, z.conj())
-        if anticommutator:
-            zdz = z.conj().T @ z
-            f = f - (0.5 * rate) * (np.kron(zdz, eye) + np.kron(eye, zdz.T))
-    return f
-
-
-def _make_rhs(h: np.ndarray, jumps, anticommutator: bool):
-    hd = h.conj().T
-    terms = [(rate, z, z.conj().T, z.conj().T @ z) for rate, z in jumps]
-
-    def rhs(rho):
-        out = -1j * (h @ rho - rho @ hd)
-        for rate, z, zd, zdz in terms:
-            out = out + rate * (z @ rho @ zd)
-            if anticommutator:
-                out = out - (0.5 * rate) * (zdz @ rho + rho @ zdz)
-        return out
-
-    return rhs
-
-
 def _rk4_step(rhs, y, h):
     k1 = rhs(y)
     k2 = rhs(y + (0.5 * h) * k1)
@@ -153,134 +134,114 @@ def _rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _integrate_density(h_scaled, jumps_scaled, rho0, cfg, watch_ops, *,
-                       anticommutator, check_trace, space):
-    """Shared fixed-step driver for density-matrix evolutions."""
-    d = h_scaled.shape[0]
-    scale = _generator_scale(h_scaled, jumps_scaled)
+def _steps(n: int, stride: int) -> np.ndarray:
+    """Step indices 0, stride, 2*stride, ... plus the last step ``n``."""
+    keep = np.arange(0, n + 1, stride)
+    return keep if keep[-1] == n else np.append(keep, n)
+
+
+def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, watch_ops, *,
+                       check_trace: bool) -> Trajectory:
+    """The fixed-step driver behind every evolution.
+
+    ``scale`` is the generator magnitude that sets the default step. Watched
+    values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
+    so one stacked product per sample records them all.
+    """
+    space = rho0.space
+    d = space.dim
     n, dt = _resolve_grid(cfg, scale)
     diag_stride = cfg.diagnostics_stride or max(1, n // 256)
+    state_stride = cfg.record_states_stride
 
     labels = [label for label, _ in watch_ops]
-    watch_mats = [op.matrix for _, op in watch_ops]
-
-    samples: dict[str, list] = {label: [] for label in labels}
-    states: list[DensityMatrix] = []
-    state_times: list[float] = []
+    functionals = np.array([op.matrix.T.reshape(-1) for _, op in watch_ops],
+                           dtype=complex).reshape(len(labels), d * d)
+    sample_steps = _steps(n, cfg.sample_stride)
+    table = np.empty((len(labels), sample_steps.size), dtype=complex)
 
     rho = rho0.matrix.astype(complex)
-
-    def record(r):
-        for label, mat in zip(labels, watch_mats):
-            samples[label].append(complex(np.einsum("ij,ji->", mat, r)))
-
-    record(rho)
-    if cfg.record_states_stride:
-        states.append(DensityMatrix(space, rho.copy()))
-        state_times.append(0.0)
+    table[:, 0] = functionals @ rho.reshape(-1)
+    states = [DensityMatrix(space, rho.copy())] if state_stride else []
 
     max_trace_drift = 0.0
     max_herm_dev = 0.0
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     max_double_err = 0.0
-
-    rhs_trivial = _make_rhs(h_scaled, jumps_scaled, anticommutator)
-    if not np.count_nonzero(rhs_trivial(rho)):
-        # Stationary input (dark state or trivial generator): the exact
-        # solution is constant, so emit a flat trajectory directly.
-        ts = np.arange(n + 1) * dt
-        keep = np.arange(0, n + 1, cfg.sample_stride)
-        if keep[-1] != n:
-            keep = np.append(keep, n)
-        obs = {label: np.full(keep.size, samples[label][0], dtype=complex) for label in labels}
-        diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
-                       "max_step_doubling_error": 0.0, "n_steps": float(n), "dt": dt,
-                       "stationary": 1.0}
-        if check_trace:
-            diagnostics["max_trace_drift"] = 0.0
-        else:
-            diagnostics["final_trace"] = float(np.trace(rho).real)
-        traj = Trajectory(ts[keep], obs, DensityMatrix(space, rho.copy()), cfg.rate_scale,
-                          diagnostics)
-        if cfg.record_states_stride:
-            sk = np.arange(0, n + 1, cfg.record_states_stride)
-            if sk[-1] != n:
-                sk = np.append(sk, n)
-            traj.states = [DensityMatrix(space, rho.copy()) for _ in sk]
-            traj.state_times = ts[sk]
-        return traj
-
-    use_matrix = d <= _PROPAGATOR_MAX_DIM
-    if use_matrix:
-        f = _superoperator(h_scaled, jumps_scaled, anticommutator)
-        p_half = _taylor4(f, 0.5 * dt)
-        p_macro = p_half @ p_half
-        p_err = _taylor4(f, dt) - p_macro
-        v = rho.reshape(-1)
-        diag_idx = np.arange(d) * (d + 1)
-    else:
-        rhs = rhs_trivial
-
     trace_prev = float(np.trace(rho).real)
-    sampled_times = [0.0]
-    for step in range(1, n + 1):
-        t = step * dt
+
+    stationary = not np.count_nonzero(gen.apply(rho))
+    if stationary:
+        # Stationary input (dark state or trivial generator): the exact
+        # solution is constant, so every sample repeats the first.
+        table[:, 1:] = table[:, :1]
+        if state_stride:
+            states += [DensityMatrix(space, rho.copy()) for _ in _steps(n, state_stride)[1:]]
+    else:
+        use_matrix = d <= _PROPAGATOR_MAX_DIM
         if use_matrix:
-            v_new = p_macro @ v
-            rho_new = v_new.reshape(d, d)
-            trace_new = float(v_new[diag_idx].sum().real)
-        else:
-            half = _rk4_step(rhs, rho, 0.5 * dt)
-            rho_new = _rk4_step(rhs, half, 0.5 * dt)
-            trace_new = float(np.trace(rho_new).real)
+            f = gen.superoperator()
+            p_half = _taylor4(f, 0.5 * dt)
+            p_macro = p_half @ p_half
+            p_err = _taylor4(f, dt) - p_macro
+            v = rho.reshape(-1)
+            diag_idx = np.arange(d) * (d + 1)
 
-        if check_trace:
-            drift = abs(trace_new - trace_prev)
-            max_trace_drift = max(max_trace_drift, abs(trace_new - 1.0))
-            if drift > cfg.tolerance or not np.isfinite(trace_new):
-                raise IntegrationError(
-                    f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
-                    f"at step {step} (t={t:.6g})", step=step, time=t, drift=drift)
-        trace_prev = trace_new
-
-        if step % diag_stride == 0 or step == n:
+        sample = 1
+        for step in range(1, n + 1):
             if use_matrix:
-                err = float(np.max(np.abs(p_err @ v)))
+                v_new = p_macro @ v
+                rho_new = v_new.reshape(d, d)
+                trace_new = float(v_new[diag_idx].sum().real)
             else:
-                full = _rk4_step(rhs, rho, dt)
-                err = float(np.max(np.abs(full - rho_new)))
-            max_double_err = max(max_double_err, err)
-            herm = float(np.max(np.abs(rho_new - rho_new.conj().T)))
-            max_herm_dev = max(max_herm_dev, herm)
-            eig = float(np.linalg.eigvalsh(0.5 * (rho_new + rho_new.conj().T))[0])
-            min_eig = min(min_eig, eig)
+                half = _rk4_step(gen.apply, rho, 0.5 * dt)
+                rho_new = _rk4_step(gen.apply, half, 0.5 * dt)
+                trace_new = float(np.trace(rho_new).real)
 
-        if use_matrix:
-            v = v_new
-        rho = rho_new
+            if check_trace:
+                drift = abs(trace_new - trace_prev)
+                max_trace_drift = max(max_trace_drift, abs(trace_new - 1.0))
+                if drift > cfg.tolerance or not np.isfinite(trace_new):
+                    t = step * dt
+                    raise IntegrationError(
+                        f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
+                        f"at step {step} (t={t:.6g})", step=step, time=t, drift=drift)
+            trace_prev = trace_new
 
-        if step % cfg.sample_stride == 0 or step == n:
-            if sampled_times[-1] != t:
-                sampled_times.append(t)
-                record(rho)
-        if cfg.record_states_stride and (step % cfg.record_states_stride == 0 or step == n):
-            if not state_times or state_times[-1] != t:
+            if step % diag_stride == 0 or step == n:
+                if use_matrix:
+                    err = float(np.max(np.abs(p_err @ v)))
+                else:
+                    full = _rk4_step(gen.apply, rho, dt)
+                    err = float(np.max(np.abs(full - rho_new)))
+                max_double_err = max(max_double_err, err)
+                herm = float(np.max(np.abs(rho_new - rho_new.conj().T)))
+                max_herm_dev = max(max_herm_dev, herm)
+                eig = float(np.linalg.eigvalsh(0.5 * (rho_new + rho_new.conj().T))[0])
+                min_eig = min(min_eig, eig)
+
+            if use_matrix:
+                v = v_new
+            rho = rho_new
+
+            if step % cfg.sample_stride == 0 or step == n:
+                table[:, sample] = functionals @ rho.reshape(-1)
+                sample += 1
+            if state_stride and (step % state_stride == 0 or step == n):
                 states.append(DensityMatrix(space, rho.copy()))
-                state_times.append(t)
 
-    obs = {label: np.array(vals, dtype=complex) for label, vals in samples.items()}
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
                    "max_step_doubling_error": max_double_err, "n_steps": float(n),
-                   "dt": dt, "stationary": 0.0}
+                   "dt": dt, "stationary": float(stationary)}
     if check_trace:
         diagnostics["max_trace_drift"] = max_trace_drift
     else:
         diagnostics["final_trace"] = trace_prev
-    traj = Trajectory(np.array(sampled_times), obs, DensityMatrix(space, rho.copy()),
-                      cfg.rate_scale, diagnostics)
-    if cfg.record_states_stride:
+    traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
+                      DensityMatrix(space, rho.copy()), cfg.rate_scale, diagnostics)
+    if state_stride:
         traj.states = states
-        traj.state_times = np.array(state_times)
+        traj.state_times = _steps(n, state_stride) * dt
     return traj
 
 
@@ -299,24 +260,22 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
         if op.space != model.space:
             raise DomainError(f"watched operator {label!r} acts on a different space")
     rho0.validate()
-    h_scaled = model.hamiltonian.matrix / cfg.rate_scale
-    jumps_scaled = [(rate / cfg.rate_scale, op.matrix) for rate, op in model.jumps]
-    return _integrate_density(h_scaled, jumps_scaled, rho0, cfg, list(watch),
-                              anticommutator=True, check_trace=model.hermitian,
-                              space=model.space)
+    gen = model.generator(cfg.rate_scale)
+    scale = _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches)
+    return _integrate_density(gen, scale, rho0, cfg, list(watch), check_trace=model.hermitian)
 
 
 def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
                         include_jumps: bool = False, jump=None, watch=()) -> Trajectory:
     """Evolve under a non-Hermitian Hamiltonian.
 
-    With ``include_jumps=False`` the pure state follows dpsi/dt = -i H psi
-    without renormalization; the decaying norm is recorded as the automatic
-    observable ``"norm"`` and watched values are bare matrix elements
-    <psi|O|psi>. With ``include_jumps=True`` the density matrix |psi><psi|
-    evolves under -i(H rho - rho H^dag) plus the sandwich term
-    rate * z rho z^dag from ``jump = (rate, Operator)``, which reproduces the
-    corresponding Lindblad evolution identically.
+    The density matrix |psi><psi| evolves under -i(H rho - rho H^dag), plus
+    the sandwich term rate * z rho z^dag from ``jump = (rate, Operator)`` when
+    ``include_jumps=True``, which reproduces the corresponding Lindblad
+    evolution identically. Without jumps the state stays the pure
+    psi(t) psi(t)^dag with dpsi/dt = -i H psi, unrenormalized: the decaying
+    norm sqrt(tr rho) is recorded as the automatic observable ``"norm"`` and
+    watched values are bare matrix elements <psi|O|psi>.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi.size != h_nh.space.dim:
@@ -329,55 +288,23 @@ def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
             raise DomainError(f"watched operator {label!r} acts on a different space")
 
     h_scaled = h_nh.matrix / cfg.rate_scale
-
+    rho0 = DensityMatrix.from_pure(h_nh.space, psi)
     if include_jumps:
         if jump is None:
             raise DomainError("include_jumps=True requires jump=(rate, Operator)")
         rate, op = jump
         if op.space != h_nh.space:
             raise DomainError("jump operator acts on a different space")
-        rho0 = DensityMatrix.from_pure(h_nh.space, psi)
-        return _integrate_density(h_scaled, [(rate / cfg.rate_scale, op.matrix)],
-                                  rho0, cfg, list(watch), anticommutator=False,
-                                  check_trace=False, space=h_nh.space)
+        gen = Generator(h_scaled, ((rate / cfg.rate_scale, op.matrix),))
+        return _integrate_density(gen, _generator_scale(h_scaled, gen.sandwiches), rho0, cfg,
+                                  list(watch), check_trace=False)
 
-    scale = float(np.linalg.norm(h_scaled, 2))
-    n, dt = _resolve_grid(cfg, scale)
-    diag_stride = cfg.diagnostics_stride or max(1, n // 256)
-
-    labels = ["norm"] + [label for label, _ in watch]
-    watch_mats = [op.matrix for _, op in watch]
-    samples: dict[str, list] = {label: [] for label in labels}
-
-    def record(v):
-        samples["norm"].append(complex(np.linalg.norm(v)))
-        for label, m in zip(labels[1:], watch_mats):
-            samples[label].append(complex(v.conj() @ (m @ v)))
-
-    p_half = _taylor4(-1j * h_scaled, 0.5 * dt)
-    p_macro = p_half @ p_half
-    p_err = _taylor4(-1j * h_scaled, dt) - p_macro
-
-    record(psi)
-    sampled_times = [0.0]
-    max_double_err = 0.0
-    for step in range(1, n + 1):
-        t = step * dt
-        psi = p_macro @ psi
-        if step % diag_stride == 0 or step == n:
-            max_double_err = max(max_double_err, float(np.max(np.abs(p_err @ psi))))
-        if step % cfg.sample_stride == 0 or step == n:
-            if sampled_times[-1] != t:
-                sampled_times.append(t)
-                record(psi)
-
-    obs = {label: np.array(vals, dtype=complex) for label, vals in samples.items()}
-    final_norm = float(np.linalg.norm(psi))
-    return Trajectory(np.array(sampled_times), obs,
-                      DensityMatrix.from_pure(h_nh.space, psi), cfg.rate_scale,
-                      {"final_norm": final_norm, "max_step_doubling_error": max_double_err,
-                       "n_steps": float(n), "dt": dt},
-                      final_vector=psi.copy())
+    watch = [("norm", identity(h_nh.space))] + list(watch)
+    traj = _integrate_density(Generator(h_scaled), _generator_scale(h_scaled, ()), rho0, cfg,
+                              watch, check_trace=False)
+    traj.observables["norm"] = np.sqrt(traj.observables["norm"].real).astype(complex)
+    traj.diagnostics["final_norm"] = float(np.sqrt(traj.diagnostics.pop("final_trace")))
+    return traj
 
 
 def fit_exchange_rate(traj: Trajectory, observable_label: str) -> float:
@@ -424,9 +351,9 @@ def check_cutoff_convergence(family, cfg: IntegratorConfig, observable_label: st
         if cutoff not in cache:
             model, rho0, watch = family(cutoff)
             if pinned.dt is None:
-                h_scaled = model.hamiltonian.matrix / pinned.rate_scale
-                jumps_scaled = [(r / pinned.rate_scale, op.matrix) for r, op in model.jumps]
-                n, dt = _resolve_grid(pinned, _generator_scale(h_scaled, jumps_scaled))
+                scale = _generator_scale(model.hamiltonian.matrix / pinned.rate_scale,
+                                         model.generator(pinned.rate_scale).sandwiches)
+                n, dt = _resolve_grid(pinned, scale)
                 pinned = replace(pinned, dt=dt)
             traj = evolve(model, rho0, pinned, watch)
             cache[cutoff] = np.asarray(traj.observables[observable_label])

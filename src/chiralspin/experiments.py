@@ -2,17 +2,14 @@
 
 Every experiment is a pure function of its inputs: no randomness enters the
 pipeline, configs are owned by the experiment and recorded in its report, and
-identical inputs reproduce bit-identical reports. Points of a sweep are
-independent tasks; ``CHIRALSPIN_THREADS`` distributes them over a thread pool
-while results always merge in deterministic parameter order.
+identical inputs reproduce bit-identical reports. Points of a sweep run in
+parameter order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,22 +86,6 @@ class ExperimentReport:
         return all(bool(v) for v in self.pass_flags.values())
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CHIRALSPIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def one_excited_state(space: HilbertSpace, excited_index: int, n_boson: int = 0) -> DensityMatrix:
     """Pure product state with one spin excited, the rest ground, bosons at ``n_boson``."""
     occ = []
@@ -161,7 +142,7 @@ def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
         point["excitation_drift"] = float(np.max(np.abs(exc_series - exc_series[0])))
         return point
 
-    points = _map_ordered(run_point, ratios)
+    points = [run_point(ratio) for ratio in ratios]
 
     metrics: dict = {}
     flags: dict = {}
@@ -211,7 +192,7 @@ def _cascade_peaks(spec: CascadeSpec, cfg: IntegratorConfig):
     def run(excited: int) -> Trajectory:
         return evolve(model, one_excited_state(space, excited), cfg, watch)
 
-    fwd, bwd = _map_ordered(run, [0, len(spec.sites) - 1])
+    fwd, bwd = run(0), run(len(spec.sites) - 1)
     return fwd, bwd, watch
 
 
@@ -297,7 +278,7 @@ def reciprocity_sweep(spec: CascadeSpec, ratios) -> ExperimentReport:
         pb = float(np.max(np.real(bwd.observables[label_a])))
         return _asymmetry(pf, pb)
 
-    values = _map_ordered(run_point, ratios)
+    values = [run_point(q) for q in ratios]
     order = np.argsort(ratios)
     sorted_pairs = [(ratios[i], values[i]) for i in order]
     monotone = all(a >= b - 1e-12 for (_, a), (_, b) in zip(sorted_pairs, sorted_pairs[1:]))
@@ -357,20 +338,16 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
     flags: dict = {}
     trajectories = {f"chain_head_excited_n{n_sites}": head}
 
-    def prefix_supnorm(j: int) -> float:
+    for j in range(1, n_sites):
         if j == 1:
             sub_model = single_spin_decay_model(sites[0], chain_spec.gamma)
         else:
             sub_model = build_chain_model(replace(spec, sites=sites[:j]))
-        sub0 = one_excited_state(sub_model.space, 0)
-        sub = evolve(sub_model, sub0, cfg, [])
+        sub = evolve(sub_model, one_excited_state(sub_model.space, 0), cfg, [])
         worst = 0.0
         for full_state, sub_state in zip(head.states, sub.states):
             reduced = partial_trace(full_state, range(j))
             worst = max(worst, float(np.max(np.abs(reduced.matrix - sub_state.matrix))))
-        return worst
-
-    for j, worst in zip(range(1, n_sites), _map_ordered(prefix_supnorm, range(1, n_sites))):
         metrics[f"prefix_supnorm_{j}"] = worst
         flags[f"prefix_supnorm_{j}__le_1e-8"] = worst <= 1e-8
 

@@ -38,6 +38,7 @@ __all__ = [
     "ModeSpec",
     "SpinSite",
     "CascadeSpec",
+    "Generator",
     "LindbladModel",
     "build_full_model",
     "build_cascade_hamiltonian",
@@ -48,7 +49,6 @@ __all__ = [
     "build_chain_model",
     "site_number_operators",
     "total_excitation",
-    "apply_generator",
 ]
 
 ROTATING = "rotating"
@@ -127,6 +127,36 @@ class CascadeSpec:
 
 
 @dataclass(frozen=True)
+class Generator:
+    """Master-equation generator L(rho) = -i(K rho - rho K^dag) + sum_k r_k z_k rho z_k^dag.
+
+    ``k`` is the effective non-Hermitian Hamiltonian and ``sandwiches`` the
+    (rate, z) pairs of the recycling term. A Lindblad model carries its
+    -(r/2){z^dag z, rho} terms inside ``k`` (see :meth:`LindbladModel.generator`);
+    a non-Hermitian Hamiltonian evolved without jumps has no sandwiches. This
+    is the one encoding every evolution and invariant check uses.
+    """
+
+    k: np.ndarray
+    sandwiches: tuple[tuple[float, np.ndarray], ...] = ()
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L(rho) on a raw matrix, without integrating."""
+        out = -1j * (self.k @ rho - rho @ self.k.conj().T)
+        for rate, z in self.sandwiches:
+            out = out + rate * (z @ rho @ z.conj().T)
+        return out
+
+    def superoperator(self) -> np.ndarray:
+        """Matrix of :meth:`apply` on row-major vectorized density matrices."""
+        eye = np.eye(self.k.shape[0], dtype=complex)
+        f = -1j * (np.kron(self.k, eye) - np.kron(eye, self.k.conj()))
+        for rate, z in self.sandwiches:
+            f = f + rate * np.kron(z, z.conj())
+        return f
+
+
+@dataclass(frozen=True)
 class LindbladModel:
     """A Hamiltonian plus (rate, jump operator) pairs: the single evolution currency."""
 
@@ -146,6 +176,18 @@ class LindbladModel:
                 raise DomainError("jump operator space does not match model space")
         if self.hermitian and not self.hamiltonian.is_hermitian():
             raise DomainError("hamiltonian is not Hermitian; flag the model if that is intended")
+
+    def generator(self, rate_scale: float = 1.0) -> Generator:
+        """The master equation in units of ``rate_scale``.
+
+        -i(H rho - rho H^dag) + sum_k r_k (z_k rho z_k^dag - (1/2){z_k^dag z_k, rho})
+        as K = H - (i/2) sum_k r_k z_k^dag z_k plus the sandwiches r_k z_k rho z_k^dag.
+        """
+        k = self.hamiltonian.matrix.astype(complex)
+        for rate, op in self.jumps:
+            k = k - (0.5j * rate) * (op.matrix.conj().T @ op.matrix)
+        return Generator(k / rate_scale,
+                         tuple((rate / rate_scale, op.matrix) for rate, op in self.jumps))
 
 
 def _spin_space(sites) -> HilbertSpace:
@@ -339,20 +381,4 @@ def total_excitation(space: HilbertSpace) -> Operator:
             a, adag = boson_operators(f.dim - 1)
             num = adag @ a
             out = out + embed(num, i, space)
-    return out
-
-
-def apply_generator(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation on a raw density matrix.
-
-    -i(H rho - rho H^dag) + sum_k rate_k (z rho z^dag - (1/2){z^dag z, rho}).
-    Useful for stationarity and trace-annihilation checks without integrating.
-    """
-    h = model.hamiltonian.matrix
-    out = -1j * (h @ rho - rho @ h.conj().T)
-    for rate, op in model.jumps:
-        z = op.matrix
-        zd = z.conj().T
-        zdz = zd @ z
-        out = out + rate * (z @ rho @ zd) - (0.5 * rate) * (zdz @ rho + rho @ zdz)
     return out

@@ -31,7 +31,6 @@ from .models import (
     CascadeSpec,
     ModeSpec,
     SpinSite,
-    apply_generator,
     build_bidirectional_model,
     build_cascade_hamiltonian,
     build_cascaded_model,
@@ -126,12 +125,12 @@ def _check_generator_forms_agree():
         gamma = float(rng.uniform(0.1, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
         spec = _pair_spec(gamma=gamma, kd=kd)
-        model = build_cascaded_model(spec, "forward")
+        generator = build_cascaded_model(spec, "forward").generator()
         h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
         z = build_collective_jump(spec, "forward").matrix
         for _ in range(5):
             rho = _random_density(rng, 4)
-            lhs = apply_generator(model, rho)
+            lhs = generator.apply(rho)
             rhs = -1j * (h_nh @ rho - rho @ h_nh.conj().T) + 2.0 * gamma * (z @ rho @ z.conj().T)
             scale = max(float(np.max(np.abs(lhs))), 1e-300)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
@@ -191,11 +190,11 @@ def _check_excitation_conservation():
 def _check_liouvillian_traceless():
     rng = np.random.default_rng(_SEED + 5)
     spec = _pair_spec(gamma=1.0, gamma_prime=0.4, kd=0.5)
-    model = build_bidirectional_model(spec)
+    generator = build_bidirectional_model(spec).generator()
     worst = 0.0
     for _ in range(20):
         rho = _random_density(rng, 4)
-        worst = max(worst, abs(np.trace(apply_generator(model, rho))))
+        worst = max(worst, abs(np.trace(generator.apply(rho))))
     assert worst <= 1e-12, f"generator fails to annihilate trace by {worst:.2e}"
     return f"max |tr L(rho)| = {worst:.2e}"
 
@@ -204,7 +203,7 @@ def _check_dark_state():
     spec = _pair_spec(gamma=1.0, kd=0.0)
     model = build_cascaded_model(spec, "forward")
     ground = DensityMatrix.from_pure(model.space, basis_vector(model.space, (1, 1)))
-    residual = float(np.max(np.abs(apply_generator(model, ground.matrix))))
+    residual = float(np.max(np.abs(model.generator().apply(ground.matrix))))
     assert residual == 0.0, f"all-ground state not stationary, residual {residual:.2e}"
     return "all-ground state exactly stationary"
 
@@ -218,7 +217,7 @@ def _check_chain_upstream_frozen():
     rho = np.outer(psi, psi.conj())
     sp, sm, _ = spin_operators(0.5)
     n1 = (embed(sp, 0, space) @ embed(sm, 0, space)).matrix
-    derivative = float(np.real(np.trace(n1 @ apply_generator(model, rho))))
+    derivative = float(np.real(np.trace(n1 @ model.generator().apply(rho))))
     assert abs(derivative) <= 1e-12, f"upstream occupation grows at rate {derivative:.2e}"
     return f"d<n_1>/dt = {derivative:.1e} with downstream excited"
 

@@ -28,7 +28,6 @@ from chiralspin import (
 )
 from chiralspin.cli import run as cli_run
 from chiralspin.materials import ResonatorGeometry
-from chiralspin.models import apply_generator
 
 from conftest import random_density
 
@@ -81,12 +80,12 @@ def test_criterion_1_generator_forms_agree():
         gamma = float(rng.uniform(0.05, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
         spec = pair_spec(gamma=gamma, kd=kd)
-        model = build_cascaded_model(spec, "forward")
+        generator = build_cascaded_model(spec, "forward").generator()
         h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
         z = build_collective_jump(spec, "forward").matrix
         for _ in range(50):
             rho = random_density(rng, 4)
-            lhs = apply_generator(model, rho)
+            lhs = generator.apply(rho)
             rhs = -1j * (h_nh @ rho - rho @ h_nh.conj().T) + 2.0 * gamma * (z @ rho @ z.conj().T)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
     elapsed = time.perf_counter() - start

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chiralspin
 from chiralspin import DomainError
 from chiralspin.cli import RunConfig, emit_report, main, run
 from chiralspin.experiments import ExperimentReport, transfer_asymmetry
@@ -158,6 +163,11 @@ class TestRunAndEmit:
         path, _ = write_config(tmp_path, output={"directory": str(target), "formats": ["json"]})
         assert run(path) == 4
 
+    def test_unknown_output_format_exit_code(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "o"), "formats": ["xml"]})
+        assert run(path) == 2
+        assert "unknown output format" in capsys.readouterr().err
+
     def test_infinite_metric_serialized(self, tmp_path):
         report = ExperimentReport("x", {}, {"ratio": float("inf")}, {})
         emit_report(report, tmp_path / "o")
@@ -211,7 +221,7 @@ class TestMainSubcommands:
         data = json.loads((tmp_path / "out" / "report.json").read_text())
         assert data["metrics"]["quadratic_ratio"] == 4.0
 
-    def test_experiment_subcommand_inline(self, tmp_path):
+    def test_experiment_subcommand_inline(self, tmp_path, capsys):
         code = main(["experiment", "transfer_asymmetry",
                      "--set", "cascade.gamma_hz=1.0",
                      "--set", "cascade.gamma_prime_hz=0.0",
@@ -219,6 +229,21 @@ class TestMainSubcommands:
         assert code == 0
         data = json.loads((tmp_path / "t" / "report.json").read_text())
         assert data["pass_flags"]["peak_backward__le_1e-10"] is True
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"INFO experiment=transfer_asymmetry outputs=5 directory={tmp_path / 't'}"
+
+    @pytest.mark.parametrize("override", ["geometry.l_m=abc", 'cascade.gamma_hz="x"',
+                                          "geometry.w_m=true", "integrator.dt=NaN",
+                                          "cascade.gamma_prime_hz=Infinity"])
+    def test_malformed_number_exits_2_without_traceback(self, tmp_path, override):
+        src = Path(chiralspin.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "chiralspin.cli", "experiment", "transfer_asymmetry",
+             "--set", override, "--output", str(tmp_path / "t")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ERROR invariant=config_schema")
 
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import chiralspin.dynamics as dynamics_module
 from chiralspin import (
+    CascadeSpec,
     DensityMatrix,
     DomainError,
     FitError,
@@ -11,8 +12,11 @@ from chiralspin import (
     IntegratorConfig,
     ModeSpec,
     Trajectory,
+    SpinSite,
     basis_vector,
+    build_bidirectional_model,
     build_cascaded_model,
+    build_chain_model,
     build_collective_jump,
     build_full_model,
     build_nonhermitian_hamiltonian,
@@ -85,6 +89,11 @@ class TestEvolveBasics:
                       [("pop", number_op(space, 0))])
         assert abs(traj.observables["pop"][-1].real - np.exp(-2.0)) <= 1e-6
 
+    @pytest.mark.parametrize("stride", [0, -4])
+    def test_diagnostics_stride_below_one_rejected(self, stride):
+        with pytest.raises(DomainError, match="diagnostics_stride"):
+            IntegratorConfig(t_final=1.0, rate_scale=1.0, diagnostics_stride=stride)
+
     def test_space_mismatch_rejected(self, two_spin_space):
         model = single_spin_decay_model(1.0)
         rho0 = DensityMatrix.maximally_mixed(two_spin_space)
@@ -121,6 +130,45 @@ class TestEvolveBasics:
         assert traj.states is not None
         assert len(traj.states) == len(traj.state_times)
         assert np.max(np.abs(traj.states[-1].matrix - traj.final_state.matrix)) == 0.0
+
+
+def encoding_models(pair_spec, two_spins):
+    sites = tuple(SpinSite(0.5, 2.5e-7 * j, f"s{j}") for j in range(3))
+    return {
+        "bidirectional_pair": build_bidirectional_model(pair_spec(gamma=1.0, gamma_prime=0.4, kd=0.9)),
+        "chain3": build_chain_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, sites)),
+        "full_d12": build_full_model(two_spins, (ModeSpec(+1, +1, detuning=6.0, g=0.9, fock_cutoff=2),)),
+    }
+
+
+class TestGeneratorEncoding:
+    @pytest.mark.parametrize("name", ["bidirectional_pair", "chain3", "full_d12"])
+    def test_liouvillian_matrix_matches_longhand(self, pair_spec, two_spins, name):
+        model = encoding_models(pair_spec, two_spins)[name]
+        dim = model.space.dim
+        rate_ops = [(r, op.matrix) for r, op in model.jumps]
+        reference = reference_liouvillian(model.hamiltonian.matrix, rate_ops, dim)
+        assert np.max(np.abs(model.generator().superoperator() - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["bidirectional_pair", "chain3", "full_d12"])
+    def test_apply_equals_matrix_product(self, pair_spec, two_spins, rng, name):
+        generator = encoding_models(pair_spec, two_spins)[name].generator(rate_scale=2.0)
+        dim = generator.k.shape[0]
+        rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        direct = generator.apply(rho).reshape(-1)
+        assert np.max(np.abs(direct - generator.superoperator() @ rho.reshape(-1))) <= 1e-12
+
+    def test_jump_free_nonhermitian_matches_expm(self, pair_spec):
+        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.6), "forward")
+        space = h_nh.space
+        psi0 = basis_vector(space, UD)
+        n_b = number_op(space, 1)
+        cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3, sample_stride=100)
+        traj = evolve_nonhermitian(h_nh, psi0, cfg, watch=[("pop_B", n_b)])
+        for i, t in enumerate(traj.times):
+            psi = expm(-1j * h_nh.matrix * t) @ psi0
+            assert abs(traj.observables["norm"][i] - np.linalg.norm(psi)) <= 1e-9
+            assert abs(traj.observables["pop_B"][i] - psi.conj() @ n_b.matrix @ psi) <= 1e-9
 
 
 class TestAgainstExponentialOracle:

@@ -172,12 +172,3 @@ class TestDecoherenceBudget:
     def test_empty_amplitudes_rejected(self):
         with pytest.raises(DomainError):
             decoherence_budget(1.0, ())
-
-
-class TestThreadedExecution:
-    def test_thread_count_changes_nothing(self, monkeypatch):
-        base = reciprocity_sweep(chain_spec(2), (0.0, 0.5, 1.0))
-        monkeypatch.setenv("CHIRALSPIN_THREADS", "4")
-        threaded = reciprocity_sweep(chain_spec(2), (0.0, 0.5, 1.0))
-        assert base.metrics == threaded.metrics
-        assert base.pass_flags == threaded.pass_flags
