@@ -47,11 +47,7 @@ from .models import (
     LindbladModel,
     ModeSpec,
     SpinSite,
-    build_bidirectional_model,
-    build_cascade_hamiltonian,
-    build_cascaded_model,
-    build_chain_model,
-    build_collective_jump,
+    build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     site_number_operators,

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,7 @@ from .models import (
     CascadeSpec,
     ModeSpec,
     SpinSite,
-    build_bidirectional_model,
-    build_cascaded_model,
-    build_chain_model,
+    build_cascade_model,
     build_full_model,
     site_number_operators,
     total_excitation,
@@ -56,22 +54,65 @@ __all__ = ["RunConfig", "run", "emit_report", "main"]
 TWO_PI = 2.0 * math.pi
 SCHEMA_VERSION = 1
 
-_SECTION_KEYS = {
-    "": {"schema_version", "material", "geometry", "spin", "modes", "cascade",
-         "integrator", "experiment", "output"},
-    "material": {"name", "density_kg_m3", "v_plus_m_s", "v_minus_m_s", "xi_S_hz",
-                 "xi_I_hz", "provenance"},
-    "geometry": {"l_m", "w_m", "h_m"},
-    "spin": {"kind", "s", "frequency_hz", "positions_m", "initial"},
-    "mode": {"momentum_sign", "pam", "detuning_hz", "g_hz", "fock_cutoff"},
-    "cascade": {"gamma_hz", "gamma_prime_hz", "k_z_rad_m", "k_z_d", "direction"},
-    "integrator": {"dt", "t_final", "rate_scale_hz", "tolerance", "sample_stride"},
-    "experiment": {"name", "parameters"},
-    "output": {"directory", "formats"},
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Value kinds of the config schema: (test, what the error message asks for).
+_KINDS = {
+    "any": (lambda v: True, "anything"),
+    "number": (_finite, "a finite number"),
+    "positive": (lambda v: _finite(v) and v > 0, "a positive number"),
+    "nonnegative": (lambda v: _finite(v) and v >= 0, "a non-negative number"),
+    "integer": (_integer, "an integer"),
+    "count": (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_finite, v)), "a list of finite numbers"),
+    "strings": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                "a list of strings"),
 }
 
-_EXPERIMENT_NAMES = ("simulate", "couplings", "transfer_asymmetry", "reciprocity_sweep",
-                     "cascade_chain", "elimination_validation", "decoherence_budget")
+# Every section's keys and value kinds; "" is the config root, "mode" one entry of "modes".
+_SCHEMA = {
+    "": dict.fromkeys(("schema_version", "material", "geometry", "spin", "modes", "cascade",
+                       "integrator", "experiment", "output"), "any"),
+    "material": {"name": "string", "density_kg_m3": "number", "v_plus_m_s": "number",
+                 "v_minus_m_s": "number", "xi_S_hz": "number", "xi_I_hz": "number",
+                 "provenance": "string"},
+    "geometry": {"l_m": "positive", "w_m": "positive", "h_m": "positive"},
+    "spin": {"kind": "string", "s": "nonnegative", "frequency_hz": "number",
+             "positions_m": "numbers", "initial": "any"},
+    "mode": {"momentum_sign": "integer", "pam": "integer", "detuning_hz": "number",
+             "g_hz": "number", "fock_cutoff": "count"},
+    "cascade": {"gamma_hz": "nonnegative", "gamma_prime_hz": "nonnegative",
+                "k_z_rad_m": "number", "k_z_d": "number", "direction": "string"},
+    "integrator": {"dt": "positive", "t_final": "positive", "rate_scale_hz": "positive",
+                   "tolerance": "positive", "sample_stride": "count"},
+    "experiment": {"name": "string", "parameters": "any"},
+    "output": {"directory": "string", "formats": "strings"},
+}
+_REQUIRED = {"material": ("density_kg_m3", "v_plus_m_s", "v_minus_m_s", "xi_S_hz", "xi_I_hz"),
+             "mode": ("detuning_hz", "g_hz")}
+
+# Every experiment and the kinds of the ``experiment.parameters`` it reads.
+_EXPERIMENTS = {
+    "simulate": {},
+    "couplings": {"delta_hz": "number", "drive_u": "number", "n": "count"},
+    "transfer_asymmetry": {},
+    "reciprocity_sweep": {"ratios": "numbers"},
+    "cascade_chain": {"n_sites": "count"},
+    "elimination_validation": {"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"},
+    "decoherence_budget": {"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number",
+                           "delta_hz": "number"},
+}
+
+# The channels each cascade.direction keeps: (forward rate gamma, backward rate gamma_prime).
+_CHANNELS = {"forward": (True, False), "chain": (True, False),
+             "backward": (False, True), "bidirectional": (True, True)}
 
 
 def _diag(level: str, **fields):
@@ -84,11 +125,42 @@ def _diag(level: str, **fields):
     print(" ".join(parts), file=sys.stderr)
 
 
-def _reject_unknown(section: str, data: dict, path: str):
-    allowed = _SECTION_KEYS[section]
-    for key in data:
-        if key not in allowed:
-            raise DomainError(f"unknown key {path + key!r} (allowed: {sorted(allowed)})")
+def _check_section(kinds: dict, data, path: str, required=()):
+    """Reject a non-object, an unknown key, a value of the wrong kind or a missing key."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{path.rstrip('.') or 'config root'} must be an object")
+    for key, value in data.items():
+        if key not in kinds:
+            raise DomainError(f"unknown key {path + key!r} (allowed: {sorted(kinds)})")
+        test, what = _KINDS[kinds[key]]
+        if not test(value):
+            raise DomainError(f"{path + key} must be {what}, got {value!r}")
+    for key in required:
+        if key not in data:
+            raise DomainError(f"missing required key {path + key!r}")
+
+
+def _apply_overrides(data, overrides):
+    if overrides and not isinstance(data, dict):
+        raise DomainError("config root must be a JSON object")
+    for item in overrides:
+        if "=" not in item:
+            raise DomainError(f"override {item!r} must look like section.key=value")
+        dotted, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        node = data
+        *parents, key = dotted.split(".")
+        for part in parents:
+            if not isinstance(node, dict):
+                break
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise DomainError(f"override path {dotted!r} crosses a non-object value")
+        node[key] = value
+    return data
 
 
 @dataclass(frozen=True)
@@ -103,89 +175,48 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise DomainError("config root must be a JSON object")
-        _reject_unknown("", data, "")
+        _check_section(_SCHEMA[""], data, "")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
-        if "experiment" not in data or not isinstance(data["experiment"], dict):
-            raise DomainError("config must contain exactly one 'experiment' object")
-        _reject_unknown("experiment", data["experiment"], "experiment.")
+        _check_section(_SCHEMA["experiment"], data.get("experiment"), "experiment.")
         name = data["experiment"].get("name")
-        if name not in _EXPERIMENT_NAMES:
-            raise DomainError(f"unknown experiment {name!r}; known: {_EXPERIMENT_NAMES}")
-        if "material" in data and isinstance(data["material"], dict):
-            _reject_unknown("material", data["material"], "material.")
-        elif "material" in data and not isinstance(data["material"], str):
-            raise DomainError("material must be a name or an inline parameter object")
+        if name not in _EXPERIMENTS:
+            raise DomainError(f"unknown experiment {name!r}; known: {tuple(_EXPERIMENTS)}")
+        _check_section(_EXPERIMENTS[name], data["experiment"].get("parameters", {}),
+                       "experiment.parameters.")
+        if "integrator" in data and name != "simulate":
+            raise DomainError(f"experiment {name!r} runs on its own fixed grid; "
+                              "only 'simulate' reads the 'integrator' section")
+        if not isinstance(data.get("material", ""), str):
+            _check_section(_SCHEMA["material"], data["material"], "material.", _REQUIRED["material"])
         for section in ("geometry", "spin", "cascade", "integrator", "output"):
             if section in data:
-                if not isinstance(data[section], dict):
-                    raise DomainError(f"section {section!r} must be an object")
-                _reject_unknown(section, data[section], section + ".")
-        if "modes" in data:
-            modes = data["modes"]
-            if modes != "auto":
-                if not isinstance(modes, list):
-                    raise DomainError("modes must be 'auto' or a list of mode objects")
-                for i, mode in enumerate(modes):
-                    _reject_unknown("mode", mode, f"modes[{i}].")
-        cls._check_positive(data)
+                _check_section(_SCHEMA[section], data[section], section + ".")
+        modes = data.get("modes", "auto")
+        if modes != "auto":
+            if not isinstance(modes, list):
+                raise DomainError("modes must be 'auto' or a list of mode objects")
+            for i, mode in enumerate(modes):
+                _check_section(_SCHEMA["mode"], mode, f"modes[{i}].", _REQUIRED["mode"])
         return cls(deepcopy(data))
 
-    @staticmethod
-    def _check_positive(data: dict):
-        def number(path: str, value):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                raise DomainError(f"{path} must be a finite number, got {value!r}")
-            return value
-
-        geometry = data.get("geometry", {})
-        for key, value in geometry.items():
-            if number(f"geometry.{key}", value) <= 0:
-                raise DomainError(f"geometry.{key} must be positive, got {value}")
-        integ = data.get("integrator", {})
-        for key in ("dt", "t_final", "rate_scale_hz", "tolerance"):
-            if key in integ and number(f"integrator.{key}", integ[key]) <= 0:
-                raise DomainError(f"integrator.{key} must be positive, got {integ[key]}")
-        cascade = data.get("cascade", {})
-        for key in ("gamma_hz", "gamma_prime_hz"):
-            if key in cascade and number(f"cascade.{key}", cascade[key]) < 0:
-                raise DomainError(f"cascade.{key} must be non-negative, got {cascade[key]}")
-
     @classmethod
-    def load(cls, path) -> "RunConfig":
+    def load(cls, path, overrides=()) -> "RunConfig":
+        """Read a JSON config and apply ``section.key=value`` overrides, then validate."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_apply_overrides(data, overrides))
 
     def to_dict(self) -> dict:
         return deepcopy(self.data)
 
     def with_overrides(self, overrides) -> "RunConfig":
         """Apply ``section.key=value`` overrides on top of the file values."""
-        data = self.to_dict()
-        for item in overrides:
-            if "=" not in item:
-                raise DomainError(f"override {item!r} must look like section.key=value")
-            dotted, raw = item.split("=", 1)
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            node = data
-            parts = dotted.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise DomainError(f"override path {dotted!r} crosses a non-object value")
-            node[parts[-1]] = value
-        return RunConfig.from_dict(data)
+        return RunConfig.from_dict(_apply_overrides(self.to_dict(), overrides))
 
     # -- typed accessors ----------------------------------------------------
 
@@ -225,8 +256,8 @@ class RunConfig:
         if "k_z_rad_m" in cascade:
             k_z = cascade["k_z_rad_m"]
         elif "k_z_d" in cascade:
-            if len(positions) < 2:
-                raise DomainError("k_z_d needs at least two spin positions")
+            if len(positions) < 2 or positions[0] == positions[1]:
+                raise DomainError("k_z_d needs two distinct first spin positions")
             k_z = cascade["k_z_d"] / (positions[1] - positions[0])
         else:
             k_z = 0.0
@@ -325,17 +356,11 @@ def _simulate(config: RunConfig) -> ExperimentReport:
         return _simulate_full_model(config)
     spec = config.cascade_spec()
     direction = config.data.get("cascade", {}).get("direction", "forward")
-    if direction == "bidirectional":
-        model = build_bidirectional_model(spec)
-    elif direction == "chain":
-        model = build_chain_model(spec)
-    elif direction in ("forward", "backward"):
-        if len(spec.sites) == 2:
-            model = build_cascaded_model(spec, direction)
-        else:
-            model = build_chain_model(spec, direction)
-    else:
+    if direction not in _CHANNELS:
         raise DomainError(f"unknown cascade.direction {direction!r}")
+    forward, backward = _CHANNELS[direction]
+    model = build_cascade_model(replace(spec, gamma=spec.gamma if forward else 0.0,
+                                        gamma_prime=spec.gamma_prime if backward else 0.0))
 
     initial = config.data.get("spin", {}).get("initial", "head_excited")
     if initial == "head_excited":
@@ -348,8 +373,8 @@ def _simulate(config: RunConfig) -> ExperimentReport:
         mapping = {"up": 0, "down": 1}
         try:
             pattern = [mapping[token] for token in initial]
-        except KeyError as exc:
-            raise DomainError(f"spin.initial entries must be 'up' or 'down', got {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"spin.initial entries must be 'up' or 'down', got {initial}") from exc
         if len(pattern) != len(spec.sites):
             raise DomainError("spin.initial length must match the number of positions")
     else:
@@ -564,10 +589,9 @@ def _execute(load_config, output_dir=None, *, write=True, show=None) -> int:
 def run(config_path, overrides=(), experiment_name=None, output_dir=None) -> int:
     """Execute one configured run; returns the process exit code."""
     def load():
-        config = RunConfig.load(config_path)
-        if experiment_name is not None:
-            config = config.with_overrides([f"experiment.name={experiment_name}"])
-        return config.with_overrides(overrides)
+        # the command's experiment name applies before validation, like any override
+        name = [] if experiment_name is None else [f"experiment.name={experiment_name}"]
+        return RunConfig.load(config_path, [*name, *overrides])
 
     return _execute(load, output_dir)
 
@@ -616,7 +640,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--output", default=None, help="override the output directory")
 
     p_exp = sub.add_parser("experiment", help="run a named experiment from a config")
-    p_exp.add_argument("name", choices=_EXPERIMENT_NAMES)
+    p_exp.add_argument("name", choices=tuple(_EXPERIMENTS))
     p_exp.add_argument("--config", default=None, help="JSON run configuration (optional)")
     p_exp.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE")

@@ -33,8 +33,7 @@ from .models import (
     LindbladModel,
     ModeSpec,
     SpinSite,
-    build_bidirectional_model,
-    build_chain_model,
+    build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     site_number_operators,
@@ -183,8 +182,8 @@ def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
 
 
 def _cascade_peaks(spec: CascadeSpec, cfg: IntegratorConfig):
-    """Forward- and backward-excited runs of the bidirectional model."""
-    model = build_bidirectional_model(spec)
+    """Forward- and backward-excited runs of the two-channel cascade model."""
+    model = build_cascade_model(spec)
     space = model.space
     n_ops = site_number_operators(space, spec.sites)
     watch = [(f"pop_{site.label or i}", op) for (i, site), op in zip(enumerate(spec.sites), n_ops)]
@@ -322,13 +321,13 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
         dim *= int(round(2 * s.s)) + 1
     if dim > 4096:
         raise DomainError(f"chain space dimension {dim} exceeds the 4096 guard")
-    chain_spec = replace(spec, sites=sites)
+    chain_spec = replace(spec, sites=sites, gamma_prime=0.0)
     if chain_spec.gamma <= 0:
         raise DomainError("the forward rate must be positive")
 
     cfg = IntegratorConfig(t_final=8.0, rate_scale=chain_spec.gamma, dt=2e-3,
                            record_states_stride=20)
-    model = build_chain_model(chain_spec)
+    model = build_cascade_model(chain_spec)
     space = model.space
     n_ops = site_number_operators(space, sites)
     watch = [(f"pop_{j + 1}", op) for j, op in enumerate(n_ops)]
@@ -342,7 +341,7 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
         if j == 1:
             sub_model = single_spin_decay_model(sites[0], chain_spec.gamma)
         else:
-            sub_model = build_chain_model(replace(spec, sites=sites[:j]))
+            sub_model = build_cascade_model(replace(chain_spec, sites=sites[:j]))
         sub = evolve(sub_model, one_excited_state(sub_model.space, 0), cfg, [])
         worst = 0.0
         for full_state, sub_state in zip(head.states, sub.states):

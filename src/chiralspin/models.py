@@ -1,19 +1,19 @@
 """Builders for every Hamiltonian and master-equation generator in scope.
 
 Covers the closed two-spin/one-mode model with rotating or counter-rotating
-coupling, the directional (cascaded) two-spin generator with its collective
-jump, the equivalent non-Hermitian rewrite, the bidirectional combination of
-counter-propagating channels, and the N-site chain generalization.
+coupling, the directional (cascaded) spin model over N ordered sites, and the
+explicit non-Hermitian rewrite of one directional pair channel.
 
 Sign and phase conventions:
 
 - detunings are spin frequency minus mode frequency (positive when the spin
   sits above the phonon branch), in rad/s;
 - the propagation phase between two sites at distance d along the chain axis
-  is k_z * d, and the forward jump operator weights the downstream site with
-  exp(-i k_z d);
-- the backward channel is the forward construction with the roles of the two
-  sites exchanged (same phase form, rate gamma_prime).
+  is k_z * d, and a channel's jump operator weights each site with
+  exp(-i k_z d) at distance d from the channel's head;
+- the forward channel (rate gamma) has its head at the first site; the
+  backward channel (rate gamma_prime) is the same construction with its head
+  at the last site.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ __all__ = [
     "Generator",
     "LindbladModel",
     "build_full_model",
-    "build_cascade_hamiltonian",
-    "build_collective_jump",
-    "build_cascaded_model",
+    "build_cascade_model",
     "build_nonhermitian_hamiltonian",
-    "build_bidirectional_model",
-    "build_chain_model",
     "site_number_operators",
     "total_excitation",
 ]
@@ -117,8 +113,10 @@ class CascadeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
-        if self.gamma < 0 or self.gamma_prime < 0:
-            raise DomainError("rates must be non-negative")
+        if not all(np.isfinite(r) and r >= 0 for r in (self.gamma, self.gamma_prime)):
+            raise DomainError(f"rates must be finite and non-negative, got {self.gamma}, {self.gamma_prime}")
+        if not np.isfinite(self.k_z):
+            raise DomainError(f"k_z must be finite, got {self.k_z}")
         if len(self.sites) < 2:
             raise DomainError("a cascade needs at least two sites")
         positions = [s.position_z for s in self.sites]
@@ -256,40 +254,37 @@ def _direction_roles(spec: CascadeSpec, direction: str):
     raise DomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
 
 
-def build_cascade_hamiltonian(spec: CascadeSpec, direction: str) -> Operator:
-    """Hermitian exchange part of the directional generator.
+def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
+    """Forward (rate gamma) plus backward (rate gamma_prime) channel over all sites.
 
-    Forward: i*gamma (e^{-i k d} S_A^+ S_B^- - e^{+i k d} S_A^- S_B^+); the
-    backward form swaps the two site roles and uses gamma_prime.
+    A channel with rate r runs over the sites in order from its head (the
+    first site forward, the last site backward) and contributes
+    H = i r sum_{j upstream of l} (e^{-i k |z_l - z_j|} S_j^+ S_l^- - h.c.) and
+    the collective jump (2r, sum_j e^{-i k |z_j - z_head|} S_j^-). A zero-rate
+    channel is dropped, so gamma_prime = 0 is the forward cascade exactly and
+    gamma = 0 the backward one. On two sites with gamma = gamma_prime the
+    coherent part is the reciprocal exchange 2 gamma sin(k d)(S_A^+ S_B^- + h.c.).
     """
-    phi = _pair_geometry(spec)
-    rate, up, down = _direction_roles(spec, direction)
-    space = _spin_space(spec.sites)
-    sp_up, _, _ = _site_ops(space, spec.sites, up)
-    _, sm_down, _ = _site_ops(space, spec.sites, down)
-    t = (1j * rate * np.exp(-1j * phi)) * (sp_up @ sm_down)
-    return t + t.dag()
-
-
-def build_collective_jump(spec: CascadeSpec, direction: str) -> Operator:
-    """Collective lowering operator of the shared directional decay channel.
-
-    Forward: S_A^- + e^{-i k d} S_B^-; backward swaps the roles, same phase form.
-    """
-    phi = _pair_geometry(spec)
-    _, up, down = _direction_roles(spec, direction)
-    space = _spin_space(spec.sites)
-    _, sm_up, _ = _site_ops(space, spec.sites, up)
-    _, sm_down, _ = _site_ops(space, spec.sites, down)
-    return sm_up + np.exp(-1j * phi) * sm_down
-
-
-def build_cascaded_model(spec: CascadeSpec, direction: str) -> LindbladModel:
-    """Directional master-equation generator: exchange Hamiltonian plus 2*rate D[z]."""
-    rate, _, _ = _direction_roles(spec, direction)
-    h = build_cascade_hamiltonian(spec, direction)
-    z = build_collective_jump(spec, direction)
-    return LindbladModel(h, ((2.0 * rate, z),), h.space)
+    sites = spec.sites
+    space = _spin_space(sites)
+    n = len(sites)
+    h = zero(space)
+    jumps = []
+    for rate, order in ((spec.gamma, range(n)), (spec.gamma_prime, range(n - 1, -1, -1))):
+        if rate <= 0:
+            continue
+        head = sites[order[0]].position_z
+        z = zero(space)
+        for a, j in enumerate(order):
+            sp_j, sm_j, _ = _site_ops(space, sites, j)
+            z = z + np.exp(-1j * spec.k_z * abs(sites[j].position_z - head)) * sm_j
+            for l in order[a + 1:]:
+                _, sm_l, _ = _site_ops(space, sites, l)
+                phi = spec.k_z * abs(sites[l].position_z - sites[j].position_z)
+                t = (1j * rate * np.exp(-1j * phi)) * (sp_j @ sm_l)
+                h = h + t + t.dag()
+        jumps.append((2.0 * rate, z))
+    return LindbladModel(h, tuple(jumps), space)
 
 
 def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operator:
@@ -309,52 +304,6 @@ def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operato
     n_down = sp_down @ sm_down
     transfer = (2.0 * np.exp(1j * phi)) * (sm_up @ sp_down)
     return (-1j * rate) * (n_up + n_down + transfer)
-
-
-def build_bidirectional_model(spec: CascadeSpec) -> LindbladModel:
-    """Sum of the forward (rate gamma) and backward (rate gamma_prime) generators.
-
-    Hamiltonians add; the jump list carries both collective jumps with their
-    rates (zero-rate channels are dropped, so gamma_prime = 0 reproduces the
-    forward-only model exactly). With gamma = gamma_prime the coherent part
-    reduces to the reciprocal Hermitian exchange 2*gamma*sin(k d)(S_A^+ S_B^- + h.c.).
-    """
-    h = build_cascade_hamiltonian(spec, "forward") + build_cascade_hamiltonian(spec, "backward")
-    jumps = []
-    if spec.gamma > 0:
-        jumps.append((2.0 * spec.gamma, build_collective_jump(spec, "forward")))
-    if spec.gamma_prime > 0:
-        jumps.append((2.0 * spec.gamma_prime, build_collective_jump(spec, "backward")))
-    return LindbladModel(h, tuple(jumps), h.space)
-
-
-def build_chain_model(spec: CascadeSpec, direction: str = "forward") -> LindbladModel:
-    """Forward cascade over N ordered sites sharing one directional channel.
-
-    H = i*gamma sum_{j<l} (e^{-i k (z_l - z_j)} S_j^+ S_l^- - h.c.) and a single
-    collective jump z = sum_j e^{-i k (z_j - z_1)} S_j^- at rate 2*gamma; phases
-    are anchored at the leftmost site so the two-site case coincides with
-    :func:`build_cascaded_model` exactly. Only the forward direction is
-    defined for chains.
-    """
-    if direction != "forward":
-        raise DomainError(f"chain models are forward-only, got direction {direction!r}")
-    space = _spin_space(spec.sites)
-    n = len(spec.sites)
-    h = zero(space)
-    for j in range(n):
-        sp_j, _, _ = _site_ops(space, spec.sites, j)
-        for l in range(j + 1, n):
-            _, sm_l, _ = _site_ops(space, spec.sites, l)
-            phi = spec.k_z * (spec.sites[l].position_z - spec.sites[j].position_z)
-            t = (1j * spec.gamma * np.exp(-1j * phi)) * (sp_j @ sm_l)
-            h = h + t + t.dag()
-    z = zero(space)
-    z0 = spec.sites[0].position_z
-    for j in range(n):
-        _, sm_j, _ = _site_ops(space, spec.sites, j)
-        z = z + np.exp(-1j * spec.k_z * (spec.sites[j].position_z - z0)) * sm_j
-    return LindbladModel(h, ((2.0 * spec.gamma, z),), space)
 
 
 def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:

@@ -31,11 +31,7 @@ from .models import (
     CascadeSpec,
     ModeSpec,
     SpinSite,
-    build_bidirectional_model,
-    build_cascade_hamiltonian,
-    build_cascaded_model,
-    build_chain_model,
-    build_collective_jump,
+    build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     total_excitation,
@@ -125,9 +121,10 @@ def _check_generator_forms_agree():
         gamma = float(rng.uniform(0.1, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
         spec = _pair_spec(gamma=gamma, kd=kd)
-        generator = build_cascaded_model(spec, "forward").generator()
+        model = build_cascade_model(spec)
+        generator = model.generator()
         h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
-        z = build_collective_jump(spec, "forward").matrix
+        z = model.jumps[0][1].matrix
         for _ in range(5):
             rho = _random_density(rng, 4)
             lhs = generator.apply(rho)
@@ -144,11 +141,11 @@ def _check_nonhermitian_identity():
     for _ in range(10):
         gamma = float(rng.uniform(0.1, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
-        spec = _pair_spec(gamma=gamma, kd=kd)
-        for direction in ("forward", "backward"):
-            spec_d = CascadeSpec(gamma, gamma, kd, spec.sites) if direction == "backward" else spec
-            h = build_cascade_hamiltonian(spec_d, direction).matrix
-            z = build_collective_jump(spec_d, direction).matrix
+        for direction, spec_d in (("forward", _pair_spec(gamma=gamma, kd=kd)),
+                                  ("backward", _pair_spec(gamma=0.0, gamma_prime=gamma, kd=kd))):
+            model = build_cascade_model(spec_d)
+            h = model.hamiltonian.matrix
+            z = model.jumps[0][1].matrix
             rate = gamma
             expected = h - 1j * rate * (z.conj().T @ z)
             built = build_nonhermitian_hamiltonian(spec_d, direction).matrix
@@ -163,7 +160,7 @@ def _check_nonhermitian_identity():
 
 def _check_hermiticity_classes():
     spec = _pair_spec(gamma=0.8, kd=1.1)
-    h = build_cascade_hamiltonian(spec, "forward")
+    h = build_cascade_model(spec).hamiltonian
     assert h.is_hermitian(), "exchange Hamiltonian must be Hermitian"
     h_nh = build_nonhermitian_hamiltonian(spec, "forward")
     assert not h_nh.is_hermitian(), "effective Hamiltonian must be non-Hermitian for gamma > 0"
@@ -190,7 +187,7 @@ def _check_excitation_conservation():
 def _check_liouvillian_traceless():
     rng = np.random.default_rng(_SEED + 5)
     spec = _pair_spec(gamma=1.0, gamma_prime=0.4, kd=0.5)
-    generator = build_bidirectional_model(spec).generator()
+    generator = build_cascade_model(spec).generator()
     worst = 0.0
     for _ in range(20):
         rho = _random_density(rng, 4)
@@ -201,7 +198,7 @@ def _check_liouvillian_traceless():
 
 def _check_dark_state():
     spec = _pair_spec(gamma=1.0, kd=0.0)
-    model = build_cascaded_model(spec, "forward")
+    model = build_cascade_model(spec)
     ground = DensityMatrix.from_pure(model.space, basis_vector(model.space, (1, 1)))
     residual = float(np.max(np.abs(model.generator().apply(ground.matrix))))
     assert residual == 0.0, f"all-ground state not stationary, residual {residual:.2e}"
@@ -211,7 +208,7 @@ def _check_dark_state():
 def _check_chain_upstream_frozen():
     sites = tuple(SpinSite(0.5, float(j), f"s{j}") for j in range(3))
     spec = CascadeSpec(1.0, 0.0, 0.8, sites)
-    model = build_chain_model(spec)
+    model = build_cascade_model(spec)
     space = model.space
     psi = basis_vector(space, (1, 0, 0))  # head ground, downstream excited
     rho = np.outer(psi, psi.conj())
@@ -238,15 +235,14 @@ def _check_amplitude_damping():
 
 def _check_jump_rewrite_equivalence():
     spec = _pair_spec(gamma=1.0, kd=0.4)
-    model = build_cascaded_model(spec, "forward")
+    model = build_cascade_model(spec)
     psi0 = basis_vector(model.space, (0, 1))
     cfg = IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3)
     sp, sm, _ = spin_operators(0.5)
     n_b = embed(sp, 1, model.space) @ embed(sm, 1, model.space)
     lind = evolve(model, DensityMatrix.from_pure(model.space, psi0), cfg, [("pop_B", n_b)])
     h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-    jump = (2.0 * spec.gamma, build_collective_jump(spec, "forward"))
-    rewritten = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=True, jump=jump,
+    rewritten = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=True, jump=model.jumps[0],
                                     watch=[("pop_B", n_b)])
     dev = float(np.max(np.abs(lind.observables["pop_B"] - rewritten.observables["pop_B"])))
     assert dev <= 1e-9, f"rewritten generator deviates by {dev:.2e}"
@@ -255,7 +251,7 @@ def _check_jump_rewrite_equivalence():
 
 def _check_no_back_action():
     spec = _pair_spec(gamma=1.0, kd=0.9)
-    model = build_cascaded_model(spec, "forward")
+    model = build_cascade_model(spec)
     cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=2e-3, record_states_stride=50)
     rho0 = one_excited_state(model.space, 0)
     full = evolve(model, rho0, cfg, [])

@@ -16,9 +16,7 @@ import pytest
 from chiralspin import (
     CascadeSpec,
     SpinSite,
-    build_cascade_hamiltonian,
-    build_cascaded_model,
-    build_collective_jump,
+    build_cascade_model,
     build_nonhermitian_hamiltonian,
     cascade_chain,
     coupling_table,
@@ -80,9 +78,10 @@ def test_criterion_1_generator_forms_agree():
         gamma = float(rng.uniform(0.05, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
         spec = pair_spec(gamma=gamma, kd=kd)
-        generator = build_cascaded_model(spec, "forward").generator()
+        model = build_cascade_model(spec)
+        generator = model.generator()
         h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
-        z = build_collective_jump(spec, "forward").matrix
+        z = model.jumps[0][1].matrix
         for _ in range(50):
             rho = random_density(rng, 4)
             lhs = generator.apply(rho)
@@ -101,8 +100,9 @@ def test_criterion_2_nonhermitian_structure():
         gamma = float(rng.uniform(0.05, 3.0))
         kd = float(rng.uniform(-math.pi, math.pi))
         spec = pair_spec(gamma=gamma, kd=kd)
-        h = build_cascade_hamiltonian(spec, "forward").matrix
-        z = build_collective_jump(spec, "forward").matrix
+        model = build_cascade_model(spec)
+        h = model.hamiltonian.matrix
+        z = model.jumps[0][1].matrix
         built = build_nonhermitian_hamiltonian(spec, "forward").matrix
         worst = max(worst, float(np.max(np.abs(built - (h - 1j * gamma * z.conj().T @ z)))) / gamma)
     reverse = build_nonhermitian_hamiltonian(pair_spec(gamma=1.3, kd=0.9), "forward").matrix[1, 2]

@@ -33,6 +33,27 @@ def write_config(tmp_path, name="cascade.json", **changes):
     return path, config
 
 
+# (command, overrides) that must exit 2 with a config_schema error; "{config}"
+# stands for a valid simulate config file.
+MALFORMED = [
+    *(pytest.param(["experiment", "transfer_asymmetry"], [override], id=override)
+      for override in ("geometry.l_m=abc", 'cascade.gamma_hz="x"', "geometry.w_m=true",
+                       "integrator.dt=NaN", "cascade.gamma_prime_hz=Infinity")),
+    *(pytest.param(["experiment", "cascade_chain"], [override], id=f"cascade_chain:{override}")
+      for override in ("cascade.k_z_d=abc", "cascade.k_z_rad_m=null",
+                       'spin.positions_m=[0,"a"]', 'spin.s="x"')),
+    pytest.param(["simulate", "{config}"], ['integrator.sample_stride="x"'],
+                 id="simulate:integrator.sample_stride"),
+    pytest.param(["simulate", "{config}"], ["modes=[5]"], id="simulate:modes=[5]"),
+    pytest.param(["experiment", "cascade_chain"],
+                 ["experiment.parameters.n_sites=2.5", "spin.positions_m=[0,2.5e-7,5e-7]"],
+                 id="cascade_chain:n_sites=2.5"),
+    pytest.param(["experiment", "couplings"],
+                 ['material={"v_plus_m_s": 5e3, "v_minus_m_s": 4e3, "xi_S_hz": 1e9, "xi_I_hz": 1e6}'],
+                 id="couplings:material_without_density"),
+]
+
+
 class TestRunConfig:
     def test_round_trip_identity(self, tmp_path):
         path, original = write_config(tmp_path)
@@ -214,7 +235,7 @@ class TestMainSubcommands:
 
     def test_experiment_subcommand_with_config(self, tmp_path):
         path, _ = write_config(
-            tmp_path,
+            tmp_path, integrator=None,
             experiment={"name": "decoherence_budget",
                         "parameters": {"gamma0_hz": 1.0, "drive_u": [1e-4, 2e-4]}})
         assert main(["experiment", "decoherence_budget", "--config", str(path)]) == 0
@@ -232,18 +253,65 @@ class TestMainSubcommands:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == f"INFO experiment=transfer_asymmetry outputs=5 directory={tmp_path / 't'}"
 
-    @pytest.mark.parametrize("override", ["geometry.l_m=abc", 'cascade.gamma_hz="x"',
-                                          "geometry.w_m=true", "integrator.dt=NaN",
-                                          "cascade.gamma_prime_hz=Infinity"])
-    def test_malformed_number_exits_2_without_traceback(self, tmp_path, override):
+    @pytest.mark.parametrize("command, overrides", MALFORMED)
+    def test_malformed_number_exits_2_without_traceback(self, tmp_path, command, overrides):
         src = Path(chiralspin.__file__).parents[1]
+        path, _ = write_config(tmp_path)
+        argv = [str(path) if arg == "{config}" else arg for arg in command]
+        for override in overrides:
+            argv += ["--set", override]
         proc = subprocess.run(
-            [sys.executable, "-m", "chiralspin.cli", "experiment", "transfer_asymmetry",
-             "--set", override, "--output", str(tmp_path / "t")],
+            [sys.executable, "-m", "chiralspin.cli", *argv, "--output", str(tmp_path / "t")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ERROR invariant=config_schema")
+
+    @pytest.mark.parametrize("name", ["cascade_chain", "transfer_asymmetry"])
+    def test_integrator_section_rejected_for_named_experiment(self, tmp_path, capsys, name):
+        # only simulate reads integrator.*; every other experiment fixes its own grid
+        code = main(["experiment", name, "--set", "integrator.dt=0.5",
+                     "--output", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and "integrator" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_command_experiment_applies_before_validation(self, tmp_path):
+        # a cascade_chain file with an integrator section is a valid simulate run
+        path, _ = write_config(tmp_path, experiment={"name": "cascade_chain"})
+        assert main(["simulate", str(path)]) == 0
+        assert main(["experiment", "cascade_chain", "--config", str(path)]) == 2
+
+    def test_unknown_experiment_parameter_rejected(self, tmp_path, capsys):
+        code = main(["experiment", "cascade_chain", "--set", "experiment.parameters.n_site=3",
+                     "--output", str(tmp_path / "t")])
+        assert code == 2
+        assert "experiment.parameters.n_site" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, parameters", [
+        ("cascade_chain", {"n_sites": 3}),
+        ("reciprocity_sweep", {"ratios": [0.0, 0.5, 1.0]}),
+        ("elimination_validation", {"g_hz": 1.0, "delta_over_g": [25.0, 50.0], "cutoff": 2}),
+    ], ids=["cascade_chain", "reciprocity_sweep", "elimination_validation"])
+    def test_known_experiment_parameters_accepted(self, name, parameters):
+        config = RunConfig.from_dict({"schema_version": 1,
+                                      "experiment": {"name": name, "parameters": parameters}})
+        assert config.experiment_parameters == parameters
+
+    @pytest.mark.parametrize("direction", ["backward", "bidirectional"])
+    def test_simulate_any_direction_on_three_sites(self, tmp_path, direction):
+        path, _ = write_config(
+            tmp_path, spin={"s": 0.5, "positions_m": [0.0, 2.5e-7, 6.0e-7]},
+            cascade={"gamma_hz": 1.0, "gamma_prime_hz": 0.3, "k_z_d": 0.7,
+                     "direction": direction})
+        assert main(["simulate", str(path)]) == 0
+        metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+        # the head-excited first site is the tail of the backward channel
+        if direction == "backward":
+            assert max(metrics["peak_pop_B"], metrics["peak_pop_C"]) <= 1e-10
+        else:
+            assert metrics["peak_pop_C"] > 1e-3
 
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0
@@ -279,7 +347,7 @@ class TestMainSubcommands:
 
     def test_chain_experiment_via_config(self, tmp_path):
         path, _ = write_config(
-            tmp_path,
+            tmp_path, integrator=None,
             spin={"s": 0.5, "positions_m": [0.0, 2.5e-7, 5.0e-7]},
             experiment={"name": "cascade_chain", "parameters": {"n_sites": 3}})
         assert main(["experiment", "cascade_chain", "--config", str(path)]) == 0

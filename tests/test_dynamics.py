@@ -14,10 +14,7 @@ from chiralspin import (
     Trajectory,
     SpinSite,
     basis_vector,
-    build_bidirectional_model,
-    build_cascaded_model,
-    build_chain_model,
-    build_collective_jump,
+    build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     check_cutoff_convergence,
@@ -107,7 +104,7 @@ class TestEvolveBasics:
             evolve(model, bad, IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
     def test_trace_blowup_raises_with_step(self, pair_spec):
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=0.3), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
         rho0 = pure(model.space, UD)
         cfg = IntegratorConfig(t_final=400.0, rate_scale=1.0, dt=8.0)  # far beyond stability
         with pytest.raises(IntegrationError) as err:
@@ -115,7 +112,7 @@ class TestEvolveBasics:
         assert err.value.step is not None
 
     def test_sampling_stride_and_final_point(self, pair_spec):
-        model = build_cascaded_model(pair_spec(), "forward")
+        model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-3, sample_stride=7)
         traj = evolve(model, pure(model.space, UD), cfg,
                       [("pop", number_op(model.space, 1))])
@@ -124,7 +121,7 @@ class TestEvolveBasics:
         assert len(traj.times) == len(traj.observables["pop"])
 
     def test_state_recording(self, pair_spec):
-        model = build_cascaded_model(pair_spec(), "forward")
+        model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2, record_states_stride=10)
         traj = evolve(model, pure(model.space, UD), cfg)
         assert traj.states is not None
@@ -135,8 +132,8 @@ class TestEvolveBasics:
 def encoding_models(pair_spec, two_spins):
     sites = tuple(SpinSite(0.5, 2.5e-7 * j, f"s{j}") for j in range(3))
     return {
-        "bidirectional_pair": build_bidirectional_model(pair_spec(gamma=1.0, gamma_prime=0.4, kd=0.9)),
-        "chain3": build_chain_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, sites)),
+        "bidirectional_pair": build_cascade_model(pair_spec(gamma=1.0, gamma_prime=0.4, kd=0.9)),
+        "chain3": build_cascade_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, sites)),
         "full_d12": build_full_model(two_spins, (ModeSpec(+1, +1, detuning=6.0, g=0.9, fock_cutoff=2),)),
     }
 
@@ -174,7 +171,7 @@ class TestGeneratorEncoding:
 class TestAgainstExponentialOracle:
     def test_cascaded_transfer_matches_expm(self, pair_spec):
         spec = pair_spec(gamma=1.0, kd=0.9)
-        model = build_cascaded_model(spec, "forward")
+        model = build_cascade_model(spec)
         h = model.hamiltonian.matrix
         rate_ops = [(r, op.matrix) for r, op in model.jumps]
         liou = reference_liouvillian(h, rate_ops, 4)
@@ -186,7 +183,7 @@ class TestAgainstExponentialOracle:
             assert np.max(np.abs(state.matrix - exact)) <= 1e-9
 
     def test_total_excitation_never_increases(self, pair_spec):
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=0.9), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.9))
         n_tot = number_op(model.space, 0) + number_op(model.space, 1)
         traj = evolve(model, pure(model.space, UD),
                       IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3),
@@ -226,7 +223,7 @@ class TestCounterRotatingSuppression:
 class TestPhysicalityDiagnostics:
     @pytest.mark.parametrize("kd", [0.0, 0.7, 2.4])
     def test_trace_hermiticity_positivity(self, pair_spec, kd):
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=kd), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=kd))
         traj = evolve(model, pure(model.space, UD),
                       IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=1e-3))
         assert traj.diagnostics["max_trace_drift"] <= 1e-9
@@ -235,7 +232,7 @@ class TestPhysicalityDiagnostics:
 
     def test_step_halving_consistency(self, pair_spec):
         # fourth-order scaling: halving dt moves observables by <= 16x tolerance
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=0.8), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.8))
         watch = [("pop_B", number_op(model.space, 1))]
         rho0 = pure(model.space, UD)
         coarse = evolve(model, rho0, IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=2e-3), watch)
@@ -244,7 +241,7 @@ class TestPhysicalityDiagnostics:
         assert np.max(np.abs(shared)) <= 16.0 * 1e-10
 
     def test_loop_and_matrix_paths_agree(self, pair_spec, monkeypatch):
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=1.2), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=1.2))
         watch = [("pop_B", number_op(model.space, 1))]
         rho0 = pure(model.space, UD)
         cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=1e-3)
@@ -260,7 +257,7 @@ class TestNoBackAction:
     def test_upstream_reduced_dynamics_unchanged(self, pair_spec, kd, random_state_factory):
         # product initial state: excited upstream spin, mixed downstream spin
         spec = pair_spec(gamma=1.0, kd=kd)
-        model = build_cascaded_model(spec, "forward")
+        model = build_cascade_model(spec)
         single = single_spin_decay_model(spec.gamma)
         rho_b = random_state_factory(HilbertSpace((spin_factor(0.5),)))
         up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -311,14 +308,14 @@ class TestNonHermitianEvolution:
 
     def test_with_jump_matches_lindblad(self, pair_spec):
         spec = pair_spec(gamma=1.0, kd=0.4)
-        model = build_cascaded_model(spec, "forward")
+        model = build_cascade_model(spec)
         psi0 = basis_vector(model.space, UD)
         cfg = IntegratorConfig(t_final=5.0, rate_scale=1.0, dt=1e-3)
         watch = [("pop_B", number_op(model.space, 1)), ("pop_A", number_op(model.space, 0))]
         lind = evolve(model, DensityMatrix.from_pure(model.space, psi0), cfg, watch)
         h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-        jump = (2.0 * spec.gamma, build_collective_jump(spec, "forward"))
-        rewritten = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=True, jump=jump, watch=watch)
+        rewritten = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=True, jump=model.jumps[0],
+                                        watch=watch)
         for label in ("pop_A", "pop_B"):
             dev = np.max(np.abs(lind.observables[label] - rewritten.observables[label]))
             assert dev <= 1e-9
@@ -349,10 +346,7 @@ class TestFitExchangeRate:
 
     def test_closed_exchange_simulation(self, pair_spec):
         # H = i*gamma(S_A^+ S_B^- - h.c.) at zero phase swaps with P_B = sin^2(gamma t)
-        from chiralspin import build_cascade_hamiltonian
-
-        spec = pair_spec(gamma=1.0, kd=0.0)
-        h = build_cascade_hamiltonian(spec, "forward")
+        h = build_cascade_model(pair_spec(gamma=1.0, kd=0.0)).hamiltonian
         model = LindbladModel(h, (), h.space)
         traj = evolve(model, pure(h.space, UD),
                       IntegratorConfig(t_final=2.5, rate_scale=1.0, dt=1e-3),

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from chiralspin import (
     CascadeSpec,
     DomainError,
     ModeSpec,
     SpinSite,
     basis_vector,
-    build_bidirectional_model,
-    build_cascade_hamiltonian,
-    build_cascaded_model,
-    build_chain_model,
-    build_collective_jump,
+    build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     commutator,
@@ -23,6 +21,21 @@ from conftest import random_density
 
 # one-excitation basis bookkeeping for two spins-1/2: |uu>, |ud>, |du>, |dd>
 UU, UD, DU, DD = 0, 1, 2, 3
+
+
+def one_channel(spec, direction):
+    """``spec`` with only the forward (gamma) or only the backward (gamma_prime) channel."""
+    if direction == "forward":
+        return replace(spec, gamma_prime=0.0)
+    return replace(spec, gamma=0.0)
+
+
+def reverse_factors(matrix, dims):
+    """``matrix`` with the order of its tensor factors reversed."""
+    n = len(dims)
+    order = list(range(n - 1, -1, -1))
+    tensor = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
+    return tensor.reshape(matrix.shape)
 
 
 def lindblad_rhs(h, rate_ops, rho):
@@ -113,48 +126,49 @@ class TestFullModel:
 
 class TestCascadeHamiltonian:
     def test_transfer_matrix_element_at_zero_phase(self, pair_spec):
-        h = build_cascade_hamiltonian(pair_spec(gamma=1.0, kd=0.0), "forward").matrix
+        h = build_cascade_model(pair_spec(gamma=1.0, kd=0.0)).hamiltonian.matrix
         assert h[DU, UD] == -1j
 
     def test_phase_periodicity(self, pair_spec):
-        h1 = build_cascade_hamiltonian(pair_spec(kd=np.pi), "forward").matrix
-        h2 = build_cascade_hamiltonian(pair_spec(kd=-np.pi), "forward").matrix
+        h1 = build_cascade_model(pair_spec(kd=np.pi)).hamiltonian.matrix
+        h2 = build_cascade_model(pair_spec(kd=-np.pi)).hamiltonian.matrix
         assert np.max(np.abs(h1 - h2)) <= 1e-12
 
     def test_zero_rate_gives_zero_operator(self, pair_spec):
-        h = build_cascade_hamiltonian(pair_spec(gamma=0.0, kd=1.3), "forward").matrix
-        assert np.max(np.abs(h)) == 0.0
+        model = build_cascade_model(pair_spec(gamma=0.0, kd=1.3))
+        assert np.max(np.abs(model.hamiltonian.matrix)) == 0.0
+        assert model.jumps == ()
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_always_hermitian(self, pair_spec, direction, rng):
         for _ in range(10):
-            spec = pair_spec(gamma=float(rng.uniform(0, 3)),
-                             gamma_prime=float(rng.uniform(0, 3)),
-                             kd=float(rng.uniform(-7, 7)))
-            h = build_cascade_hamiltonian(spec, direction)
+            spec = one_channel(pair_spec(gamma=float(rng.uniform(0, 3)),
+                                         gamma_prime=float(rng.uniform(0, 3)),
+                                         kd=float(rng.uniform(-7, 7))), direction)
+            h = build_cascade_model(spec).hamiltonian
             assert h.is_hermitian()
 
     def test_invalid_direction(self, pair_spec):
         with pytest.raises(DomainError):
-            build_cascade_hamiltonian(pair_spec(), "sideways")
+            build_nonhermitian_hamiltonian(pair_spec(), "sideways")
 
 
 class TestCollectiveJump:
     def test_superradiant_combination_at_zero_phase(self, pair_spec):
-        z = build_collective_jump(pair_spec(kd=0.0), "forward").matrix
+        z = build_cascade_model(pair_spec(kd=0.0)).jumps[0][1].matrix
         spA = np.kron(spin_operators(0.5)[1].matrix, np.eye(2))
         spB = np.kron(np.eye(2), spin_operators(0.5)[1].matrix)
         assert np.max(np.abs(z - (spA + spB))) <= 1e-15
 
     def test_annihilates_all_ground(self, pair_spec):
-        z = build_collective_jump(pair_spec(kd=0.9), "forward").matrix
+        z = build_cascade_model(pair_spec(kd=0.9)).jumps[0][1].matrix
         ground = np.zeros(4)
         ground[DD] = 1.0
         assert np.max(np.abs(z @ ground)) == 0.0
 
     def test_symmetric_state_eigenvalue_two(self, pair_spec):
         # independent oracle: diagonalize the 4x4 weight operator
-        z = build_collective_jump(pair_spec(kd=0.0), "forward").matrix
+        z = build_cascade_model(pair_spec(kd=0.0)).jumps[0][1].matrix
         eigs = np.linalg.eigvalsh(z.conj().T @ z)
         assert np.max(np.abs(np.sort(eigs) - np.array([0.0, 0.0, 2.0, 2.0]))) <= 1e-12
         sym = np.zeros(4)
@@ -162,8 +176,8 @@ class TestCollectiveJump:
         assert abs(sym @ (z.conj().T @ z) @ sym - 2.0) <= 1e-12
 
     def test_backward_swaps_roles(self, pair_spec):
-        spec = pair_spec(kd=0.4)
-        z = build_collective_jump(spec, "backward").matrix
+        spec = pair_spec(gamma=0.0, gamma_prime=1.0, kd=0.4)
+        z = build_cascade_model(spec).jumps[0][1].matrix
         phase = np.exp(-1j * 0.4)
         smA = np.kron(spin_operators(0.5)[1].matrix, np.eye(2))
         smB = np.kron(np.eye(2), spin_operators(0.5)[1].matrix)
@@ -172,24 +186,24 @@ class TestCollectiveJump:
 
 class TestCascadedModel:
     def test_jump_rate_is_twice_gamma(self, pair_spec):
-        model = build_cascaded_model(pair_spec(gamma=1.7), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.7))
         assert model.jumps[0][0] == pytest.approx(3.4)
 
     def test_dark_steady_state(self, pair_spec):
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=0.0), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.0))
         ground = np.zeros((4, 4), dtype=complex)
         ground[DD, DD] = 1.0
         assert np.max(np.abs(model.generator().apply(ground))) == 0.0
 
     def test_generator_annihilates_trace(self, pair_spec, rng):
-        generator = build_cascaded_model(pair_spec(gamma=0.8, kd=1.1), "forward").generator()
+        generator = build_cascade_model(pair_spec(gamma=0.8, kd=1.1)).generator()
         for _ in range(20):
             rho = random_density(rng, 4)
             assert abs(np.trace(generator.apply(rho))) <= 1e-12
 
     def test_single_excitation_decays(self, pair_spec):
         # from |up,down> the excited-manifold weight must not grow at t=0
-        model = build_cascaded_model(pair_spec(gamma=1.0, kd=0.5), "forward")
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.5))
         rho = np.zeros((4, 4), dtype=complex)
         rho[UD, UD] = 1.0
         p_excited = np.eye(4)
@@ -205,8 +219,9 @@ class TestNonHermitianHamiltonian:
             kd = float(rng.uniform(-np.pi, np.pi))
             spec = pair_spec(gamma=gamma, gamma_prime=gamma, kd=kd)
             for direction in ("forward", "backward"):
-                h = build_cascade_hamiltonian(spec, direction).matrix
-                z = build_collective_jump(spec, direction).matrix
+                model = build_cascade_model(one_channel(spec, direction))
+                h = model.hamiltonian.matrix
+                z = model.jumps[0][1].matrix
                 expected = h - 1j * gamma * (z.conj().T @ z)
                 built = build_nonhermitian_hamiltonian(spec, direction).matrix
                 assert np.max(np.abs(built - expected)) <= 1e-12 * gamma
@@ -239,8 +254,9 @@ class TestGeneratorEquivalence:
             gamma = float(rng.uniform(0.05, 3.0))
             kd = float(rng.uniform(-np.pi, np.pi))
             spec = pair_spec(gamma=gamma, kd=kd)
-            h = build_cascade_hamiltonian(spec, "forward").matrix
-            z = build_collective_jump(spec, "forward").matrix
+            model = build_cascade_model(spec)
+            h = model.hamiltonian.matrix
+            z = model.jumps[0][1].matrix
             h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
             for _ in range(5):
                 rho = random_density(rng, 4)
@@ -252,19 +268,22 @@ class TestGeneratorEquivalence:
 
 class TestBidirectionalModel:
     def test_zero_backward_equals_forward_only(self, pair_spec):
-        spec = pair_spec(gamma=1.2, gamma_prime=0.0, kd=0.8)
-        bid = build_bidirectional_model(spec)
-        fwd = build_cascaded_model(spec, "forward")
-        assert np.max(np.abs(bid.hamiltonian.matrix - fwd.hamiltonian.matrix)) == 0.0
-        assert len(bid.jumps) == 1
-        assert bid.jumps[0][0] == fwd.jumps[0][0]
-        assert np.max(np.abs(bid.jumps[0][1].matrix - fwd.jumps[0][1].matrix)) == 0.0
+        # gamma_prime = 0 drops the backward channel; otherwise it adds to H and the jump list
+        bid = build_cascade_model(pair_spec(gamma=1.2, gamma_prime=0.5, kd=0.8))
+        fwd = build_cascade_model(pair_spec(gamma=1.2, gamma_prime=0.0, kd=0.8))
+        bwd = build_cascade_model(pair_spec(gamma=0.0, gamma_prime=0.5, kd=0.8))
+        assert len(fwd.jumps) == 1 and len(bid.jumps) == 2
+        assert np.max(np.abs(bid.hamiltonian.matrix
+                             - (fwd.hamiltonian + bwd.hamiltonian).matrix)) == 0.0
+        for (rate, z), (ref_rate, ref_z) in zip(bid.jumps, fwd.jumps + bwd.jumps):
+            assert rate == ref_rate
+            assert np.max(np.abs(z.matrix - ref_z.matrix)) == 0.0
 
     def test_equal_rates_give_reciprocal_exchange(self, pair_spec):
         # matrix expansion of the two directional forms
         gamma, kd = 0.9, 0.6
         spec = pair_spec(gamma=gamma, gamma_prime=gamma, kd=kd)
-        h = build_bidirectional_model(spec).hamiltonian.matrix
+        h = build_cascade_model(spec).hamiltonian.matrix
         sp = spin_operators(0.5)[0].matrix
         sm = spin_operators(0.5)[1].matrix
         flip = np.kron(sp, sm) + np.kron(sm, sp)
@@ -273,28 +292,31 @@ class TestBidirectionalModel:
 
     def test_equal_rates_zero_phase_pure_dissipation(self, pair_spec):
         spec = pair_spec(gamma=1.0, gamma_prime=1.0, kd=0.0)
-        h = build_bidirectional_model(spec).hamiltonian.matrix
-        assert np.max(np.abs(h)) <= 1e-15
-        assert len(build_bidirectional_model(spec).jumps) == 2
+        model = build_cascade_model(spec)
+        assert np.max(np.abs(model.hamiltonian.matrix)) <= 1e-15
+        assert len(model.jumps) == 2
 
 
 class TestChainModel:
-    def chain_spec(self, n, gamma=1.0, kd=0.8):
+    def chain_spec(self, n, gamma=1.0, kd=0.8, gamma_prime=0.0):
         sites = tuple(SpinSite(0.5, float(j), f"s{j}") for j in range(n))
-        return CascadeSpec(gamma, 0.0, kd, sites)
+        return CascadeSpec(gamma, gamma_prime, kd, sites)
 
     def test_two_sites_reduces_to_cascaded(self):
-        spec = self.chain_spec(2, gamma=1.3, kd=0.5)
-        chain = build_chain_model(spec)
-        pair = build_cascaded_model(spec, "forward")
-        assert np.max(np.abs(chain.hamiltonian.matrix - pair.hamiltonian.matrix)) == 0.0
-        assert np.max(np.abs(chain.jumps[0][1].matrix - pair.jumps[0][1].matrix)) <= 1e-15
-        assert chain.jumps[0][0] == pair.jumps[0][0]
+        # the two-site forward model is the pair formula written out with kron
+        gamma, kd = 1.3, 0.5
+        model = build_cascade_model(self.chain_spec(2, gamma=gamma, kd=kd))
+        sp, sm, _ = spin_operators(0.5)
+        t = (1j * gamma * np.exp(-1j * kd)) * np.kron(sp.matrix, sm.matrix)
+        z = np.kron(sm.matrix, np.eye(2)) + np.exp(-1j * kd) * np.kron(np.eye(2), sm.matrix)
+        assert np.max(np.abs(model.hamiltonian.matrix - (t + t.conj().T))) == 0.0
+        assert np.max(np.abs(model.jumps[0][1].matrix - z)) <= 1e-15
+        assert model.jumps[0][0] == 2.0 * gamma
 
     def test_three_sites_symmetric_weight_three(self):
         # all phases zero: diagonalize the 8x8 weight operator directly
         spec = self.chain_spec(3, kd=0.0)
-        z = build_chain_model(spec).jumps[0][1].matrix
+        z = build_cascade_model(spec).jumps[0][1].matrix
         eigs = np.linalg.eigvalsh(z.conj().T @ z)
         assert np.min(np.abs(eigs - 3.0)) <= 1e-12
         sym = np.zeros(8)
@@ -307,7 +329,7 @@ class TestChainModel:
     def test_all_ground_stationary(self):
         for n in (2, 3, 4):
             spec = self.chain_spec(n, kd=0.7)
-            model = build_chain_model(spec)
+            model = build_cascade_model(spec)
             ground = np.zeros((2 ** n, 2 ** n), dtype=complex)
             ground[-1, -1] = 1.0
             assert np.max(np.abs(model.generator().apply(ground))) == 0.0
@@ -315,7 +337,7 @@ class TestChainModel:
     def test_upstream_occupation_frozen_against_downstream(self):
         # leftmost spin in its ground state never gains from excited downstream
         spec = self.chain_spec(3, kd=0.8)
-        model = build_chain_model(spec)
+        model = build_cascade_model(spec)
         psi = np.zeros(8)
         psi[4 - 1] = 0.0
         # |down, up, up> = index 0b100 = 4
@@ -326,9 +348,29 @@ class TestChainModel:
         derivative = np.trace(n1 @ model.generator().apply(rho)).real
         assert abs(derivative) <= 1e-12
 
-    def test_backward_chain_rejected(self):
-        with pytest.raises(DomainError):
-            build_chain_model(self.chain_spec(3), "backward")
+    def test_backward_chain_mirrors_forward(self):
+        # the backward channel is the forward one of the mirrored sites, factors reversed
+        sites = (SpinSite(0.5, 0.0, "a"), SpinSite(1.0, 0.7, "b"), SpinSite(1.0, 1.9, "c"))
+        mirrored = tuple(SpinSite(s.s, -s.position_z, s.label) for s in reversed(sites))
+        bwd = build_cascade_model(CascadeSpec(0.0, 0.8, 1.3, sites))
+        fwd = build_cascade_model(CascadeSpec(0.8, 0.0, 1.3, mirrored))
+        dims = fwd.space.dims
+        assert bwd.space.dims == dims[::-1]
+        assert np.max(np.abs(bwd.hamiltonian.matrix
+                             - reverse_factors(fwd.hamiltonian.matrix, dims))) <= 1e-15
+        assert len(bwd.jumps) == len(fwd.jumps) == 1
+        assert bwd.jumps[0][0] == fwd.jumps[0][0]
+        assert np.max(np.abs(bwd.jumps[0][1].matrix
+                             - reverse_factors(fwd.jumps[0][1].matrix, dims))) <= 1e-15
+
+    def test_equal_rate_chain_hermitian_and_trace_preserving(self, rng):
+        model = build_cascade_model(self.chain_spec(3, gamma=0.9, gamma_prime=0.9, kd=0.6))
+        assert model.hamiltonian.is_hermitian()
+        assert len(model.jumps) == 2
+        generator = model.generator()
+        for _ in range(20):
+            rho = random_density(rng, 8)
+            assert abs(np.trace(generator.apply(rho))) <= 1e-12
 
     def test_unsorted_positions_rejected(self):
         sites = (SpinSite(0.5, 0.0), SpinSite(0.5, 2.0), SpinSite(0.5, 1.0))
