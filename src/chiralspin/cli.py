@@ -98,16 +98,18 @@ _SCHEMA = {
 _REQUIRED = {"material": ("density_kg_m3", "v_plus_m_s", "v_minus_m_s", "xi_S_hz", "xi_I_hz"),
              "mode": ("detuning_hz", "g_hz")}
 
-# Every experiment and the kinds of the ``experiment.parameters`` it reads.
+# Every experiment: the kinds of the ``experiment.parameters`` it reads, and the sections it
+# reads besides schema_version, experiment and output. Any other section is rejected.
 _EXPERIMENTS = {
-    "simulate": {},
-    "couplings": {"delta_hz": "number", "drive_u": "number", "n": "count"},
-    "transfer_asymmetry": {},
-    "reciprocity_sweep": {"ratios": "numbers"},
-    "cascade_chain": {"n_sites": "count"},
-    "elimination_validation": {"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"},
-    "decoherence_budget": {"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number",
-                           "delta_hz": "number"},
+    "simulate": ({}, ("material", "geometry", "spin", "modes", "cascade", "integrator")),
+    "couplings": ({"delta_hz": "number", "drive_u": "number", "n": "count"},
+                  ("material", "geometry", "spin")),
+    "transfer_asymmetry": ({}, ("spin", "cascade")),
+    "reciprocity_sweep": ({"ratios": "numbers"}, ("spin", "cascade")),
+    "cascade_chain": ({"n_sites": "count"}, ("spin", "cascade")),
+    "elimination_validation": ({"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"}, ()),
+    "decoherence_budget": ({"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number",
+                            "delta_hz": "number"}, ()),
 }
 
 # The channels each cascade.direction keeps: (forward rate gamma, backward rate gamma_prime).
@@ -183,11 +185,11 @@ class RunConfig:
         name = data["experiment"].get("name")
         if name not in _EXPERIMENTS:
             raise DomainError(f"unknown experiment {name!r}; known: {tuple(_EXPERIMENTS)}")
-        _check_section(_EXPERIMENTS[name], data["experiment"].get("parameters", {}),
-                       "experiment.parameters.")
-        if "integrator" in data and name != "simulate":
-            raise DomainError(f"experiment {name!r} runs on its own fixed grid; "
-                              "only 'simulate' reads the 'integrator' section")
+        parameters, sections = _EXPERIMENTS[name]
+        _check_section(parameters, data["experiment"].get("parameters", {}), "experiment.parameters.")
+        unread = sorted(set(data) - {"schema_version", "experiment", "output", *sections})
+        if unread:
+            raise DomainError(f"experiment {name!r} does not read section(s) {unread}")
         if not isinstance(data.get("material", ""), str):
             _check_section(_SCHEMA["material"], data["material"], "material.", _REQUIRED["material"])
         for section in ("geometry", "spin", "cascade", "integrator", "output"):
@@ -352,6 +354,7 @@ def _simulate_full_model(config: RunConfig) -> ExperimentReport:
 
 
 def _simulate(config: RunConfig) -> ExperimentReport:
+    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
     if "modes" in config.data:
         return _simulate_full_model(config)
     spec = config.cascade_spec()
@@ -405,6 +408,7 @@ def _simulate(config: RunConfig) -> ExperimentReport:
 
 
 def _couplings(config: RunConfig) -> ExperimentReport:
+    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
     params = config.experiment_parameters
     material = config.material()
     geom = config.geometry()
@@ -428,6 +432,7 @@ def _couplings(config: RunConfig) -> ExperimentReport:
 
 
 def _dispatch(config: RunConfig) -> ExperimentReport:
+    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
     name = config.experiment_name
     params = config.experiment_parameters
     if name == "simulate":
@@ -670,11 +675,9 @@ def main(argv=None) -> int:
     if args.command == "experiment":
         if args.config is not None:
             return run(args.config, args.overrides, experiment_name=args.name, output_dir=args.output)
-        minimal = {
-            "schema_version": SCHEMA_VERSION,
-            "cascade": {"gamma_hz": 1.0, "k_z_d": 0.7},
-            "experiment": {"name": args.name},
-        }
+        minimal = {"schema_version": SCHEMA_VERSION, "experiment": {"name": args.name}}
+        if "cascade" in _EXPERIMENTS[args.name][1]:
+            minimal["cascade"] = {"gamma_hz": 1.0, "k_z_d": 0.7}
         return _execute(lambda: RunConfig.from_dict(minimal).with_overrides(args.overrides),
                         args.output)
 

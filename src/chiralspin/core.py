@@ -138,11 +138,13 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
 
+    def antihermiticity(self) -> float:
+        """max|A - A^dag| relative to max|A|; 0 for the zero operator."""
+        scale = float(np.max(np.abs(self.matrix)))
+        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale if scale else 0.0
+
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        scale = np.max(np.abs(self.matrix))
-        if scale == 0.0:
-            return True
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= rtol * scale
+        return self.antihermiticity() <= rtol
 
     def _check_same_space(self, other: "Operator"):
         if self.space != other.space:

@@ -55,10 +55,10 @@ class IntegratorConfig:
     ``tolerance`` bounds the per-step trace drift of trace-preserving
     evolutions; violating it raises :class:`IntegrationError` with the
     offending step. ``sample_stride`` controls how often watched expectation
-    values are recorded (1 = every step), ``record_states_stride`` optionally
-    stores full density-matrix snapshots, and ``diagnostics_stride`` sets how
-    often the more expensive hermiticity/positivity/step-doubling diagnostics
-    run (default: ~256 evenly spaced checks per run).
+    values are recorded (1 = every step) and ``record_states_stride``
+    optionally stores full density-matrix snapshots. The more expensive
+    hermiticity/positivity/step-doubling diagnostics run at ~256 evenly spaced
+    steps per run.
     """
 
     t_final: float
@@ -67,7 +67,6 @@ class IntegratorConfig:
     tolerance: float = 1e-10
     sample_stride: int = 1
     record_states_stride: int = 0
-    diagnostics_stride: int | None = None
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -80,8 +79,6 @@ class IntegratorConfig:
             raise DomainError("sample_stride must be >= 1")
         if self.record_states_stride < 0:
             raise DomainError("record_states_stride must be >= 0")
-        if self.diagnostics_stride is not None and self.diagnostics_stride < 1:
-            raise DomainError("diagnostics_stride must be >= 1")
 
 
 @dataclass
@@ -151,7 +148,7 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
     space = rho0.space
     d = space.dim
     n, dt = _resolve_grid(cfg, scale)
-    diag_stride = cfg.diagnostics_stride or max(1, n // 256)
+    diag_stride = max(1, n // 256)
     state_stride = cfg.record_states_stride
 
     labels = [label for label, _ in watch_ops]

@@ -3,6 +3,7 @@ import pytest
 
 from chiralspin import CascadeSpec, DensityMatrix, SpinSite
 from chiralspin.core import HilbertSpace, spin_factor
+from chiralspin.validation import random_density
 
 
 @pytest.fixture
@@ -21,20 +22,6 @@ def pair_spec(two_spins):
     def make(gamma=1.0, gamma_prime=0.0, kd=0.7):
         d = two_spins[1].position_z - two_spins[0].position_z
         return CascadeSpec(gamma, gamma_prime, kd / d, two_spins)
-
-    return make
-
-
-def random_density(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
-
-
-@pytest.fixture
-def random_density_factory(rng):
-    def make(dim):
-        return random_density(rng, dim)
 
     return make
 

@@ -16,8 +16,6 @@ import pytest
 from chiralspin import (
     CascadeSpec,
     SpinSite,
-    build_cascade_model,
-    build_nonhermitian_hamiltonian,
     cascade_chain,
     coupling_table,
     decoherence_budget,
@@ -26,8 +24,7 @@ from chiralspin import (
 )
 from chiralspin.cli import run as cli_run
 from chiralspin.materials import ResonatorGeometry
-
-from conftest import random_density
+from chiralspin.validation import generator_forms_agree, nonhermitian_identity
 
 RESULTS = []
 
@@ -42,6 +39,10 @@ def report_line(number, name, ok, detail):
 def pair_spec(gamma=1.0, gamma_prime=0.0, kd=0.7):
     sites = (SpinSite(0.5, 0.0, "A"), SpinSite(0.5, 2.5e-7, "B"))
     return CascadeSpec(gamma, gamma_prime, kd / 2.5e-7, sites)
+
+
+def draw_pair_spec(rng):
+    return pair_spec(gamma=float(rng.uniform(0.05, 3.0)), kd=float(rng.uniform(-math.pi, math.pi)))
 
 
 @pytest.fixture(scope="module")
@@ -72,21 +73,8 @@ def chain_runs():
 
 def test_criterion_1_generator_forms_agree():
     start = time.perf_counter()
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(10):
-        gamma = float(rng.uniform(0.05, 3.0))
-        kd = float(rng.uniform(-math.pi, math.pi))
-        spec = pair_spec(gamma=gamma, kd=kd)
-        model = build_cascade_model(spec)
-        generator = model.generator()
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
-        z = model.jumps[0][1].matrix
-        for _ in range(50):
-            rho = random_density(rng, 4)
-            lhs = generator.apply(rho)
-            rhs = -1j * (h_nh @ rho - rho @ h_nh.conj().T) + 2.0 * gamma * (z @ rho @ z.conj().T)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
+    worst = generator_forms_agree(np.random.default_rng(42), specs=10, states=50,
+                                  draw_spec=draw_pair_spec)["relative_deviation"]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     assert report_line(1, "master-equation rewrite identity", ok,
@@ -94,18 +82,8 @@ def test_criterion_1_generator_forms_agree():
 
 
 def test_criterion_2_nonhermitian_structure():
-    rng = np.random.default_rng(43)
-    worst = 0.0
-    for _ in range(20):
-        gamma = float(rng.uniform(0.05, 3.0))
-        kd = float(rng.uniform(-math.pi, math.pi))
-        spec = pair_spec(gamma=gamma, kd=kd)
-        model = build_cascade_model(spec)
-        h = model.hamiltonian.matrix
-        z = model.jumps[0][1].matrix
-        built = build_nonhermitian_hamiltonian(spec, "forward").matrix
-        worst = max(worst, float(np.max(np.abs(built - (h - 1j * gamma * z.conj().T @ z)))) / gamma)
-    reverse = build_nonhermitian_hamiltonian(pair_spec(gamma=1.3, kd=0.9), "forward").matrix[1, 2]
+    measured = nonhermitian_identity(np.random.default_rng(43), specs=20, draw_spec=draw_pair_spec)
+    worst, reverse = measured["relative_deviation"], measured["reverse_coefficient"]
     ok = worst <= 1e-12 and reverse == 0.0
     assert report_line(2, "effective Hamiltonian structural identity", ok,
                        f"identity deviation {worst:.2e}, reverse-transfer coefficient {reverse}")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import chiralspin
 from chiralspin import DomainError
+from chiralspin import validation
 from chiralspin.cli import RunConfig, emit_report, main, run
 from chiralspin.experiments import ExperimentReport, transfer_asymmetry
 from chiralspin import CascadeSpec, SpinSite
@@ -33,12 +35,16 @@ def write_config(tmp_path, name="cascade.json", **changes):
     return path, config
 
 
-# (command, overrides) that must exit 2 with a config_schema error; "{config}"
-# stands for a valid simulate config file.
+# (command, overrides) that must exit 2 with a config_schema error naming the key of the
+# first override; "{config}" stands for a valid simulate config file. Each command reads
+# the section it overrides, so the value itself is what gets rejected.
 MALFORMED = [
-    *(pytest.param(["experiment", "transfer_asymmetry"], [override], id=override)
-      for override in ("geometry.l_m=abc", 'cascade.gamma_hz="x"', "geometry.w_m=true",
-                       "integrator.dt=NaN", "cascade.gamma_prime_hz=Infinity")),
+    *(pytest.param(command, [override], id=override)
+      for command, override in ((["experiment", "couplings"], "geometry.l_m=abc"),
+                                (["experiment", "transfer_asymmetry"], 'cascade.gamma_hz="x"'),
+                                (["experiment", "couplings"], "geometry.w_m=true"),
+                                (["simulate", "{config}"], "integrator.dt=NaN"),
+                                (["experiment", "transfer_asymmetry"], "cascade.gamma_prime_hz=Infinity"))),
     *(pytest.param(["experiment", "cascade_chain"], [override], id=f"cascade_chain:{override}")
       for override in ("cascade.k_z_d=abc", "cascade.k_z_rad_m=null",
                        'spin.positions_m=[0,"a"]', 'spin.s="x"')),
@@ -235,7 +241,7 @@ class TestMainSubcommands:
 
     def test_experiment_subcommand_with_config(self, tmp_path):
         path, _ = write_config(
-            tmp_path, integrator=None,
+            tmp_path, integrator=None, spin=None, cascade=None,
             experiment={"name": "decoherence_budget",
                         "parameters": {"gamma0_hz": 1.0, "drive_u": [1e-4, 2e-4]}})
         assert main(["experiment", "decoherence_budget", "--config", str(path)]) == 0
@@ -266,6 +272,23 @@ class TestMainSubcommands:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ERROR invariant=config_schema")
+        assert overrides[0].split("=")[0] in proc.stderr
+
+    @pytest.mark.parametrize("name, override", [
+        ("decoherence_budget", "cascade.gamma_hz=5"),
+        ("decoherence_budget", 'modes=[{"detuning_hz": 1, "g_hz": 1}]'),
+        ("elimination_validation", "cascade.gamma_hz=5"),
+        ("transfer_asymmetry", "geometry.l_m=1e-6"),
+        ("cascade_chain", "material=alpha-SiO2"),
+        ("couplings", "cascade.gamma_hz=1"),
+    ])
+    def test_unread_section_rejected(self, tmp_path, capsys, name, override):
+        section = override.split("=")[0].split(".")[0]
+        code = main(["experiment", name, "--set", override, "--output", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and f"'{section}'" in err
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("name", ["cascade_chain", "transfer_asymmetry"])
     def test_integrator_section_rejected_for_named_experiment(self, tmp_path, capsys, name):
@@ -313,10 +336,40 @@ class TestMainSubcommands:
         else:
             assert metrics["peak_pop_C"] > 1e-3
 
+    @pytest.mark.parametrize("measure", [validation.spin_commutators, validation.dagger_involution,
+                                         validation.generator_forms_agree])
+    def test_measure_propagates_nan(self, measure, monkeypatch):
+        # a NaN sample must reach the reported value, never be dropped by the reduction
+        monkeypatch.setattr(validation, "_max_abs", lambda m: float("nan"))
+        assert all(math.isnan(v) for v in measure().values())
+
     def test_validate_subcommand(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_validate_reports_failures(self, monkeypatch, capsys):
+        def broken():
+            raise ValueError("measure broke")
+
+        monkeypatch.setattr(validation, "INVARIANTS", (
+            ("within", lambda: {"x": 0.5}, {"x": (None, 1.0)}),
+            ("raises", broken, {"x": (None, 1.0)}),
+            ("outside", lambda: {"x": 2.0}, {"x": (None, 1.0)}),
+            ("nan", lambda: {"x": float("nan")}, {"x": (0.0, 1.0)}),
+        ))
+        assert main(["validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "PASS within: x=5.00e-01 <= 1",
+            "FAIL raises: ValueError: measure broke",  # reported, and the suite goes on
+            "FAIL outside: x=2.00e+00 <= 1 VIOLATED",
+            "FAIL nan: x=nan in [0, 1] VIOLATED",
+            "1/4 invariants passed",
+        ]
+        errors = captured.err.splitlines()
+        assert [line.split()[1] for line in errors] == ["invariant=raises", "invariant=outside", "invariant=nan"]
+        assert all(line.startswith("ERROR ") for line in errors)
 
     def test_simulate_explicit_modes(self, tmp_path):
         path, _ = write_config(

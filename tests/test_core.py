@@ -14,6 +14,14 @@ from chiralspin import (
     tensor_product,
 )
 from chiralspin.core import HilbertSpace, boson_factor, identity, spin_factor
+from chiralspin.validation import (
+    boson_truncation,
+    dagger_involution,
+    embed_homomorphism,
+    partial_trace_identities,
+    random_density,
+    spin_commutators,
+)
 
 
 class TestSpinOperators:
@@ -34,15 +42,11 @@ class TestSpinOperators:
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_ladder_commutator_identity(self, s):
-        sp, sm, sz = spin_operators(s)
-        lhs = (sp @ sm - sm @ sp).matrix
-        assert np.max(np.abs(lhs - 2.0 * sz.matrix)) <= 1e-12
+        assert spin_commutators(spins=(s,))["ladder_deviation"] <= 1e-12
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
     def test_sz_ladder_commutators(self, s):
-        sp, sm, sz = spin_operators(s)
-        assert np.max(np.abs((sz @ sp - sp @ sz).matrix - sp.matrix)) <= 1e-12
-        assert np.max(np.abs((sz @ sm - sm @ sz).matrix + sm.matrix)) <= 1e-12
+        assert spin_commutators(spins=(s,))["sz_deviation"] <= 1e-12
 
     def test_plus_is_dagger_of_minus(self):
         sp, sm, _ = spin_operators(1.5)
@@ -64,10 +68,8 @@ class TestBosonOperators:
         assert np.allclose((adag @ a).matrix, np.diag([0, 1, 2]), atol=1e-14)
 
     def test_truncated_commutator(self):
-        # frozen by direct matrix arithmetic on the cutoff-2 ladder
-        a, adag = boson_operators(2)
-        comm = (a @ adag - adag @ a).matrix
-        assert np.allclose(comm, np.diag([1.0, 1.0, -2.0]), atol=1e-14)
+        # [a, a^dag] on the cutoff-2 ladder is diag(1, 1, -2)
+        assert boson_truncation()["deviation"] <= 1e-14
 
     def test_lowering_action(self):
         a, _ = boson_operators(3)
@@ -103,13 +105,7 @@ class TestEmbed:
 
     def test_multiplicative_homomorphism(self, rng):
         space = HilbertSpace((spin_factor(0.5), spin_factor(1.0), boson_factor(2)))
-        single = HilbertSpace((spin_factor(1.0),))
-        for _ in range(10):
-            a = Operator(single, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            b = Operator(single, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            lhs = embed(a @ b, 1, space).matrix
-            rhs = (embed(a, 1, space) @ embed(b, 1, space)).matrix
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        assert embed_homomorphism(rng, samples=10, space=space)["deviation"] <= 1e-12
 
     def test_dimension_mismatch(self, two_spin_space):
         sp, _, _ = spin_operators(1.0)
@@ -124,9 +120,6 @@ class TestEmbed:
 
 class TestPartialTrace:
     def test_product_state_factors(self, two_spin_space, rng):
-        single = HilbertSpace((spin_factor(0.5),))
-        from conftest import random_density
-
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2)
         product = DensityMatrix(two_spin_space, np.kron(rho_a, rho_b))
@@ -146,18 +139,12 @@ class TestPartialTrace:
 
     def test_keep_all_is_identity(self, rng):
         space = HilbertSpace((spin_factor(0.5), boson_factor(2), spin_factor(0.5)))
-        from conftest import random_density
-
-        rho = DensityMatrix(space, random_density(rng, space.dim))
-        assert np.max(np.abs(partial_trace(rho, range(3)).matrix - rho.matrix)) <= 1e-14
+        assert partial_trace_identities(rng, samples=1, space=space)["keep_all_deviation"] <= 1e-14
 
     def test_trace_preserved(self, rng):
         space = HilbertSpace((spin_factor(1.0), spin_factor(0.5), boson_factor(3)))
-        from conftest import random_density
-
-        for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}):
-            rho = DensityMatrix(space, random_density(rng, space.dim))
-            assert abs(partial_trace(rho, keep).trace() - 1.0) <= 1e-12
+        keeps = ({0}, {1}, {2}, {0, 2}, {1, 2})
+        assert partial_trace_identities(rng, samples=1, space=space, keeps=keeps)["trace_deviation"] <= 1e-12
 
     def test_empty_keep_rejected(self, two_spin_space, random_state_factory):
         with pytest.raises(DomainError):
@@ -200,11 +187,7 @@ class TestExpectation:
 
 class TestOperatorValueSemantics:
     def test_dagger_involution_on_random(self, rng):
-        space = HilbertSpace((spin_factor(1.5),))
-        for _ in range(20):
-            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            op = Operator(space, m)
-            assert np.array_equal(op.dag().dag().matrix, op.matrix)
+        assert dagger_involution(rng, samples=20)["deviation"] == 0.0
 
     def test_matrices_frozen(self, two_spin_space):
         op = identity(two_spin_space)

@@ -18,29 +18,18 @@ from chiralspin import (
     build_full_model,
     build_nonhermitian_hamiltonian,
     check_cutoff_convergence,
-    embed,
     evolve,
     evolve_nonhermitian,
     fit_exchange_rate,
-    partial_trace,
-    spin_operators,
+    site_number_operators,
 )
-from chiralspin.core import HilbertSpace, spin_factor, zero
+from chiralspin.core import zero
+from chiralspin.experiments import single_spin_decay_model
 from chiralspin.models import LindbladModel
+from chiralspin.validation import amplitude_damping, jump_rewrite, no_back_action, random_density
 
 UD = (0, 1)
 DU = (1, 0)
-
-
-def number_op(space, site):
-    sp, sm, _ = spin_operators(0.5)
-    return embed(sp, site, space) @ embed(sm, site, space)
-
-
-def single_spin_decay_model(gamma):
-    space = HilbertSpace((spin_factor(0.5),))
-    _, sm, _ = spin_operators(0.5)
-    return LindbladModel(zero(space), ((2.0 * gamma, embed(sm, 0, space)),), space)
 
 
 def pure(space, occ):
@@ -66,33 +55,21 @@ def reference_liouvillian(h, rate_ops, dim):
 
 
 class TestEvolveBasics:
-    def test_zero_generator_is_flat(self, two_spin_space, random_state_factory):
+    def test_zero_generator_is_flat(self, two_spin_space, two_spins, random_state_factory):
         model = LindbladModel(zero(two_spin_space), (), two_spin_space)
         rho0 = random_state_factory(two_spin_space)
         cfg = IntegratorConfig(t_final=5.0, rate_scale=1.0, dt=0.01)
-        sp, sm, _ = spin_operators(0.5)
-        traj = evolve(model, rho0, cfg, [("pop", number_op(two_spin_space, 0))])
+        traj = evolve(model, rho0, cfg, [("pop", site_number_operators(two_spin_space, two_spins)[0])])
         assert traj.diagnostics["stationary"] == 1.0
         assert np.max(np.abs(np.diff(traj.observables["pop"]))) == 0.0
         assert np.max(np.abs(traj.final_state.matrix - rho0.matrix)) == 0.0
 
     def test_amplitude_damping_closed_form(self):
         # analytic oracle: excited population e^{-2 gamma t}
-        gamma = 1.0
-        model = single_spin_decay_model(gamma)
-        space = model.space
-        traj = evolve(model, pure(space, (0,)),
-                      IntegratorConfig(t_final=1.0, rate_scale=gamma, dt=1e-3),
-                      [("pop", number_op(space, 0))])
-        assert abs(traj.observables["pop"][-1].real - np.exp(-2.0)) <= 1e-6
+        assert amplitude_damping()["deviation"] <= 1e-6
 
-    @pytest.mark.parametrize("stride", [0, -4])
-    def test_diagnostics_stride_below_one_rejected(self, stride):
-        with pytest.raises(DomainError, match="diagnostics_stride"):
-            IntegratorConfig(t_final=1.0, rate_scale=1.0, diagnostics_stride=stride)
-
-    def test_space_mismatch_rejected(self, two_spin_space):
-        model = single_spin_decay_model(1.0)
+    def test_space_mismatch_rejected(self, two_spin_space, two_spins):
+        model = single_spin_decay_model(two_spins[0], 1.0)
         rho0 = DensityMatrix.maximally_mixed(two_spin_space)
         with pytest.raises(DomainError):
             evolve(model, rho0, IntegratorConfig(t_final=1.0, rate_scale=1.0))
@@ -111,11 +88,11 @@ class TestEvolveBasics:
             evolve(model, rho0, cfg)
         assert err.value.step is not None
 
-    def test_sampling_stride_and_final_point(self, pair_spec):
+    def test_sampling_stride_and_final_point(self, pair_spec, two_spins):
         model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-3, sample_stride=7)
         traj = evolve(model, pure(model.space, UD), cfg,
-                      [("pop", number_op(model.space, 1))])
+                      [("pop", site_number_operators(model.space, two_spins)[1])])
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
         assert len(traj.times) == len(traj.observables["pop"])
@@ -155,11 +132,11 @@ class TestGeneratorEncoding:
         direct = generator.apply(rho).reshape(-1)
         assert np.max(np.abs(direct - generator.superoperator() @ rho.reshape(-1))) <= 1e-12
 
-    def test_jump_free_nonhermitian_matches_expm(self, pair_spec):
+    def test_jump_free_nonhermitian_matches_expm(self, pair_spec, two_spins):
         h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.6), "forward")
         space = h_nh.space
         psi0 = basis_vector(space, UD)
-        n_b = number_op(space, 1)
+        n_b = site_number_operators(space, two_spins)[1]
         cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3, sample_stride=100)
         traj = evolve_nonhermitian(h_nh, psi0, cfg, watch=[("pop_B", n_b)])
         for i, t in enumerate(traj.times):
@@ -169,7 +146,7 @@ class TestGeneratorEncoding:
 
 
 class TestAgainstExponentialOracle:
-    def test_cascaded_transfer_matches_expm(self, pair_spec):
+    def test_cascaded_transfer_matches_expm(self, pair_spec, two_spins):
         spec = pair_spec(gamma=1.0, kd=0.9)
         model = build_cascade_model(spec)
         h = model.hamiltonian.matrix
@@ -177,14 +154,15 @@ class TestAgainstExponentialOracle:
         liou = reference_liouvillian(h, rate_ops, 4)
         rho0 = pure(model.space, UD)
         cfg = IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3, record_states_stride=500)
-        traj = evolve(model, rho0, cfg, [("pop_B", number_op(model.space, 1))])
+        traj = evolve(model, rho0, cfg, [("pop_B", site_number_operators(model.space, two_spins)[1])])
         for t, state in zip(traj.state_times, traj.states):
             exact = (expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
             assert np.max(np.abs(state.matrix - exact)) <= 1e-9
 
-    def test_total_excitation_never_increases(self, pair_spec):
+    def test_total_excitation_never_increases(self, pair_spec, two_spins):
         model = build_cascade_model(pair_spec(gamma=1.0, kd=0.9))
-        n_tot = number_op(model.space, 0) + number_op(model.space, 1)
+        n_a, n_b = site_number_operators(model.space, two_spins)
+        n_tot = n_a + n_b
         traj = evolve(model, pure(model.space, UD),
                       IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3),
                       [("n", n_tot)])
@@ -214,7 +192,7 @@ class TestCounterRotatingSuppression:
         rho0 = pure(space, (1, 1, 0))  # both spins down, vacuum
         traj = evolve(model, rho0,
                       IntegratorConfig(t_final=50.0, rate_scale=delta, dt=0.02),
-                      [("pop_A", number_op(space, 0)), ("pop_B", number_op(space, 1))])
+                      list(zip(("pop_A", "pop_B"), site_number_operators(space, two_spins))))
         peak = max(np.max(np.real(traj.observables["pop_A"])),
                    np.max(np.real(traj.observables["pop_B"])))
         assert peak <= 8.0 * (g / delta) ** 2
@@ -230,19 +208,19 @@ class TestPhysicalityDiagnostics:
         assert traj.diagnostics["max_hermiticity_dev"] <= 1e-9
         assert traj.diagnostics["min_eigenvalue"] >= -1e-8
 
-    def test_step_halving_consistency(self, pair_spec):
+    def test_step_halving_consistency(self, pair_spec, two_spins):
         # fourth-order scaling: halving dt moves observables by <= 16x tolerance
         model = build_cascade_model(pair_spec(gamma=1.0, kd=0.8))
-        watch = [("pop_B", number_op(model.space, 1))]
+        watch = [("pop_B", site_number_operators(model.space, two_spins)[1])]
         rho0 = pure(model.space, UD)
         coarse = evolve(model, rho0, IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=2e-3), watch)
         fine = evolve(model, rho0, IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3), watch)
         shared = np.real(fine.observables["pop_B"][::2]) - np.real(coarse.observables["pop_B"])
         assert np.max(np.abs(shared)) <= 16.0 * 1e-10
 
-    def test_loop_and_matrix_paths_agree(self, pair_spec, monkeypatch):
+    def test_loop_and_matrix_paths_agree(self, pair_spec, monkeypatch, two_spins):
         model = build_cascade_model(pair_spec(gamma=1.0, kd=1.2))
-        watch = [("pop_B", number_op(model.space, 1))]
+        watch = [("pop_B", site_number_operators(model.space, two_spins)[1])]
         rho0 = pure(model.space, UD)
         cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=1e-3)
         fast = evolve(model, rho0, cfg, watch)
@@ -254,22 +232,10 @@ class TestPhysicalityDiagnostics:
 
 class TestNoBackAction:
     @pytest.mark.parametrize("kd", [0.0, 0.9])
-    def test_upstream_reduced_dynamics_unchanged(self, pair_spec, kd, random_state_factory):
+    def test_upstream_reduced_dynamics_unchanged(self, pair_spec, kd, rng):
         # product initial state: excited upstream spin, mixed downstream spin
-        spec = pair_spec(gamma=1.0, kd=kd)
-        model = build_cascade_model(spec)
-        single = single_spin_decay_model(spec.gamma)
-        rho_b = random_state_factory(HilbertSpace((spin_factor(0.5),)))
-        up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        rho0 = DensityMatrix(model.space, np.kron(up, rho_b.matrix))
-        cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=2e-3, record_states_stride=100)
-        full = evolve(model, rho0, cfg)
-        alone = evolve(single, DensityMatrix(single.space, up), cfg)
-        worst = 0.0
-        for fs, ss in zip(full.states, alone.states):
-            reduced = partial_trace(fs, {0})
-            worst = max(worst, float(np.max(np.abs(reduced.matrix - ss.matrix))))
-        assert worst <= 1e-8
+        measured = no_back_action(pair_spec(gamma=1.0, kd=kd), downstream=random_density(rng, 2))
+        assert measured["reduced_deviation"] <= 1e-8
 
 
 class TestNonHermitianEvolution:
@@ -292,33 +258,23 @@ class TestNonHermitianEvolution:
         norms = np.real(traj.observables["norm"])
         assert np.max(np.diff(norms)) <= 1e-12
 
-    def test_directional_transfer(self, pair_spec):
+    def test_directional_transfer(self, pair_spec, two_spins):
         spec = pair_spec(gamma=1.0, kd=0.6)
         h_nh = build_nonhermitian_hamiltonian(spec, "forward")
         space = h_nh.space
         cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3)
         fwd = evolve_nonhermitian(h_nh, basis_vector(space, UD), cfg,
-                                  watch=[("pop_B", number_op(space, 1))])
+                                  watch=[("pop_B", site_number_operators(space, two_spins)[1])])
         pop_b = np.real(fwd.observables["pop_B"])
         k = int(np.argmax(pop_b))
         assert pop_b[k] > 0.1 and 0 < k < len(pop_b) - 1  # rises then decays
         bwd = evolve_nonhermitian(h_nh, basis_vector(space, DU), cfg,
-                                  watch=[("pop_A", number_op(space, 0))])
+                                  watch=[("pop_A", site_number_operators(space, two_spins)[0])])
         assert np.max(np.real(bwd.observables["pop_A"])) <= 1e-10
 
     def test_with_jump_matches_lindblad(self, pair_spec):
-        spec = pair_spec(gamma=1.0, kd=0.4)
-        model = build_cascade_model(spec)
-        psi0 = basis_vector(model.space, UD)
-        cfg = IntegratorConfig(t_final=5.0, rate_scale=1.0, dt=1e-3)
-        watch = [("pop_B", number_op(model.space, 1)), ("pop_A", number_op(model.space, 0))]
-        lind = evolve(model, DensityMatrix.from_pure(model.space, psi0), cfg, watch)
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-        rewritten = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=True, jump=model.jumps[0],
-                                        watch=watch)
-        for label in ("pop_A", "pop_B"):
-            dev = np.max(np.abs(lind.observables[label] - rewritten.observables[label]))
-            assert dev <= 1e-9
+        # both populations, Lindblad form against the H_nh-plus-jump rewrite
+        assert jump_rewrite(pair_spec(gamma=1.0, kd=0.4), t_final=5.0)["deviation"] <= 1e-9
 
     def test_unnormalized_initial_rejected(self, pair_spec):
         h_nh = build_nonhermitian_hamiltonian(pair_spec(), "forward")
@@ -344,13 +300,13 @@ class TestFitExchangeRate:
         traj = Trajectory(t, {"pop": np.sin(t) ** 2 + 0j}, None, rate_scale=250.0)
         assert abs(fit_exchange_rate(traj, "pop") - 250.0) <= 0.1
 
-    def test_closed_exchange_simulation(self, pair_spec):
+    def test_closed_exchange_simulation(self, pair_spec, two_spins):
         # H = i*gamma(S_A^+ S_B^- - h.c.) at zero phase swaps with P_B = sin^2(gamma t)
         h = build_cascade_model(pair_spec(gamma=1.0, kd=0.0)).hamiltonian
         model = LindbladModel(h, (), h.space)
         traj = evolve(model, pure(h.space, UD),
                       IntegratorConfig(t_final=2.5, rate_scale=1.0, dt=1e-3),
-                      [("pop_B", number_op(h.space, 1))])
+                      [("pop_B", site_number_operators(h.space, two_spins)[1])])
         assert abs(fit_exchange_rate(traj, "pop_B") - 1.0) <= 1e-6
 
     def test_full_model_dispersive_rate(self, two_spins):
@@ -362,7 +318,7 @@ class TestFitExchangeRate:
         rho0 = pure(model.space, (0, 1, 0))
         t_final = 1.25 * (np.pi / 2.0) * ratio ** 2
         cfg = IntegratorConfig(t_final=t_final, rate_scale=delta, dt=0.05, sample_stride=16)
-        traj = evolve(model, rho0, cfg, [("pop_B", number_op(model.space, 1))])
+        traj = evolve(model, rho0, cfg, [("pop_B", site_number_operators(model.space, two_spins)[1])])
         constant = fit_exchange_rate(traj, "pop_B") * delta / g ** 2
         exact = (np.sqrt(delta ** 2 + 8 * g ** 2) - delta) * delta / (4 * g ** 2)
         # the fit locks onto a fast micro-oscillation crest near the envelope
@@ -394,7 +350,7 @@ class TestCutoffConvergence:
             model = build_full_model(two_spins, (ModeSpec(+1, +1, delta, g, cutoff),))
             occ = (0, 1, min(initial_phonons, cutoff))
             rho0 = pure(model.space, occ)
-            watch = [("pop_B", number_op(model.space, 1))]
+            watch = [("pop_B", site_number_operators(model.space, two_spins)[1])]
             return model, rho0, watch
 
         return make
