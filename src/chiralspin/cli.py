@@ -201,6 +201,14 @@ class RunConfig:
                 raise DomainError("modes must be 'auto' or a list of mode objects")
             for i, mode in enumerate(modes):
                 _check_section(_SCHEMA["mode"], mode, f"modes[{i}].", _REQUIRED["mode"])
+        if name == "simulate" and "modes" in data:
+            # A mode-based simulation reads no cascade, and an explicit mode list needs no
+            # material or geometry: those are read only to derive the "auto" mode.
+            ignored = {"cascade"} if modes == "auto" else {"cascade", "material", "geometry"}
+            unread = sorted(ignored & set(data))
+            if unread:
+                raise DomainError(f"simulate with modes={'auto' if modes == 'auto' else '[...]'} "
+                                  f"does not read section(s) {unread}")
         return cls(deepcopy(data))
 
     @classmethod
@@ -354,7 +362,8 @@ def _simulate_full_model(config: RunConfig) -> ExperimentReport:
 
 
 def _simulate(config: RunConfig) -> ExperimentReport:
-    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
+    # _EXPERIMENTS and the modes rule in RunConfig.from_dict list the config sections this
+    # reads: keep them in step with it.
     if "modes" in config.data:
         return _simulate_full_model(config)
     spec = config.cascade_spec()

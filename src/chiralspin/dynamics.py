@@ -13,17 +13,26 @@ fixed-step classical 4th-order method with a step-doubling error estimate:
 deterministic and reproducible, which matters more here than adaptivity
 because every generator in scope is bounded and non-stiff after scaling.
 
-For small spaces the one-step map is precomputed as a dense superoperator
+For small spaces the one-step map P is precomputed as a dense superoperator
 matrix (the 4th-order Taylor polynomial of exp(h*L), which is exactly what
-the classical 4th-order step evaluates for a linear autonomous system); for
-larger spaces the stages are evaluated directly. Both paths implement the
-same method, and the choice depends only on the space dimension, so results
-stay deterministic run to run.
+the classical 4th-order step evaluates for a linear autonomous system), and
+the loop advances a block of K steps per iteration. Every per-step trace and
+every watched value inside a block is a linear functional of the block's
+start state, so one product with a precomputed row stack records them all,
+and P^K moves the state to the block's end. K follows from the sample and
+state strides, the diagnostics stride and a cap on the stack's memory. For
+larger spaces the stages are evaluated directly, one step per iteration of
+the same loop. On both paths the trace-drift guard checks every step, and
+the Hermiticity, positivity and step-doubling diagnostics run at about 256
+block ends per run. Both paths implement the same method, and the choice
+depends only on the space dimension, the step count and the strides, so
+results stay deterministic run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import gcd
 
 import numpy as np
 
@@ -40,9 +49,14 @@ __all__ = [
     "check_cutoff_convergence",
 ]
 
-# Above this Hilbert-space dimension the d^2 x d^2 propagator matrix stops
-# paying for itself and the stages are evaluated directly.
+# Above this Hilbert-space dimension the stages are evaluated directly. A d^2 x d^2
+# propagator takes d^4 * 16 bytes: 16 MB at d=32, against a 5-spin cascade_chain run
+# that peaks at about 52 MB resident and a 5% peak-memory bound.
 _PROPAGATOR_MAX_DIM = 16
+
+# Cap on the row stack of one propagator block (see _block_length): on the d=12
+# elimination model it gives K=192 steps per block.
+_STACK_MAX_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -56,9 +70,11 @@ class IntegratorConfig:
     evolutions; violating it raises :class:`IntegrationError` with the
     offending step. ``sample_stride`` controls how often watched expectation
     values are recorded (1 = every step) and ``record_states_stride``
-    optionally stores full density-matrix snapshots. The more expensive
-    hermiticity/positivity/step-doubling diagnostics run at ~256 evenly spaced
-    steps per run.
+    optionally stores full density-matrix snapshots. Small spaces advance
+    several steps per iteration (see the module docstring); the trace guard
+    still checks every step, and the more expensive
+    hermiticity/positivity/step-doubling diagnostics run at the ends of ~256
+    evenly spaced blocks per run.
     """
 
     t_final: float
@@ -137,28 +153,129 @@ def _steps(n: int, stride: int) -> np.ndarray:
     return keep if keep[-1] == n else np.append(keep, n)
 
 
+def _block_length(limit: int, sample_stride: int, state_stride: int, n_watch: int,
+                  row_bytes: int) -> int:
+    """Steps per block: the largest K <= ``limit`` whose row stack fits _STACK_MAX_BYTES.
+
+    Blocks also end at every recorded state, so they start at multiples of
+    g = gcd(K, state_stride). The stack holds one trace row per offset 1..K and
+    ``n_watch`` rows per interior offset that is a multiple of
+    gcd(g, sample_stride), which covers every sample step of every block. With
+    recorded states K is then evened out over each state stride, so a stride
+    splits into equal blocks and at most one shorter one.
+    """
+    def fits(k: int) -> bool:
+        rows = k + n_watch * (k // gcd(k, state_stride, sample_stride) - 1)
+        return rows * row_bytes <= _STACK_MAX_BYTES
+
+    top = min(limit, _STACK_MAX_BYTES // row_bytes)
+    k = next((k for k in range(top, 1, -1) if fits(k)), 1)
+    if state_stride:
+        even = -(-state_stride // -(-state_stride // k))
+        k = even if fits(even) else k
+    return k
+
+
+class _PropagatorBlocks:
+    """K steps per block with the precomputed one-step map P (d <= _PROPAGATOR_MAX_DIM).
+
+    P is the squared degree-4 Taylor polynomial of exp(dt/2 * L), i.e. two classical
+    4th-order half steps. Every per-step trace and watched value inside a block is a
+    linear functional of the block's start state v, so one product with the row stack
+    [vec(I)^T P^j for j = 1..K; F P^j at the interior sample offsets j] gives them all,
+    and P^K v is the block's end state. A shorter block of m < K steps (before a
+    recorded state, or at the end of the run) reads the first m trace rows of the same
+    stack and ends with P^m v.
+    """
+
+    def __init__(self, gen: Generator, dt: float, functionals: np.ndarray, k: int,
+                 sample_stride: int, state_stride: int):
+        d = gen.k.shape[0]
+        f = gen.superoperator()
+        p_half = _taylor4(f, 0.5 * dt)
+        self.k = k
+        self.p = p_half @ p_half
+        self.p_err = _taylor4(f, dt) - self.p
+        step = gcd(k, state_stride, sample_stride)
+        self.offsets = np.arange(step, k, step)
+        self.n_watch = n_watch = functionals.shape[0]
+        self.stack = np.empty((k + n_watch * self.offsets.size, d * d), dtype=complex)
+        rows = np.vstack([np.eye(d, dtype=complex).reshape(1, -1), functionals])
+        # An unstable step overflows the high powers; the per-step guard reports the
+        # first non-finite or drifting trace, which comes from the low powers.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, k + 1):
+                rows = rows @ self.p
+                self.stack[j - 1] = rows[0]
+                if j % step == 0 and j < k:
+                    first = k + n_watch * (j // step - 1)
+                    self.stack[first:first + n_watch] = rows[1:]
+            self.powers = {k: np.linalg.matrix_power(self.p, k)}
+
+    def advance(self, v: np.ndarray, m: int):
+        """End state, the m per-step traces, and (offsets, values) of the interior rows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.stack @ v
+            if m not in self.powers:
+                self.powers[m] = np.linalg.matrix_power(self.p, m)
+            v_new = self.powers[m] @ v
+        inner = self.offsets < m
+        values = out[self.k:].reshape(self.offsets.size, self.n_watch).T
+        return v_new, out[:m].real, self.offsets[inner], values[:, inner]
+
+    def doubling_error(self, v: np.ndarray, v_new: np.ndarray) -> float:
+        """One full step against two half steps, from the block's start state ``v``."""
+        return float(np.max(np.abs(self.p_err @ v)))
+
+
+class _StageSteps:
+    """One step per block, two classical 4th-order half steps on the d x d state."""
+
+    k = 1
+    offsets = np.empty(0, dtype=int)
+
+    def __init__(self, gen: Generator, dt: float):
+        self.gen, self.dt = gen, dt
+
+    def advance(self, v: np.ndarray, m: int):
+        d = self.gen.k.shape[0]
+        half = _rk4_step(self.gen.apply, v.reshape(d, d), 0.5 * self.dt)
+        new = _rk4_step(self.gen.apply, half, 0.5 * self.dt)
+        return new.reshape(-1), np.array([np.trace(new).real]), self.offsets, None
+
+    def doubling_error(self, v: np.ndarray, v_new: np.ndarray) -> float:
+        d = self.gen.k.shape[0]
+        full = _rk4_step(self.gen.apply, v.reshape(d, d), self.dt)
+        return float(np.max(np.abs(full.reshape(-1) - v_new)))
+
+
 def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, watch_ops, *,
                        check_trace: bool) -> Trajectory:
     """The fixed-step driver behind every evolution.
 
     ``scale`` is the generator magnitude that sets the default step. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
-    so one stacked product per sample records them all.
+    so one stacked product per sample records them all. The loop advances one
+    block of K steps per iteration (K = 1 on the stage path) and checks the
+    trace drift of every step in it; the diagnostics run on the block that
+    reaches each multiple of ``n // 256`` steps.
     """
     space = rho0.space
     d = space.dim
     n, dt = _resolve_grid(cfg, scale)
     diag_stride = max(1, n // 256)
+    sample_stride = cfg.sample_stride
     state_stride = cfg.record_states_stride
 
     labels = [label for label, _ in watch_ops]
     functionals = np.array([op.matrix.T.reshape(-1) for _, op in watch_ops],
                            dtype=complex).reshape(len(labels), d * d)
-    sample_steps = _steps(n, cfg.sample_stride)
+    sample_steps = _steps(n, sample_stride)
     table = np.empty((len(labels), sample_steps.size), dtype=complex)
 
     rho = rho0.matrix.astype(complex)
-    table[:, 0] = functionals @ rho.reshape(-1)
+    v = rho.reshape(-1)
+    table[:, 0] = functionals @ v
     states = [DensityMatrix(space, rho.copy())] if state_stride else []
 
     max_trace_drift = 0.0
@@ -175,57 +292,54 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
         if state_stride:
             states += [DensityMatrix(space, rho.copy()) for _ in _steps(n, state_stride)[1:]]
     else:
-        use_matrix = d <= _PROPAGATOR_MAX_DIM
-        if use_matrix:
-            f = gen.superoperator()
-            p_half = _taylor4(f, 0.5 * dt)
-            p_macro = p_half @ p_half
-            p_err = _taylor4(f, dt) - p_macro
-            v = rho.reshape(-1)
-            diag_idx = np.arange(d) * (d + 1)
+        if d <= _PROPAGATOR_MAX_DIM:
+            k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
+                              d * d * np.dtype(complex).itemsize)
+            stepper = _PropagatorBlocks(gen, dt, functionals, k, sample_stride, state_stride)
+        else:
+            stepper = _StageSteps(gen, dt)
 
-        sample = 1
-        for step in range(1, n + 1):
-            if use_matrix:
-                v_new = p_macro @ v
-                rho_new = v_new.reshape(d, d)
-                trace_new = float(v_new[diag_idx].sum().real)
-            else:
-                half = _rk4_step(gen.apply, rho, 0.5 * dt)
-                rho_new = _rk4_step(gen.apply, half, 0.5 * dt)
-                trace_new = float(np.trace(rho_new).real)
+        sample, start = 1, 0
+        while start < n:
+            end = min(start + stepper.k, n)
+            if state_stride:
+                end = min(end, (start // state_stride + 1) * state_stride)
+            v_new, traces, offsets, values = stepper.advance(v, end - start)
 
             if check_trace:
-                drift = abs(trace_new - trace_prev)
-                max_trace_drift = max(max_trace_drift, abs(trace_new - 1.0))
-                if drift > cfg.tolerance or not np.isfinite(trace_new):
+                drifts = abs(traces - np.concatenate(([trace_prev], traces[:-1])))
+                # a non-finite trace makes its drift inf or nan, which fails "<=" as well
+                if not drifts.max() <= cfg.tolerance:
+                    first = int(np.flatnonzero(~(drifts <= cfg.tolerance))[0])
+                    step, drift = start + first + 1, float(drifts[first])
                     t = step * dt
                     raise IntegrationError(
                         f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
                         f"at step {step} (t={t:.6g})", step=step, time=t, drift=drift)
-            trace_prev = trace_new
+                max_trace_drift = max(max_trace_drift, float(abs(traces - 1.0).max()))
+            trace_prev = float(traces[-1])
 
-            if step % diag_stride == 0 or step == n:
-                if use_matrix:
-                    err = float(np.max(np.abs(p_err @ v)))
-                else:
-                    full = _rk4_step(gen.apply, rho, dt)
-                    err = float(np.max(np.abs(full - rho_new)))
-                max_double_err = max(max_double_err, err)
+            rho_new = v_new.reshape(d, d)
+            if end // diag_stride > start // diag_stride or end == n:
+                max_double_err = max(max_double_err, stepper.doubling_error(v, v_new))
                 herm = float(np.max(np.abs(rho_new - rho_new.conj().T)))
                 max_herm_dev = max(max_herm_dev, herm)
                 eig = float(np.linalg.eigvalsh(0.5 * (rho_new + rho_new.conj().T))[0])
                 min_eig = min(min_eig, eig)
 
-            if use_matrix:
-                v = v_new
-            rho = rho_new
-
-            if step % cfg.sample_stride == 0 or step == n:
-                table[:, sample] = functionals @ rho.reshape(-1)
+            if offsets.size:
+                keep = (start + offsets) % sample_stride == 0
+                count = int(np.count_nonzero(keep))
+                table[:, sample:sample + count] = values[:, keep]
+                sample += count
+            v = v_new
+            if end % sample_stride == 0 or end == n:
+                table[:, sample] = functionals @ v
                 sample += 1
-            if state_stride and (step % state_stride == 0 or step == n):
-                states.append(DensityMatrix(space, rho.copy()))
+            if state_stride and (end % state_stride == 0 or end == n):
+                states.append(DensityMatrix(space, rho_new.copy()))
+            start = end
+        rho = v.reshape(d, d)
 
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
                    "max_step_doubling_error": max_double_err, "n_steps": float(n),

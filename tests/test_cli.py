@@ -371,6 +371,22 @@ class TestMainSubcommands:
         assert [line.split()[1] for line in errors] == ["invariant=raises", "invariant=outside", "invariant=nan"]
         assert all(line.startswith("ERROR ") for line in errors)
 
+    @pytest.mark.parametrize("modes, section, extra", [
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "cascade", {}),
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "geometry",
+         {"cascade": None, "geometry": {"l_m": 1e-6, "w_m": 1e-7, "h_m": 1e-7}}),
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "material", {"cascade": None, "material": "alpha-SiO2"}),
+        ("auto", "cascade", {"material": "alpha-SiO2"}),
+    ], ids=["explicit-cascade", "explicit-geometry", "explicit-material", "auto-cascade"])
+    def test_simulate_modes_rejects_unread_section(self, tmp_path, capsys, modes, section, extra):
+        # with modes the cascade section is never read, and explicit modes need no material
+        # or geometry; such a config used to run and drop the section from its report
+        path, _ = write_config(tmp_path, modes=modes, **extra)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and f"'{section}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_explicit_modes(self, tmp_path):
         path, _ = write_config(
             tmp_path, cascade=None,

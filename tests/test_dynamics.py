@@ -86,7 +86,7 @@ class TestEvolveBasics:
         cfg = IntegratorConfig(t_final=400.0, rate_scale=1.0, dt=8.0)  # far beyond stability
         with pytest.raises(IntegrationError) as err:
             evolve(model, rho0, cfg)
-        assert err.value.step is not None
+        assert err.value.step == 2
 
     def test_sampling_stride_and_final_point(self, pair_spec, two_spins):
         model = build_cascade_model(pair_spec())
@@ -228,6 +228,136 @@ class TestPhysicalityDiagnostics:
         slow = evolve(model, rho0, cfg, watch)
         dev = np.max(np.abs(fast.observables["pop_B"] - slow.observables["pop_B"]))
         assert dev <= 1e-12
+
+
+N_BLOCKED = 3347  # prime, so no block length divides the step count
+
+
+def blocked_pair(two_spins):
+    d = two_spins[1].position_z - two_spins[0].position_z
+    model = build_cascade_model(CascadeSpec(1.0, 0.3, 0.9 / d, two_spins))
+    watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, two_spins)))
+    return model, pure(model.space, UD), watch
+
+
+@pytest.fixture(scope="class")
+def stepped_reference():
+    """Every step and state of the per-step stage path, and the expm oracle at every step."""
+    two_spins = (SpinSite(0.5, 0.0, "A"), SpinSite(0.5, 2.5e-7, "B"))
+    model, rho0, watch = blocked_pair(two_spins)
+    cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3, record_states_stride=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
+        stepped = evolve(model, rho0, cfg, watch)
+    rate_ops = [(r, op.matrix) for r, op in model.jumps]
+    liou = reference_liouvillian(model.hamiltonian.matrix, rate_ops, 4)
+    exact = {label: np.empty(stepped.times.size, dtype=complex) for label, _ in watch}
+    for i, t in enumerate(stepped.times):
+        rho = (expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
+        for label, op in watch:
+            exact[label][i] = np.trace(op.matrix @ rho)
+    return stepped, exact
+
+
+class TestBlockStepping:
+    """The blocked propagator path against the per-step stage path and the expm oracle."""
+
+    @staticmethod
+    def assert_agree(blocked, stepped):
+        assert np.array_equal(blocked.times, stepped.times)
+        assert blocked.observables.keys() == stepped.observables.keys()
+        for label, series in stepped.observables.items():
+            assert blocked.observables[label].shape == series.shape == blocked.times.shape
+            assert np.max(np.abs(blocked.observables[label] - series)) <= 1e-10
+        if stepped.states is None:
+            assert blocked.states is None and blocked.state_times is None
+        else:
+            assert np.array_equal(blocked.state_times, stepped.state_times)
+            assert len(blocked.states) == len(stepped.states) == len(stepped.state_times)
+            for mine, theirs in zip(blocked.states, stepped.states):
+                assert np.max(np.abs(mine.matrix - theirs.matrix)) <= 1e-10
+        assert np.max(np.abs(blocked.final_state.matrix - stepped.final_state.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("state_stride", [0, 13, 20, 29])
+    @pytest.mark.parametrize("sample_stride", [1, 7, 16])
+    def test_evolve_matches_stage_path_and_expm(self, two_spins, stepped_reference,
+                                                 sample_stride, state_stride):
+        model, rho0, watch = blocked_pair(two_spins)
+        cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3,
+                               sample_stride=sample_stride, record_states_stride=state_stride)
+        k = dynamics_module._block_length(N_BLOCKED // 256, sample_stride, state_stride,
+                                          len(watch), 16 * 16)
+        assert k > 1
+        blocked = evolve(model, rho0, cfg, watch)
+
+        # the per-step run holds every step: subsample it on the strides' grids
+        stepped, exact = stepped_reference
+        keep = dynamics_module._steps(N_BLOCKED, sample_stride)
+        assert blocked.times.size == len(range(0, N_BLOCKED, sample_stride)) + 1 == keep.size
+        kept_states = dynamics_module._steps(N_BLOCKED, state_stride) if state_stride else None
+        self.assert_agree(blocked, Trajectory(
+            stepped.times[keep], {label: series[keep] for label, series in stepped.observables.items()},
+            stepped.final_state, stepped.rate_scale,
+            states=None if kept_states is None else [stepped.states[i] for i in kept_states],
+            state_times=None if kept_states is None else stepped.state_times[kept_states]))
+        for label, series in blocked.observables.items():
+            assert np.max(np.abs(series - exact[label][keep])) <= 1e-8
+
+    @pytest.mark.parametrize("include_jumps", [False, True])
+    def test_nonhermitian_matches_stage_path_and_expm(self, pair_spec, two_spins, monkeypatch,
+                                                       include_jumps):
+        spec = pair_spec(gamma=1.0, kd=0.6)
+        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
+        jump = build_cascade_model(spec).jumps[0]
+        n_b = site_number_operators(h_nh.space, two_spins)[1]
+        psi0 = basis_vector(h_nh.space, UD)
+        n = 1031  # prime; K = 4 divides the state stride
+        cfg = IntegratorConfig(t_final=n * 4e-3, rate_scale=1.0, dt=4e-3, sample_stride=7,
+                               record_states_stride=8)
+        assert dynamics_module._block_length(n // 256, 7, 8, 2, 16 * 16) == 4
+
+        def run():
+            return evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=include_jumps, jump=jump,
+                                       watch=[("pop_B", n_b)])
+
+        blocked = run()
+        monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
+        self.assert_agree(blocked, run())
+
+        h, eye = h_nh.matrix, np.eye(4)
+        liou = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
+        if include_jumps:
+            rate, z = jump
+            liou = liou + rate * np.kron(z.matrix, z.matrix.conj())
+        rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
+        for i, t in enumerate(blocked.times):
+            exact = (expm(liou * t) @ rho0).reshape(4, 4)
+            assert abs(blocked.observables["pop_B"][i] - np.trace(n_b.matrix @ exact)) <= 1e-8
+            if not include_jumps:
+                norm = np.sqrt(np.trace(exact).real)
+                assert abs(blocked.observables["norm"][i] - norm) <= 1e-8
+
+    def test_mid_block_drift_reports_the_sequential_step(self, pair_spec, monkeypatch):
+        # A 1e-90 admixture of |up,down> on the stationary ground state grows about 1e4-fold per
+        # step at this unstable dt. Its rounding drift crosses the tolerance at one step on both
+        # paths: the same step for any tolerance from 1e-11 to 1e-8.
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
+        ground = np.diag([0, 0, 0, 1]).astype(complex)
+        rho0 = DensityMatrix(model.space, (1 - 1e-90) * ground + 1e-90 * pure(model.space, UD).matrix)
+        cfg = IntegratorConfig(t_final=8.0 * N_BLOCKED, rate_scale=1.0, dt=8.0)
+        k = dynamics_module._block_length(N_BLOCKED // 256, 1, 0, 0, 16 * 16)
+
+        def failure():
+            with pytest.raises(IntegrationError) as err:
+                evolve(model, rho0, cfg)
+            return err.value
+
+        blocked = failure()
+        monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
+        stepped = failure()
+        assert blocked.step == stepped.step
+        assert blocked.step > k and blocked.step % k
+        assert f"at step {blocked.step} (t={8.0 * blocked.step:.6g})" in str(blocked)
 
 
 class TestNoBackAction:
