@@ -20,9 +20,8 @@ from .core import (
     spin_operators,
     tensor_product,
 )
-from .dynamics import IntegratorConfig, Trajectory, check_cutoff_convergence, evolve, evolve_nonhermitian, fit_exchange_rate
+from .dynamics import IntegratorConfig, Trajectory, evolve, evolve_nonhermitian, fit_exchange_rate
 from .errors import (
-    ConvergenceError,
     DispersiveLimitWarning,
     DomainError,
     FitError,

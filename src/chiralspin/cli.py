@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DensityMatrix, basis_vector
 from .dynamics import IntegratorConfig, evolve
-from .errors import ConvergenceError, DomainError, FitError, IntegrationError
+from .errors import DomainError, FitError, IntegrationError
 from .experiments import (
     ExperimentReport,
     cascade_chain,
@@ -204,11 +204,17 @@ class RunConfig:
         if name == "simulate" and "modes" in data:
             # A mode-based simulation reads no cascade, and an explicit mode list needs no
             # material or geometry: those are read only to derive the "auto" mode.
+            label = f"simulate with modes={'auto' if modes == 'auto' else '[...]'}"
             ignored = {"cascade"} if modes == "auto" else {"cascade", "material", "geometry"}
             unread = sorted(ignored & set(data))
             if unread:
-                raise DomainError(f"simulate with modes={'auto' if modes == 'auto' else '[...]'} "
-                                  f"does not read section(s) {unread}")
+                raise DomainError(f"{label} does not read section(s) {unread}")
+            # It starts in |up, down, vacuum>, and reads the spin kind and frequency only to
+            # derive the "auto" mode.
+            ignored = {"initial"} if modes == "auto" else {"initial", "kind", "frequency_hz"}
+            unread = sorted(ignored & set(data.get("spin", {})))
+            if unread:
+                raise DomainError(f"{label} does not read spin key(s) {unread}")
         return cls(deepcopy(data))
 
     @classmethod
@@ -583,7 +589,7 @@ def _execute(load_config, output_dir=None, *, write=True, show=None) -> int:
     except IntegrationError as exc:
         _diag("ERROR", invariant="trace_drift", step=exc.step, detail=exc)
         return 3
-    except (FitError, ConvergenceError) as exc:
+    except FitError as exc:
         _diag("ERROR", invariant=type(exc).__name__, detail=exc)
         return 3
     except OSError as exc:

@@ -13,31 +13,43 @@ fixed-step classical 4th-order method with a step-doubling error estimate:
 deterministic and reproducible, which matters more here than adaptivity
 because every generator in scope is bounded and non-stiff after scaling.
 
-For small spaces the one-step map P is precomputed as a dense superoperator
-matrix (the 4th-order Taylor polynomial of exp(h*L), which is exactly what
-the classical 4th-order step evaluates for a linear autonomous system), and
-the loop advances a block of K steps per iteration. Every per-step trace and
-every watched value inside a block is a linear functional of the block's
-start state, so one product with a precomputed row stack records them all,
-and P^K moves the state to the block's end. K follows from the sample and
-state strides, the diagnostics stride and a cap on the stack's memory. For
-larger spaces the stages are evaluated directly, one step per iteration of
-the same loop. On both paths the trace-drift guard checks every step, and
-the Hermiticity, positivity and step-doubling diagnostics run at about 256
-block ends per run. Both paths implement the same method, and the choice
-depends only on the space dimension, the step count and the strides, so
-results stay deterministic run to run.
+Every evolution runs on the closed support of its generator: the smallest
+set S of basis indices that holds the initial state's support and that K
+and every sandwich z map into itself (K[S', S] = 0 and z[S', S] = 0 on the
+complement S'). Then -i(K rho - rho K^dag) and z rho z^dag keep an
+S x S-supported rho on S x S exactly, so the step polynomial does too, and
+the loop integrates the generator restricted to S x S. The set is read from
+the exact nonzero pattern, with no tolerance. A one-excitation cascade run
+stays in span{|G>, |e_1>, ..., |e_N>} (N+1 states instead of 2^N), because
+H conserves the excitation number and each jump lowers it by one. The step
+count still comes from the full generator's magnitude, and recorded and
+final states are full-space density matrices, zero outside S x S.
+
+For small supports the one-step map P is precomputed as a dense
+superoperator matrix (the 4th-order Taylor polynomial of exp(h*L), which is
+exactly what the classical 4th-order step evaluates for a linear autonomous
+system), and the loop advances a block of K steps per iteration. Every
+per-step trace and every watched value inside a block is a linear
+functional of the block's start state, so one product with a precomputed
+row stack records them all, and P^K moves the state to the block's end. K
+follows from the sample and state strides, the diagnostics stride and a cap
+on the stack's memory. For larger supports the stages are evaluated
+directly, one step per iteration of the same loop. On both paths the
+trace-drift guard checks every step, and the Hermiticity, positivity and
+step-doubling diagnostics run at about 256 block ends per run. Both paths
+implement the same method, and the choice depends only on |S|, the step
+count and the strides, so results stay deterministic run to run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
 
 from .core import DensityMatrix, Operator, identity
-from .errors import ConvergenceError, DomainError, FitError, IntegrationError
+from .errors import DomainError, FitError, IntegrationError
 from .models import Generator, LindbladModel
 
 __all__ = [
@@ -46,10 +58,9 @@ __all__ = [
     "evolve",
     "evolve_nonhermitian",
     "fit_exchange_rate",
-    "check_cutoff_convergence",
 ]
 
-# Above this Hilbert-space dimension the stages are evaluated directly. A d^2 x d^2
+# Above this closed-support size the stages are evaluated directly. A d^2 x d^2
 # propagator takes d^4 * 16 bytes: 16 MB at d=32, against a 5-spin cascade_chain run
 # that peaks at about 52 MB resident and a 5% peak-memory bound.
 _PROPAGATOR_MAX_DIM = 16
@@ -70,7 +81,7 @@ class IntegratorConfig:
     evolutions; violating it raises :class:`IntegrationError` with the
     offending step. ``sample_stride`` controls how often watched expectation
     values are recorded (1 = every step) and ``record_states_stride``
-    optionally stores full density-matrix snapshots. Small spaces advance
+    optionally stores full density-matrix snapshots. Small supports advance
     several steps per iteration (see the module docstring); the trace guard
     still checks every step, and the more expensive
     hermiticity/positivity/step-doubling diagnostics run at the ends of ~256
@@ -249,11 +260,31 @@ class _StageSteps:
         return float(np.max(np.abs(full.reshape(-1) - v_new)))
 
 
+def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
+    """Sorted indices of the smallest set holding rho0's support that K and every z map into itself.
+
+    Grows the support of ``rho0`` by the rows that the nonzero entries of K and of
+    every sandwich z reach from its columns, until nothing is added. Only the
+    exact nonzero pattern is read.
+    """
+    links = gen.k != 0
+    for _, z in gen.sandwiches:
+        links = links | (z != 0)
+    inside = np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)
+    while True:
+        grown = inside | np.any(links[:, inside], axis=1)
+        if np.array_equal(grown, inside):
+            return np.flatnonzero(inside)
+        inside = grown
+
+
 def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, watch_ops, *,
                        check_trace: bool) -> Trajectory:
     """The fixed-step driver behind every evolution.
 
-    ``scale`` is the generator magnitude that sets the default step. Watched
+    ``scale`` is the generator magnitude that sets the default step. The loop
+    evolves the block of rho on the generator's closed support S (see the module
+    docstring) and embeds every recorded state back into the full space. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
     so one stacked product per sample records them all. The loop advances one
     block of K steps per iteration (K = 1 on the stage path) and checks the
@@ -261,26 +292,41 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
     reaches each multiple of ``n // 256`` steps.
     """
     space = rho0.space
-    d = space.dim
     n, dt = _resolve_grid(cfg, scale)
     diag_stride = max(1, n // 256)
     sample_stride = cfg.sample_stride
     state_stride = cfg.record_states_stride
 
+    support = _closed_support(gen, rho0.matrix)
+    cut = np.ix_(support, support)
+    d = support.size
+    if d < space.dim:
+        gen = Generator(gen.k[cut], tuple((rate, z[cut]) for rate, z in gen.sandwiches))
+
+    def embedded(r: np.ndarray) -> DensityMatrix:
+        out = np.zeros((space.dim, space.dim), dtype=complex)
+        out[cut] = r
+        return DensityMatrix(space, out)
+
+    def lowest_eigenvalue(r: np.ndarray) -> float:
+        # outside S x S the state is exactly zero, which adds the eigenvalue 0
+        low = float(np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0])
+        return low if d == space.dim else min(low, 0.0)
+
     labels = [label for label, _ in watch_ops]
-    functionals = np.array([op.matrix.T.reshape(-1) for _, op in watch_ops],
+    functionals = np.array([op.matrix[cut].T.reshape(-1) for _, op in watch_ops],
                            dtype=complex).reshape(len(labels), d * d)
     sample_steps = _steps(n, sample_stride)
     table = np.empty((len(labels), sample_steps.size), dtype=complex)
 
-    rho = rho0.matrix.astype(complex)
+    rho = rho0.matrix[cut].astype(complex)
     v = rho.reshape(-1)
     table[:, 0] = functionals @ v
-    states = [DensityMatrix(space, rho.copy())] if state_stride else []
+    states = [embedded(rho)] if state_stride else []
 
     max_trace_drift = 0.0
     max_herm_dev = 0.0
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    min_eig = lowest_eigenvalue(rho)
     max_double_err = 0.0
     trace_prev = float(np.trace(rho).real)
 
@@ -290,7 +336,7 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
         # solution is constant, so every sample repeats the first.
         table[:, 1:] = table[:, :1]
         if state_stride:
-            states += [DensityMatrix(space, rho.copy()) for _ in _steps(n, state_stride)[1:]]
+            states += [embedded(rho) for _ in _steps(n, state_stride)[1:]]
     else:
         if d <= _PROPAGATOR_MAX_DIM:
             k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
@@ -324,8 +370,7 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
                 max_double_err = max(max_double_err, stepper.doubling_error(v, v_new))
                 herm = float(np.max(np.abs(rho_new - rho_new.conj().T)))
                 max_herm_dev = max(max_herm_dev, herm)
-                eig = float(np.linalg.eigvalsh(0.5 * (rho_new + rho_new.conj().T))[0])
-                min_eig = min(min_eig, eig)
+                min_eig = min(min_eig, lowest_eigenvalue(rho_new))
 
             if offsets.size:
                 keep = (start + offsets) % sample_stride == 0
@@ -337,7 +382,7 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
                 table[:, sample] = functionals @ v
                 sample += 1
             if state_stride and (end % state_stride == 0 or end == n):
-                states.append(DensityMatrix(space, rho_new.copy()))
+                states.append(embedded(rho_new))
             start = end
         rho = v.reshape(d, d)
 
@@ -348,8 +393,8 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
         diagnostics["max_trace_drift"] = max_trace_drift
     else:
         diagnostics["final_trace"] = trace_prev
-    traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
-                      DensityMatrix(space, rho.copy()), cfg.rate_scale, diagnostics)
+    traj = Trajectory(sample_steps * dt, dict(zip(labels, table)), embedded(rho),
+                      cfg.rate_scale, diagnostics)
     if state_stride:
         traj.states = states
         traj.state_times = _steps(n, state_stride) * dt
@@ -373,7 +418,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
     rho0.validate()
     gen = model.generator(cfg.rate_scale)
     scale = _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches)
-    return _integrate_density(gen, scale, rho0, cfg, list(watch), check_trace=model.hermitian)
+    return _integrate_density(gen, scale, rho0, cfg, list(watch), check_trace=True)
 
 
 def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
@@ -442,37 +487,3 @@ def fit_exchange_rate(traj: Trajectory, observable_label: str) -> float:
     else:
         t_star = t[k] + 0.25 * (t[k + 1] - t[k - 1]) * (x[k - 1] - x[k + 1]) / denom
     return float(np.pi / (2.0 * t_star) * traj.rate_scale)
-
-
-def check_cutoff_convergence(family, cfg: IntegratorConfig, observable_label: str,
-                             max_cutoff: int = 8, tol: float = 1e-8) -> int:
-    """Smallest Fock cutoff whose doubling changes the watched trajectory < ``tol``.
-
-    ``family(cutoff)`` must return (model, rho0, watch) for that cutoff; the
-    step size is resolved once from the smallest-cutoff model and pinned so
-    every member integrates on the same time grid. Raises
-    :class:`ConvergenceError` if no cutoff up to ``max_cutoff`` converges.
-    """
-    cache: dict[int, np.ndarray] = {}
-
-    pinned = cfg
-
-    def series(cutoff: int) -> np.ndarray:
-        nonlocal pinned
-        if cutoff not in cache:
-            model, rho0, watch = family(cutoff)
-            if pinned.dt is None:
-                scale = _generator_scale(model.hamiltonian.matrix / pinned.rate_scale,
-                                         model.generator(pinned.rate_scale).sandwiches)
-                n, dt = _resolve_grid(pinned, scale)
-                pinned = replace(pinned, dt=dt)
-            traj = evolve(model, rho0, pinned, watch)
-            cache[cutoff] = np.asarray(traj.observables[observable_label])
-        return cache[cutoff]
-
-    for cutoff in range(1, max_cutoff // 2 + 1):
-        delta = np.max(np.abs(series(cutoff) - series(2 * cutoff)))
-        if delta < tol:
-            return cutoff
-    raise ConvergenceError(
-        f"observable {observable_label!r} not converged in Fock cutoff by {max_cutoff}")

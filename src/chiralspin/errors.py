@@ -27,9 +27,5 @@ class FitError(RuntimeError):
     """A rate fit could not locate the feature it needs (e.g. no interior maximum)."""
 
 
-class ConvergenceError(RuntimeError):
-    """A cutoff-doubling scan exhausted its range without converging."""
-
-
 class DispersiveLimitWarning(UserWarning):
     """The detuning is not large compared to the coupling; 2g^2/Delta is marginal."""

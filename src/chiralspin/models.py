@@ -137,7 +137,6 @@ class Generator:
 
     k: np.ndarray
     sandwiches: tuple[tuple[float, np.ndarray], ...] = ()
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) on a raw matrix, without integrating."""
         out = -1j * (self.k @ rho - rho @ self.k.conj().T)
@@ -161,7 +160,6 @@ class LindbladModel:
     hamiltonian: Operator
     jumps: tuple[tuple[float, Operator], ...]
     space: HilbertSpace
-    hermitian: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple((float(r), op) for r, op in self.jumps))
@@ -172,8 +170,8 @@ class LindbladModel:
                 raise DomainError(f"jump rates must be non-negative, got {rate}")
             if op.space != self.space:
                 raise DomainError("jump operator space does not match model space")
-        if self.hermitian and not self.hamiltonian.is_hermitian():
-            raise DomainError("hamiltonian is not Hermitian; flag the model if that is intended")
+        if not self.hamiltonian.is_hermitian():
+            raise DomainError("hamiltonian is not Hermitian")
 
     def generator(self, rate_scale: float = 1.0) -> Generator:
         """The master equation in units of ``rate_scale``.

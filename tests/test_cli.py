@@ -387,6 +387,26 @@ class TestMainSubcommands:
         assert err.startswith("ERROR invariant=config_schema") and f"'{section}'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("modes, key, extra", [
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "initial", {"initial": "tail_excited"}),
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "kind", {"kind": "nuclear"}),
+        ([{"detuning_hz": 50.0, "g_hz": 1.0}], "frequency_hz", {"frequency_hz": 5.0}),
+        ("auto", "initial", {"initial": "tail_excited", "kind": "electron",
+                             "frequency_hz": 2.1e9 + 1e4}),
+    ], ids=["explicit-initial", "explicit-kind", "explicit-frequency", "auto-initial"])
+    def test_simulate_modes_rejects_unread_spin_key(self, tmp_path, capsys, modes, key, extra):
+        # the mode path always starts in |up, down, vacuum> and reads the spin kind and
+        # frequency only to derive the auto mode; such a config used to run with peak_pop_A 1
+        sections = {"cascade": None}
+        if modes == "auto":
+            sections.update(material="alpha-SiO2", geometry={"l_m": 1e-6, "w_m": 1e-7, "h_m": 1e-7})
+        path, _ = write_config(tmp_path, modes=modes, spin={"s": 0.5, "positions_m": [0.0, 2.5e-7],
+                                                            **extra}, **sections)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and f"'{key}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_explicit_modes(self, tmp_path):
         path, _ = write_config(
             tmp_path, cascade=None,

@@ -17,7 +17,6 @@ from chiralspin import (
     build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
-    check_cutoff_convergence,
     evolve,
     evolve_nonhermitian,
     fit_exchange_rate,
@@ -474,29 +473,140 @@ class TestFitExchangeRate:
             fit_exchange_rate(traj, "pop")
 
 
-class TestCutoffConvergence:
-    def family(self, two_spins, g, delta, initial_phonons=0):
-        def make(cutoff):
-            model = build_full_model(two_spins, (ModeSpec(+1, +1, delta, g, cutoff),))
-            occ = (0, 1, min(initial_phonons, cutoff))
-            rho0 = pure(model.space, occ)
-            watch = [("pop_B", site_number_operators(model.space, two_spins)[1])]
-            return model, rho0, watch
+def full_space_support(gen, rho0):
+    """Stand-in for dynamics._closed_support that keeps every basis state."""
+    return np.arange(gen.k.shape[0])
 
-        return make
 
-    def test_dispersive_vacuum_converges_immediately(self, two_spins):
-        cfg = IntegratorConfig(t_final=40.0, rate_scale=5.0, dt=0.05, sample_stride=8)
-        found = check_cutoff_convergence(self.family(two_spins, 0.1, 5.0), cfg, "pop_B")
-        assert found in (1, 2)
+def chain_sites(n):
+    return tuple(SpinSite(0.5, 2.5e-7 * j, f"s{j}") for j in range(n))
 
-    def test_zero_coupling_converges_at_one(self, two_spins):
-        cfg = IntegratorConfig(t_final=10.0, rate_scale=5.0, dt=0.05)
-        assert check_cutoff_convergence(self.family(two_spins, 0.0, 5.0), cfg, "pop_B") == 1
 
-    def test_initial_fock_state_needs_larger_cutoff(self, two_spins):
-        # |up,down,1> explores double occupation, so the first cutoff cannot do
-        cfg = IntegratorConfig(t_final=20.0, rate_scale=2.0, dt=0.02, sample_stride=4)
-        found = check_cutoff_convergence(self.family(two_spins, 0.5, 2.0, initial_phonons=1),
-                                         cfg, "pop_B")
-        assert found >= 2
+def excited(n, sites):
+    """Spin pattern with the listed sites up (0) and the others down (1)."""
+    return tuple(0 if j in sites else 1 for j in range(n))
+
+
+# (N, initial pattern): head-, tail- and middle-excited, and one two-excitation state
+CHAIN_STARTS = [pytest.param(n, pattern, id="".join("ud"[p] for p in pattern))
+                for n, pattern in sorted({(n, excited(n, sites)) for n in (2, 3, 4)
+                                          for sites in ({0}, {n - 1}, {n // 2}, {0, n - 1})})]
+RATES = {"forward": (1.0, 0.0), "backward": (0.0, 0.7), "bidirectional": (1.0, 0.4)}
+
+
+class TestClosedSupport:
+    """Runs restricted to the generator's closed support against the full space."""
+
+    @staticmethod
+    def assert_same_run(mine, full, tol):
+        assert np.array_equal(mine.times, full.times)
+        assert mine.diagnostics["n_steps"] == full.diagnostics["n_steps"]
+        assert mine.diagnostics["dt"] == full.diagnostics["dt"]
+        assert mine.observables.keys() == full.observables.keys()
+        for label, series in full.observables.items():
+            assert mine.observables[label].shape == series.shape == full.times.shape
+            assert np.max(np.abs(mine.observables[label] - series)) <= tol
+        assert np.array_equal(mine.state_times, full.state_times)
+        assert len(mine.states) == len(full.states) == len(full.state_times)
+        for a, b in zip(mine.states + [mine.final_state], full.states + [full.final_state]):
+            assert a.space == b.space
+            assert np.max(np.abs(a.matrix - b.matrix)) <= tol
+        assert mine.diagnostics["min_eigenvalue"] == pytest.approx(
+            full.diagnostics["min_eigenvalue"], abs=tol)
+
+    def run_both(self, monkeypatch, model, rho0, cfg, watch):
+        restricted = evolve(model, rho0, cfg, watch)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics_module, "_closed_support", full_space_support)
+            full = evolve(model, rho0, cfg, watch)
+        return restricted, full
+
+    @pytest.mark.parametrize("direction", sorted(RATES))
+    @pytest.mark.parametrize("n, pattern", CHAIN_STARTS)
+    def test_cascade_matches_full_space(self, monkeypatch, direction, n, pattern):
+        sites = chain_sites(n)
+        model = build_cascade_model(CascadeSpec(*RATES[direction], 0.6 / 2.5e-7, sites))
+        watch = list(zip((f"pop_{j}" for j in range(n)), site_number_operators(model.space, sites)))
+        cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, sample_stride=7,
+                               record_states_stride=50)
+        restricted, full = self.run_both(monkeypatch, model, pure(model.space, pattern), cfg, watch)
+        self.assert_same_run(restricted, full, 1e-12)
+
+    def test_rotating_full_model_matches_full_space(self, monkeypatch, two_spins):
+        # the d=12 rotating model of elimination_validation at ratio 25, from |up,down,0>
+        model = build_full_model(two_spins, (ModeSpec(+1, +1, 25.0, 1.0, 2),))
+        watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, two_spins)))
+        cfg = IntegratorConfig(t_final=60.0, rate_scale=25.0, sample_stride=16,
+                               record_states_stride=1000)
+        rho0 = pure(model.space, (0, 1, 0))
+        restricted, full = self.run_both(monkeypatch, model, rho0, cfg, watch)
+        assert restricted.diagnostics["n_steps"] > 10000
+        self.assert_same_run(restricted, full, 1e-10)
+
+    @pytest.mark.parametrize("n, pattern", [(3, (0, 1, 1)), (3, (0, 1, 0))])
+    def test_bidirectional_chain_matches_expm(self, n, pattern):
+        sites = chain_sites(n)
+        model = build_cascade_model(CascadeSpec(1.0, 0.4, 0.6 / 2.5e-7, sites))
+        dim = model.space.dim
+        rho0 = pure(model.space, pattern)
+        cfg = IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3, record_states_stride=400)
+        traj = evolve(model, rho0, cfg)
+        rate_ops = [(r, op.matrix) for r, op in model.jumps]
+        liou = reference_liouvillian(model.hamiltonian.matrix, rate_ops, dim)
+        for t, state in zip(traj.state_times, traj.states):
+            exact = (expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(dim, dim)
+            assert np.max(np.abs(state.matrix - exact)) <= 1e-8
+
+    @staticmethod
+    def support(model, rho):
+        return dynamics_module._closed_support(model.generator(), rho)
+
+    @pytest.mark.parametrize("direction", sorted(RATES))
+    @pytest.mark.parametrize("n, pattern", CHAIN_STARTS)
+    def test_support_is_closed(self, direction, n, pattern):
+        model = build_cascade_model(CascadeSpec(*RATES[direction], 0.6 / 2.5e-7, chain_sites(n)))
+        rho0 = pure(model.space, pattern).matrix
+        inside = np.zeros(model.space.dim, dtype=bool)
+        inside[self.support(model, rho0)] = True
+        assert inside[np.flatnonzero(rho0.diagonal())].all()
+        gen = model.generator()
+        for op in (gen.k, *(z for _, z in gen.sandwiches)):
+            assert np.count_nonzero(op[np.ix_(~inside, inside)]) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_head_excited_forward_chain_has_n_plus_one_states(self, n):
+        model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, chain_sites(n)))
+        assert self.support(model, pure(model.space, excited(n, {0})).matrix).size == n + 1
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_full_model_sectors(self, two_spins, cutoff):
+        # rotating coupling conserves n + S^z and counter-rotating coupling n - S^z, so
+        # |up,down,0> reaches |down,down,1> in the first and |up,up,1> in the second
+        for pam, third in ((+1, (1, 1, 1)), (-1, (0, 0, 1))):
+            model = build_full_model(two_spins, (ModeSpec(+1, pam, 6.0, 0.9, cutoff),))
+            space = model.space
+            expected = [int(np.flatnonzero(basis_vector(space, occ))[0])
+                        for occ in ((0, 1, 0), (1, 0, 0), third)]
+            found = self.support(model, pure(space, (0, 1, 0)).matrix)
+            assert found.tolist() == sorted(expected)
+
+    @pytest.mark.parametrize("pam", [+1, -1])
+    def test_mixed_start_keeps_every_state(self, two_spins, rng, pam):
+        model = build_full_model(two_spins, (ModeSpec(+1, pam, 6.0, 0.9, 2),))
+        for rho in (DensityMatrix.maximally_mixed(model.space).matrix,
+                    random_density(rng, model.space.dim)):
+            assert self.support(model, rho).tolist() == list(range(model.space.dim))
+
+    def test_rotating_run_does_not_depend_on_fock_cutoff(self, two_spins):
+        # a one-excitation rotating run holds at most one phonon, so every cutoff agrees
+        runs = []
+        for cutoff in (1, 2, 3, 4):
+            model = build_full_model(two_spins, (ModeSpec(+1, +1, detuning=6.0, g=0.9,
+                                                          fock_cutoff=cutoff),))
+            watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, two_spins)))
+            cfg = IntegratorConfig(t_final=20.0, rate_scale=6.0, dt=1e-3, sample_stride=8)
+            runs.append(evolve(model, pure(model.space, (0, 1, 0)), cfg, watch))
+        for other in runs[1:]:
+            assert np.array_equal(other.times, runs[0].times)
+            for label, series in runs[0].observables.items():
+                assert np.max(np.abs(other.observables[label] - series)) <= 1e-14
