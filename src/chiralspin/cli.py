@@ -492,29 +492,34 @@ def _sanitize(value):
     return value
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _csv_label(label: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
 
 
+_CSV_PIECE_ROWS = 512  # CSV rows formatted and written per call
+
+
 def _write_trajectory_csv(path: Path, traj) -> None:
+    """Time plus the real and imaginary part of each observable, one row per sample.
+
+    Every value is written as format(x, ".17g"): the "%.17g" row template gives
+    the same text, and formats a whole row in one call.
+    """
     labels = list(traj.observables.keys())
     header = ["t[1/rate_scale]"]
+    columns = [np.asarray(traj.times, dtype=float)]
     for label in labels:
         header.append(f"Re<{label}>[dimensionless]")
         header.append(f"Im<{label}>[dimensionless]")
-    lines = [",".join(header)]
-    columns = [np.asarray(traj.observables[label]) for label in labels]
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        for col in columns:
-            row.append(_fmt(col[i].real))
-            row.append(_fmt(col[i].imag))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        values = np.asarray(traj.observables[label])
+        columns += [values.real, values.imag]
+    table = np.column_stack(columns)
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for first in range(0, len(table), _CSV_PIECE_ROWS):
+            out.write("".join([template % tuple(row)
+                               for row in table[first:first + _CSV_PIECE_ROWS].tolist()]))
 
 
 def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:

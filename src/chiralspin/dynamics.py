@@ -28,14 +28,23 @@ final states are full-space density matrices, zero outside S x S.
 For small supports the one-step map P is precomputed as a dense
 superoperator matrix (the 4th-order Taylor polynomial of exp(h*L), which is
 exactly what the classical 4th-order step evaluates for a linear autonomous
-system), and the loop advances a block of K steps per iteration. Every
-per-step trace and every watched value inside a block is a linear
-functional of the block's start state, so one product with a precomputed
-row stack records them all, and P^K moves the state to the block's end. K
-follows from the sample and state strides, the diagnostics stride and a cap
-on the stack's memory. For larger supports the stages are evaluated
-directly, one step per iteration of the same loop. On both paths the
-trace-drift guard checks every step, and the Hermiticity, positivity and
+system), and a block of K steps is one product with P^K. Every per-step
+trace and every watched value inside a block is a linear functional of the
+block's start state, so one product with a precomputed row stack records
+them all. K follows from the sample and state strides, the diagnostics
+stride and a cap on the stack's memory. For larger supports a block is one
+step, with the stages evaluated directly.
+
+The loop runs over chunks of blocks. Each iteration first steps a chunk
+through its block boundaries, one small product per block, which is the only
+sequential work. It then checks and records the whole chunk with array
+operations: the per-step traces and interior samples of every block come
+from one product of the boundary states with the row stack, and the
+end-of-block samples, states and diagnostics from slices of the same
+boundary states. The chunk length comes from the same memory cap, so memory
+does not grow with the step count. On both paths the trace-drift guard
+checks every step and reports the first one that fails, even when the chunk
+has already stepped past it, and the Hermiticity, positivity and
 step-doubling diagnostics run at about 256 block ends per run. Both paths
 implement the same method, and the choice depends only on |S|, the step
 count and the strides, so results stay deterministic run to run.
@@ -65,8 +74,8 @@ __all__ = [
 # that peaks at about 52 MB resident and a 5% peak-memory bound.
 _PROPAGATOR_MAX_DIM = 16
 
-# Cap on the row stack of one propagator block (see _block_length): on the d=12
-# elimination model it gives K=192 steps per block.
+# Cap on the row stack of one propagator block (see _block_length), and on the
+# records and boundary states of one chunk of blocks (see _chunk_blocks).
 _STACK_MAX_BYTES = 1 << 19
 
 
@@ -81,11 +90,12 @@ class IntegratorConfig:
     evolutions; violating it raises :class:`IntegrationError` with the
     offending step. ``sample_stride`` controls how often watched expectation
     values are recorded (1 = every step) and ``record_states_stride``
-    optionally stores full density-matrix snapshots. Small supports advance
-    several steps per iteration (see the module docstring); the trace guard
-    still checks every step, and the more expensive
-    hermiticity/positivity/step-doubling diagnostics run at the ends of ~256
-    evenly spaced blocks per run.
+    optionally stores full density-matrix snapshots. The loop steps a chunk
+    of blocks at a time, K steps per block on small supports and one step on
+    larger ones, and then checks and records the chunk (see the module
+    docstring); the trace guard still checks every step, and the more
+    expensive hermiticity/positivity/step-doubling diagnostics run at the
+    ends of ~256 evenly spaced blocks per run.
     """
 
     t_final: float
@@ -187,6 +197,11 @@ def _block_length(limit: int, sample_stride: int, state_stride: int, n_watch: in
     return k
 
 
+def _chunk_blocks(rows: int, d: int) -> int:
+    """Blocks per chunk: each block's records (``rows`` values) and state fit _STACK_MAX_BYTES."""
+    return max(1, _STACK_MAX_BYTES // ((rows + d * d) * np.dtype(complex).itemsize))
+
+
 class _PropagatorBlocks:
     """K steps per block with the precomputed one-step map P (d <= _PROPAGATOR_MAX_DIM).
 
@@ -210,7 +225,8 @@ class _PropagatorBlocks:
         step = gcd(k, state_stride, sample_stride)
         self.offsets = np.arange(step, k, step)
         self.n_watch = n_watch = functionals.shape[0]
-        self.stack = np.empty((k + n_watch * self.offsets.size, d * d), dtype=complex)
+        self.rows = k + n_watch * self.offsets.size
+        self.stack = np.empty((self.rows, d * d), dtype=complex)
         rows = np.vstack([np.eye(d, dtype=complex).reshape(1, -1), functionals])
         # An unstable step overflows the high powers; the per-step guard reports the
         # first non-finite or drifting trace, which comes from the low powers.
@@ -223,41 +239,50 @@ class _PropagatorBlocks:
                     self.stack[first:first + n_watch] = rows[1:]
             self.powers = {k: np.linalg.matrix_power(self.p, k)}
 
-    def advance(self, v: np.ndarray, m: int):
-        """End state, the m per-step traces, and (offsets, values) of the interior rows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.stack @ v
-            if m not in self.powers:
-                self.powers[m] = np.linalg.matrix_power(self.p, m)
-            v_new = self.powers[m] @ v
-        inner = self.offsets < m
-        values = out[self.k:].reshape(self.offsets.size, self.n_watch).T
-        return v_new, out[:m].real, self.offsets[inner], values[:, inner]
+    def step(self, v: np.ndarray, m: int) -> np.ndarray:
+        """The state m steps after ``v``."""
+        if m not in self.powers:
+            self.powers[m] = np.linalg.matrix_power(self.p, m)
+        return self.powers[m] @ v
 
-    def doubling_error(self, v: np.ndarray, v_new: np.ndarray) -> float:
-        """One full step against two half steps, from the block's start state ``v``."""
-        return float(np.max(np.abs(self.p_err @ v)))
+    def records(self, states: np.ndarray):
+        """Per-step traces (blocks x K) and interior values (blocks x offsets x watched).
+
+        ``states`` holds the chunk's block boundaries, one vectorized state per row.
+        """
+        out = states[:-1] @ self.stack.T
+        values = out[:, self.k:].reshape(len(out), self.offsets.size, self.n_watch)
+        return out[:, :self.k].real, values
+
+    def doubling_error(self, starts: np.ndarray, ends: np.ndarray) -> float:
+        """One full step against two half steps, from each block's start state."""
+        return float(np.max(np.abs(starts @ self.p_err.T)))
 
 
 class _StageSteps:
     """One step per block, two classical 4th-order half steps on the d x d state."""
 
     k = 1
+    rows = 1
     offsets = np.empty(0, dtype=int)
 
     def __init__(self, gen: Generator, dt: float):
         self.gen, self.dt = gen, dt
+        self.d = gen.k.shape[0]
 
-    def advance(self, v: np.ndarray, m: int):
-        d = self.gen.k.shape[0]
-        half = _rk4_step(self.gen.apply, v.reshape(d, d), 0.5 * self.dt)
-        new = _rk4_step(self.gen.apply, half, 0.5 * self.dt)
-        return new.reshape(-1), np.array([np.trace(new).real]), self.offsets, None
+    def step(self, v: np.ndarray, m: int) -> np.ndarray:
+        half = _rk4_step(self.gen.apply, v.reshape(self.d, self.d), 0.5 * self.dt)
+        return _rk4_step(self.gen.apply, half, 0.5 * self.dt).reshape(-1)
 
-    def doubling_error(self, v: np.ndarray, v_new: np.ndarray) -> float:
-        d = self.gen.k.shape[0]
-        full = _rk4_step(self.gen.apply, v.reshape(d, d), self.dt)
-        return float(np.max(np.abs(full.reshape(-1) - v_new)))
+    def records(self, states: np.ndarray):
+        """Each block's one trace, read from its end state; no interior values."""
+        ends = states[1:].reshape(-1, self.d, self.d)
+        return np.trace(ends, axis1=1, axis2=2).real[:, None], None
+
+    def doubling_error(self, starts: np.ndarray, ends: np.ndarray) -> float:
+        d = self.d
+        full = [_rk4_step(self.gen.apply, v.reshape(d, d), self.dt).reshape(-1) for v in starts]
+        return float(np.max(np.abs(np.array(full) - ends)))
 
 
 def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
@@ -286,10 +311,11 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
     evolves the block of rho on the generator's closed support S (see the module
     docstring) and embeds every recorded state back into the full space. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
-    so one stacked product per sample records them all. The loop advances one
-    block of K steps per iteration (K = 1 on the stage path) and checks the
-    trace drift of every step in it; the diagnostics run on the block that
-    reaches each multiple of ``n // 256`` steps.
+    so one stacked product records them all. Each iteration steps a chunk of
+    blocks of K steps (K = 1 on the stage path), one product per block, and
+    then handles the chunk with array operations: it checks the trace drift
+    of every step, records the samples and states, and runs the diagnostics on
+    the blocks that reach each multiple of ``n // 256`` steps.
     """
     space = rho0.space
     n, dt = _resolve_grid(cfg, scale)
@@ -309,8 +335,9 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
         return DensityMatrix(space, out)
 
     def lowest_eigenvalue(r: np.ndarray) -> float:
-        # outside S x S the state is exactly zero, which adds the eigenvalue 0
-        low = float(np.linalg.eigvalsh(0.5 * (r + r.conj().T))[0])
+        # the lowest eigenvalue over one state or a stack of them; outside S x S the
+        # state is exactly zero, which adds the eigenvalue 0
+        low = float(np.linalg.eigvalsh(0.5 * (r + np.swapaxes(r, -1, -2).conj()))[..., 0].min())
         return low if d == space.dim else min(low, 0.0)
 
     labels = [label for label, _ in watch_ops]
@@ -320,8 +347,7 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
     table = np.empty((len(labels), sample_steps.size), dtype=complex)
 
     rho = rho0.matrix[cut].astype(complex)
-    v = rho.reshape(-1)
-    table[:, 0] = functionals @ v
+    table[:, 0] = functionals @ rho.reshape(-1)
     states = [embedded(rho)] if state_stride else []
 
     max_trace_drift = 0.0
@@ -344,20 +370,36 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
             stepper = _PropagatorBlocks(gen, dt, functionals, k, sample_stride, state_stride)
         else:
             stepper = _StageSteps(gen, dt)
+        offsets = stepper.offsets
+        chunk = _chunk_blocks(stepper.rows, d)
+        boundary = np.empty((chunk + 1, d * d), dtype=complex)  # states at one chunk's block ends
+        boundary[0] = rho.reshape(-1)
 
         sample, start = 1, 0
         while start < n:
-            end = min(start + stepper.k, n)
-            if state_stride:
-                end = min(end, (start // state_stride + 1) * state_stride)
-            v_new, traces, offsets, values = stepper.advance(v, end - start)
+            bounds = [start]
+            # A chunk may run past an unstable step; the guard below reports the first one.
+            with np.errstate(over="ignore", invalid="ignore"):
+                while start < n and len(bounds) <= chunk:
+                    end = min(start + stepper.k, n)
+                    if state_stride:
+                        end = min(end, (start // state_stride + 1) * state_stride)
+                    boundary[len(bounds)] = stepper.step(boundary[len(bounds) - 1], end - start)
+                    bounds.append(end)
+                    start = end
+                bounds = np.array(bounds)
+                starts, ends = bounds[:-1], bounds[1:]
+                vs = boundary[:bounds.size]
+                traces, values = stepper.records(vs)
+                # the chunk's steps in order: block b holds its first ends[b] - starts[b] traces
+                traces = traces[np.arange(traces.shape[1]) < (ends - starts)[:, None]]
+                drifts = abs(np.diff(traces, prepend=trace_prev))
 
             if check_trace:
-                drifts = abs(traces - np.concatenate(([trace_prev], traces[:-1])))
                 # a non-finite trace makes its drift inf or nan, which fails "<=" as well
-                if not drifts.max() <= cfg.tolerance:
-                    first = int(np.flatnonzero(~(drifts <= cfg.tolerance))[0])
-                    step, drift = start + first + 1, float(drifts[first])
+                bad = np.flatnonzero(~(drifts <= cfg.tolerance))
+                if bad.size:
+                    step, drift = int(bounds[0]) + int(bad[0]) + 1, float(drifts[bad[0]])
                     t = step * dt
                     raise IntegrationError(
                         f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
@@ -365,26 +407,30 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
                 max_trace_drift = max(max_trace_drift, float(abs(traces - 1.0).max()))
             trace_prev = float(traces[-1])
 
-            rho_new = v_new.reshape(d, d)
-            if end // diag_stride > start // diag_stride or end == n:
-                max_double_err = max(max_double_err, stepper.doubling_error(v, v_new))
-                herm = float(np.max(np.abs(rho_new - rho_new.conj().T)))
-                max_herm_dev = max(max_herm_dev, herm)
-                min_eig = min(min_eig, lowest_eigenvalue(rho_new))
+            diag = np.flatnonzero((ends // diag_stride > starts // diag_stride) | (ends == n))
+            if diag.size:
+                max_double_err = max(max_double_err, stepper.doubling_error(vs[diag], vs[diag + 1]))
+                r = vs[diag + 1].reshape(-1, d, d)
+                max_herm_dev = max(max_herm_dev,
+                                   float(np.max(np.abs(r - r.conj().transpose(0, 2, 1)))))
+                min_eig = min(min_eig, lowest_eigenvalue(r))
 
+            # samples in step order: each block's interior offsets, then its end
+            picked = vs[1:] @ functionals.T
+            keep = (ends % sample_stride == 0) | (ends == n)
             if offsets.size:
-                keep = (start + offsets) % sample_stride == 0
-                count = int(np.count_nonzero(keep))
-                table[:, sample:sample + count] = values[:, keep]
-                sample += count
-            v = v_new
-            if end % sample_stride == 0 or end == n:
-                table[:, sample] = functionals @ v
-                sample += 1
-            if state_stride and (end % state_stride == 0 or end == n):
-                states.append(embedded(rho_new))
-            start = end
-        rho = v.reshape(d, d)
+                inner = (offsets < (ends - starts)[:, None]) & (
+                    (starts[:, None] + offsets) % sample_stride == 0)
+                picked = np.concatenate((values, picked[:, None]), axis=1)
+                keep = np.column_stack((inner, keep))
+            picked = picked[keep]
+            table[:, sample:sample + len(picked)] = picked.T
+            sample += len(picked)
+            if state_stride:
+                for b in np.flatnonzero((ends % state_stride == 0) | (ends == n)):
+                    states.append(embedded(vs[b + 1].reshape(d, d)))
+            boundary[0] = vs[-1]
+        rho = boundary[0].reshape(d, d)
 
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
                    "max_step_doubling_error": max_double_err, "n_steps": float(n),

@@ -262,6 +262,12 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     channel is dropped, so gamma_prime = 0 is the forward cascade exactly and
     gamma = 0 the backward one. On two sites with gamma = gamma_prime the
     coherent part is the reciprocal exchange 2 gamma sin(k d)(S_A^+ S_B^- + h.c.).
+
+    The hopping coefficient e^{-i k |z_l - z_j|} is read from the entries of
+    z^dag z itself (the product conj(c_j) c_l of the jump weights), so in
+    K = H - i r z^dag z the upstream entries cancel exactly, not only to
+    rounding: the effective Hamiltonian never moves an excitation against
+    the channel.
     """
     sites = spec.sites
     space = _spin_space(sites)
@@ -273,14 +279,16 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
             continue
         head = sites[order[0]].position_z
         z = zero(space)
-        for a, j in enumerate(order):
+        downstream = zero(space)  # sum of S_l^- over the sites after the current one
+        upstream_hops = zero(space)  # sum of S_j^+ S_l^- over j upstream of l
+        for j in reversed(order):
             sp_j, sm_j, _ = _site_ops(space, sites, j)
             z = z + np.exp(-1j * spec.k_z * abs(sites[j].position_z - head)) * sm_j
-            for l in order[a + 1:]:
-                _, sm_l, _ = _site_ops(space, sites, l)
-                phi = spec.k_z * abs(sites[l].position_z - sites[j].position_z)
-                t = (1j * rate * np.exp(-1j * phi)) * (sp_j @ sm_l)
-                h = h + t + t.dag()
+            upstream_hops = upstream_hops + sp_j @ downstream
+            downstream = downstream + sm_j
+        zz = z.matrix.conj().T @ z.matrix  # the same product LindbladModel.generator forms
+        t = (1j * rate) * np.where(upstream_hops.matrix != 0, zz, 0)
+        h = h + Operator(space, t + t.conj().T)
         jumps.append((2.0 * rate, z))
     return LindbladModel(h, tuple(jumps), space)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import chiralspin
-from chiralspin import DomainError
+import chiralspin.cli as cli_module
+from chiralspin import DomainError, Trajectory
 from chiralspin import validation
 from chiralspin.cli import RunConfig, emit_report, main, run
 from chiralspin.experiments import ExperimentReport, transfer_asymmetry
@@ -140,6 +141,31 @@ class TestRunAndEmit:
         lines = (tmp_path / "out" / "simulation.csv").read_text().strip().splitlines()
         n_steps = round(config["integrator"]["t_final"] / config["integrator"]["dt"])
         assert len(lines) == n_steps + 2  # header + t=0 + every step
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1 / 3, 2.0 ** 60]
+        n = 2 * cli_module._CSV_PIECE_ROWS + 3  # the rows are written in three pieces
+        rng = np.random.default_rng(11)
+        times = np.resize(special, n)
+        observables = {"pop_A": np.empty(n, dtype=complex), "x<y>": np.empty(n, dtype=complex)}
+        observables["pop_A"].real, observables["pop_A"].imag = times, np.resize(special[::-1], n)
+        observables["x<y>"].real = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        observables["x<y>"].imag = rng.standard_normal(n)
+        traj = Trajectory(times, observables, None, rate_scale=1.0)
+        path = tmp_path / "values.csv"
+        cli_module._write_trajectory_csv(path, traj)
+
+        lines = ["t[1/rate_scale],Re<pop_A>[dimensionless],Im<pop_A>[dimensionless],"
+                 "Re<x<y>>[dimensionless],Im<x<y>>[dimensionless]"]
+        for i in range(n):
+            row = [times[i]]
+            for series in observables.values():
+                row += [series[i].real, series[i].imag]
+            lines.append(",".join(format(float(x), ".17g") for x in row))
+        written = path.read_bytes()
+        assert written == ("\n".join(lines) + "\n").encode("utf-8")
+        assert written.count(b"\n") == n + 1 and written.endswith(b"\n")
+        assert b"-0," in written and b"inf" in written and b"nan" in written
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -258,11 +260,30 @@ def stepped_reference():
     return stepped, exact
 
 
+def subsampled(stepped, sample_stride, state_stride):
+    """The per-step stage run on the grids of ``sample_stride`` and ``state_stride``."""
+    keep = dynamics_module._steps(N_BLOCKED, sample_stride)
+    kept_states = dynamics_module._steps(N_BLOCKED, state_stride) if state_stride else None
+    return Trajectory(
+        stepped.times[keep], {label: series[keep] for label, series in stepped.observables.items()},
+        stepped.final_state, stepped.rate_scale, stepped.diagnostics,
+        states=None if kept_states is None else [stepped.states[i] for i in kept_states],
+        state_times=None if kept_states is None else stepped.state_times[kept_states])
+
+
+DIAGNOSTICS = ("max_trace_drift", "max_hermiticity_dev", "min_eigenvalue", "max_step_doubling_error")
+
+
 class TestBlockStepping:
     """The blocked propagator path against the per-step stage path and the expm oracle."""
 
     @staticmethod
     def assert_agree(blocked, stepped):
+        # the diagnostics sample different block ends on the two paths, all near rounding level
+        assert blocked.diagnostics.keys() == stepped.diagnostics.keys()
+        for key in DIAGNOSTICS:
+            if key in stepped.diagnostics:
+                assert abs(blocked.diagnostics[key] - stepped.diagnostics[key]) <= 1e-12
         assert np.array_equal(blocked.times, stepped.times)
         assert blocked.observables.keys() == stepped.observables.keys()
         for label, series in stepped.observables.items():
@@ -293,12 +314,7 @@ class TestBlockStepping:
         stepped, exact = stepped_reference
         keep = dynamics_module._steps(N_BLOCKED, sample_stride)
         assert blocked.times.size == len(range(0, N_BLOCKED, sample_stride)) + 1 == keep.size
-        kept_states = dynamics_module._steps(N_BLOCKED, state_stride) if state_stride else None
-        self.assert_agree(blocked, Trajectory(
-            stepped.times[keep], {label: series[keep] for label, series in stepped.observables.items()},
-            stepped.final_state, stepped.rate_scale,
-            states=None if kept_states is None else [stepped.states[i] for i in kept_states],
-            state_times=None if kept_states is None else stepped.state_times[kept_states]))
+        self.assert_agree(blocked, subsampled(stepped, sample_stride, state_stride))
         for label, series in blocked.observables.items():
             assert np.max(np.abs(series - exact[label][keep])) <= 1e-8
 
@@ -357,6 +373,85 @@ class TestBlockStepping:
         assert blocked.step == stepped.step
         assert blocked.step > k and blocked.step % k
         assert f"at step {blocked.step} (t={8.0 * blocked.step:.6g})" in str(blocked)
+
+
+def chunk_spy(monkeypatch, stepper=dynamics_module._PropagatorBlocks):
+    """Record (K, blocks, whether the last boundary state is finite) for every chunk."""
+    chunks = []
+    records = stepper.records
+
+    def spy(self, states):
+        chunks.append((self.k, len(states) - 1, bool(np.isfinite(states[-1]).all())))
+        return records(self, states)
+
+    monkeypatch.setattr(stepper, "records", spy)
+    return chunks
+
+
+class TestChunkedDriver:
+    """Runs whose blocks span several chunks against the per-step stage path."""
+
+    @pytest.mark.parametrize("sample_stride, state_stride", [(1, 0), (7, 13), (16, 29)])
+    def test_chunks_match_stage_path(self, two_spins, stepped_reference, monkeypatch,
+                                     sample_stride, state_stride):
+        monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", 1 << 12)
+        chunks = chunk_spy(monkeypatch)
+        model, rho0, watch = blocked_pair(two_spins)
+        cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3,
+                               sample_stride=sample_stride, record_states_stride=state_stride)
+        chunked = evolve(model, rho0, cfg, watch)
+        assert len(chunks) >= 3
+        assert all(k > 1 for k, _, _ in chunks) and max(blocks for _, blocks, _ in chunks) > 1
+
+        stepped, _ = stepped_reference
+        reference = subsampled(stepped, sample_stride, state_stride)
+        TestBlockStepping.assert_agree(chunked, reference)
+        assert all(key in chunked.diagnostics for key in DIAGNOSTICS)
+
+    def test_drift_in_a_later_chunk_reports_the_sequential_step(self, pair_spec, monkeypatch):
+        # the drifting run of test_mid_block_drift_reports_the_sequential_step, in chunks of a
+        # few short blocks, so its first bad step lies past the first chunk and inside a block
+        monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", 512)
+        chunks = chunk_spy(monkeypatch)
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
+        ground = np.diag([0, 0, 0, 1]).astype(complex)
+        rho0 = DensityMatrix(model.space, (1 - 1e-90) * ground + 1e-90 * pure(model.space, UD).matrix)
+        cfg = IntegratorConfig(t_final=8.0 * N_BLOCKED, rate_scale=1.0, dt=8.0)
+
+        def failure():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(IntegrationError) as err:
+                    evolve(model, rho0, cfg)
+            return err.value
+
+        blocked = failure()
+        k, first_chunk_blocks, _ = chunks[0]
+        assert len(chunks) >= 3 and k > 1
+        assert blocked.step > k * first_chunk_blocks and blocked.step % k
+        monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
+        stepped = failure()
+        assert blocked.step == stepped.step
+        assert f"at step {blocked.step} (t={8.0 * blocked.step:.6g})" in str(blocked)
+
+    @pytest.mark.parametrize("stepper, max_dim, step", [
+        (dynamics_module._PropagatorBlocks, 16, 2),
+        # the stage path's own rounding crosses the tolerance one step earlier
+        (dynamics_module._StageSteps, 0, 1),
+    ])
+    def test_overflowing_chunk_tail_is_silent(self, pair_spec, monkeypatch, stepper, max_dim, step):
+        # 400 unstable steps in one chunk: the guard fails at the first steps, and the chunk
+        # has already stepped on until the state overflowed
+        monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", max_dim)
+        chunks = chunk_spy(monkeypatch, stepper)
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
+        cfg = IntegratorConfig(t_final=3200.0, rate_scale=1.0, dt=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError) as err:
+                evolve(model, pure(model.space, UD), cfg)
+        assert err.value.step == step
+        assert chunks == [(1, 400, False)]
 
 
 class TestNoBackAction:
@@ -577,6 +672,16 @@ class TestClosedSupport:
     def test_head_excited_forward_chain_has_n_plus_one_states(self, n):
         model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, chain_sites(n)))
         assert self.support(model, pure(model.space, excited(n, {0})).matrix).size == n + 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_excitation_support_is_the_downstream_sites(self, n):
+        # from the excitation at site j (1-based) a forward chain reaches sites j..N and |G>,
+        # N - j + 2 states; a backward chain reaches sites 1..j and |G>
+        for rates, size in (((1.0, 0.0), lambda j: n - j + 2), ((0.0, 0.7), lambda j: j + 1)):
+            model = build_cascade_model(CascadeSpec(*rates, 0.6 / 2.5e-7, chain_sites(n)))
+            for j in range(1, n + 1):
+                rho0 = pure(model.space, excited(n, {j - 1})).matrix
+                assert self.support(model, rho0).size == size(j)
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3])
     def test_full_model_sectors(self, two_spins, cutoff):

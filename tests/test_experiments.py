@@ -131,6 +131,11 @@ class TestCascadeChain:
         assert report.metrics["reverse_leak_max"] <= 1e-10
         assert report.pass_flags["reverse_leak_max__le_1e-10"]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tail_leak_is_exactly_zero(self, n):
+        # the tail-excited run steps on {|e_N>, |G>} only, so nothing ever reaches upstream
+        assert cascade_chain(n, chain_spec(n)).metrics["reverse_leak_max"] == 0.0
+
     def test_four_sites(self):
         report = cascade_chain(4, chain_spec(4))
         assert report.all_passed()

@@ -335,6 +335,23 @@ class TestChainModel:
         assert np.max(np.abs(bwd.jumps[0][1].matrix
                              - reverse_factors(fwd.jumps[0][1].matrix, dims))) <= 1e-15
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_upstream_entries_of_k_vanish_exactly(self, n):
+        # K = H - i gamma z^dag z never moves the excitation against the channel, not even by
+        # rounding; the forward entries stay nonzero
+        sites = tuple(SpinSite(0.5, 2.5e-7 * j, f"s{j}") for j in range(n))
+        for gamma, gamma_prime in ((1.0, 0.0), (0.0, 0.7)):
+            model = build_cascade_model(CascadeSpec(gamma, gamma_prime, 0.6 / 2.5e-7, sites))
+            k = model.generator().k
+            excited = [int(np.flatnonzero(basis_vector(model.space, tuple(
+                0 if i == j else 1 for i in range(n))))[0]) for j in range(n)]
+            if gamma == 0.0:
+                excited.reverse()  # the backward channel runs from the last site
+            for a, j in enumerate(excited):
+                for l in excited[a + 1:]:
+                    assert k[j, l] == 0.0
+                    assert k[l, j] != 0.0
+
     def test_equal_rate_chain_hermitian_and_trace_preserving(self, rng):
         spec = self.chain_spec(3, gamma=0.9, gamma_prime=0.9, kd=0.6)
         model = build_cascade_model(spec)
