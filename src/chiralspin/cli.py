@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,8 @@ _KINDS = {
     "count": (lambda v: _integer(v) and v >= 1, "a positive integer"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "numbers": (lambda v: isinstance(v, list) and all(map(_finite, v)), "a list of finite numbers"),
-    "strings": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-                "a list of strings"),
+    "formats": (lambda v: isinstance(v, list) and all(x in ("json", "csv") for x in v),
+                "a list naming no unknown output format (known: 'json', 'csv')"),
 }
 
 # Every section's keys and value kinds; "" is the config root, "mode" one entry of "modes".
@@ -93,24 +94,10 @@ _SCHEMA = {
     "integrator": {"dt": "positive", "t_final": "positive", "rate_scale_hz": "positive",
                    "tolerance": "positive", "sample_stride": "count"},
     "experiment": {"name": "string", "parameters": "any"},
-    "output": {"directory": "string", "formats": "strings"},
+    "output": {"directory": "string", "formats": "formats"},
 }
 _REQUIRED = {"material": ("density_kg_m3", "v_plus_m_s", "v_minus_m_s", "xi_S_hz", "xi_I_hz"),
              "mode": ("detuning_hz", "g_hz")}
-
-# Every experiment: the kinds of the ``experiment.parameters`` it reads, and the sections it
-# reads besides schema_version, experiment and output. Any other section is rejected.
-_EXPERIMENTS = {
-    "simulate": ({}, ("material", "geometry", "spin", "modes", "cascade", "integrator")),
-    "couplings": ({"delta_hz": "number", "drive_u": "number", "n": "count"},
-                  ("material", "geometry", "spin")),
-    "transfer_asymmetry": ({}, ("spin", "cascade")),
-    "reciprocity_sweep": ({"ratios": "numbers"}, ("spin", "cascade")),
-    "cascade_chain": ({"n_sites": "count"}, ("spin", "cascade")),
-    "elimination_validation": ({"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"}, ()),
-    "decoherence_budget": ({"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number",
-                            "delta_hz": "number"}, ()),
-}
 
 # The channels each cascade.direction keeps: (forward rate gamma, backward rate gamma_prime).
 _CHANNELS = {"forward": (True, False), "chain": (True, False),
@@ -169,14 +156,21 @@ def _apply_overrides(data, overrides):
 class RunConfig:
     """A validated run configuration; wraps the canonical JSON dict.
 
-    Only keys the user supplied are stored, so parse -> serialize -> parse is
-    the identity. Typed accessors construct the domain objects on demand.
+    Only the keys it was given are stored, so parse -> serialize -> parse is
+    the identity. ``implicit`` names the (section, key) pairs of ``data`` that
+    the program filled in rather than the user. Typed accessors construct the
+    domain objects on demand and record in ``read`` each (section, key) whose
+    value they use, with key None for a section used whole. After an
+    experiment's reader has run, :meth:`check_read` rejects every
+    user-supplied key that it did not use.
     """
 
     data: dict
+    implicit: frozenset = frozenset()
+    read: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
+    def from_dict(cls, data: dict, implicit=frozenset()) -> "RunConfig":
         _check_section(_SCHEMA[""], data, "")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -185,11 +179,8 @@ class RunConfig:
         name = data["experiment"].get("name")
         if name not in _EXPERIMENTS:
             raise DomainError(f"unknown experiment {name!r}; known: {tuple(_EXPERIMENTS)}")
-        parameters, sections = _EXPERIMENTS[name]
-        _check_section(parameters, data["experiment"].get("parameters", {}), "experiment.parameters.")
-        unread = sorted(set(data) - {"schema_version", "experiment", "output", *sections})
-        if unread:
-            raise DomainError(f"experiment {name!r} does not read section(s) {unread}")
+        _check_section(_EXPERIMENTS[name][0], data["experiment"].get("parameters", {}),
+                       "experiment.parameters.")
         if not isinstance(data.get("material", ""), str):
             _check_section(_SCHEMA["material"], data["material"], "material.", _REQUIRED["material"])
         for section in ("geometry", "spin", "cascade", "integrator", "output"):
@@ -201,21 +192,7 @@ class RunConfig:
                 raise DomainError("modes must be 'auto' or a list of mode objects")
             for i, mode in enumerate(modes):
                 _check_section(_SCHEMA["mode"], mode, f"modes[{i}].", _REQUIRED["mode"])
-        if name == "simulate" and "modes" in data:
-            # A mode-based simulation reads no cascade, and an explicit mode list needs no
-            # material or geometry: those are read only to derive the "auto" mode.
-            label = f"simulate with modes={'auto' if modes == 'auto' else '[...]'}"
-            ignored = {"cascade"} if modes == "auto" else {"cascade", "material", "geometry"}
-            unread = sorted(ignored & set(data))
-            if unread:
-                raise DomainError(f"{label} does not read section(s) {unread}")
-            # It starts in |up, down, vacuum>, and reads the spin kind and frequency only to
-            # derive the "auto" mode.
-            ignored = {"initial"} if modes == "auto" else {"initial", "kind", "frequency_hz"}
-            unread = sorted(ignored & set(data.get("spin", {})))
-            if unread:
-                raise DomainError(f"{label} does not read spin key(s) {unread}")
-        return cls(deepcopy(data))
+        return cls(deepcopy(data), frozenset(implicit))
 
     @classmethod
     def load(cls, path, overrides=()) -> "RunConfig":
@@ -231,8 +208,34 @@ class RunConfig:
         return deepcopy(self.data)
 
     def with_overrides(self, overrides) -> "RunConfig":
-        """Apply ``section.key=value`` overrides on top of the file values."""
-        return RunConfig.from_dict(_apply_overrides(self.to_dict(), overrides))
+        """Apply ``section.key=value`` overrides on top of the file values; what they set is the user's."""
+        data = _apply_overrides(self.to_dict(), overrides)
+        paths = {tuple(item.split("=", 1)[0].split(".")[:2]) for item in overrides}
+        return RunConfig.from_dict(data, {pair for pair in self.implicit
+                                          if pair not in paths and pair[:1] not in paths})
+
+    def check_read(self) -> None:
+        """Reject every user-supplied key that no accessor has read.
+
+        ``schema_version``, ``experiment`` and ``output`` are exempt. A section
+        none of whose keys was read is named whole, otherwise its unread keys.
+        """
+        read_sections = {section for section, _ in self.read}
+        sections, keys = [], []
+        for section, value in self.data.items():
+            if section in ("schema_version", "experiment", "output") or (section, None) in self.read:
+                continue
+            supplied = ([key for key in value if (section, key) not in self.implicit]
+                        if isinstance(value, dict) else [None])
+            if section not in read_sections:
+                if supplied or not value:  # an empty section counts, program-filled keys do not
+                    sections.append(section)
+            elif unread := sorted(key for key in supplied if (section, key) not in self.read):
+                keys.append(f"{section} key(s) {unread}")
+        problems = ([f"section(s) {sorted(sections)}"] if sections else []) + sorted(keys)
+        if problems:
+            raise DomainError(f"experiment {self.experiment_name!r} does not read "
+                              + ", ".join(problems))
 
     # -- typed accessors ----------------------------------------------------
 
@@ -244,8 +247,22 @@ class RunConfig:
     def experiment_parameters(self) -> dict:
         return deepcopy(self.data["experiment"].get("parameters", {}))
 
+    def parameter(self, key: str, default=None):
+        """One of the ``experiment.parameters``, or ``default`` when it is absent."""
+        return self.experiment_parameters.get(key, default)
+
+    def section(self, name: str, default=None):
+        """A whole section, or ``default`` when it is absent."""
+        self.read.add((name, None))
+        return self.data.get(name, default)
+
+    def value(self, section: str, key: str, default=None):
+        """One key of a section, or ``default`` when it is absent."""
+        self.read.add((section, key))
+        return self.data.get(section, {}).get(key, default)
+
     def material(self):
-        section = self.data.get("material", "alpha-SiO2")
+        section = self.section("material", "alpha-SiO2")
         if isinstance(section, str):
             return builtin_material(section)
         return MaterialParams(section.get("name", "custom"), section["density_kg_m3"],
@@ -254,54 +271,50 @@ class RunConfig:
                               section.get("provenance", "inline config"))
 
     def geometry(self) -> ResonatorGeometry:
-        g = self.data.get("geometry", {})
-        return ResonatorGeometry(g.get("l_m", 1e-6), g.get("w_m", 1e-7), g.get("h_m", 1e-7))
+        return ResonatorGeometry(self.value("geometry", "l_m", 1e-6),
+                                 self.value("geometry", "w_m", 1e-7),
+                                 self.value("geometry", "h_m", 1e-7))
 
-    def spin_positions(self) -> list[float]:
-        return list(self.data.get("spin", {}).get("positions_m", [0.0, 2.5e-7]))
+    def spin_sites(self) -> tuple[SpinSite, ...]:
+        """A spin of ``spin.s`` at each of ``spin.positions_m``, labelled A, B, ..."""
+        s = self.value("spin", "s", 0.5)
+        positions = self.value("spin", "positions_m", [0.0, 2.5e-7])
+        return tuple(SpinSite(s, z, chr(ord("A") + i) if i < 26 else f"s{i}")
+                     for i, z in enumerate(positions))
 
     def cascade_spec(self) -> CascadeSpec:
-        cascade = self.data.get("cascade", {})
-        spin = self.data.get("spin", {})
-        positions = self.spin_positions()
-        s = spin.get("s", 0.5)
-        sites = tuple(SpinSite(s, z, chr(ord("A") + i) if i < 26 else f"s{i}")
-                      for i, z in enumerate(positions))
-        gamma = TWO_PI * cascade.get("gamma_hz", 0.0)
-        gamma_prime = TWO_PI * cascade.get("gamma_prime_hz", 0.0)
-        if "k_z_rad_m" in cascade:
-            k_z = cascade["k_z_rad_m"]
-        elif "k_z_d" in cascade:
-            if len(positions) < 2 or positions[0] == positions[1]:
+        sites = self.spin_sites()
+        gamma = TWO_PI * self.value("cascade", "gamma_hz", 0.0)
+        gamma_prime = TWO_PI * self.value("cascade", "gamma_prime_hz", 0.0)
+        k_z = self.value("cascade", "k_z_rad_m")
+        if k_z is None:
+            k_z_d = self.value("cascade", "k_z_d")
+            if k_z_d is None:
+                k_z = 0.0
+            elif len(sites) < 2 or sites[0].position_z == sites[1].position_z:
                 raise DomainError("k_z_d needs two distinct first spin positions")
-            k_z = cascade["k_z_d"] / (positions[1] - positions[0])
-        else:
-            k_z = 0.0
+            else:
+                k_z = k_z_d / (sites[1].position_z - sites[0].position_z)
         return CascadeSpec(gamma, gamma_prime, k_z, sites)
 
     def integrator_config(self, default_rate_scale: float) -> IntegratorConfig:
-        integ = self.data.get("integrator", {})
-        rate_scale = TWO_PI * integ["rate_scale_hz"] if "rate_scale_hz" in integ else default_rate_scale
+        rate_scale_hz = self.value("integrator", "rate_scale_hz")
         return IntegratorConfig(
-            t_final=integ.get("t_final", 8.0),
-            rate_scale=rate_scale,
-            dt=integ.get("dt"),
-            tolerance=integ.get("tolerance", 1e-10),
-            sample_stride=integ.get("sample_stride", 1),
+            t_final=self.value("integrator", "t_final", 8.0),
+            rate_scale=default_rate_scale if rate_scale_hz is None else TWO_PI * rate_scale_hz,
+            dt=self.value("integrator", "dt"),
+            tolerance=self.value("integrator", "tolerance", 1e-10),
+            sample_stride=self.value("integrator", "sample_stride", 1),
         )
 
     def output_directory(self) -> Path:
         return Path(self.data.get("output", {}).get("directory", "out"))
 
     def output_formats(self) -> tuple[str, ...]:
-        formats = tuple(self.data.get("output", {}).get("formats", ("json", "csv")))
-        for fmt in formats:
-            if fmt not in ("json", "csv"):
-                raise DomainError(f"unknown output format {fmt!r}")
-        return formats
+        return tuple(self.data.get("output", {}).get("formats", ("json", "csv")))
 
 
-# -- experiment dispatch ----------------------------------------------------
+# -- experiment readers -------------------------------------------------------
 
 
 def _config_modes(config: RunConfig) -> tuple[ModeSpec, ...]:
@@ -311,125 +324,100 @@ def _config_modes(config: RunConfig) -> tuple[ModeSpec, ...]:
     material and resonator: its detuning comes from the spin frequency against
     the fast branch and its coupling from the vacuum strain.
     """
-    section = config.data["modes"]
+    section = config.section("modes")
     if section == "auto":
         material = config.material()
         geom = config.geometry()
-        spin = config.data.get("spin", {})
-        kind = spin.get("kind", "electron")
+        kind = config.value("spin", "kind", "electron")
         _, omega_plus = resonator_mode(geom, material.v_plus, 1)
         f_plus = omega_plus / TWO_PI
-        f_spin = spin.get("frequency_hz", f_plus + 1e4)
+        f_spin = config.value("spin", "frequency_hz", f_plus + 1e4)
         delta_hz = f_spin - f_plus
         if delta_hz == 0:
             raise DomainError("auto mode derivation hit zero detuning; adjust spin.frequency_hz")
         budget = coupling_table(material, geom, kind, abs(delta_hz))
         g_hz = budget.row(+1, +1).g_hz
         return (ModeSpec(+1, +1, TWO_PI * delta_hz, TWO_PI * g_hz, 2),)
-    modes = []
-    for entry in section:
-        modes.append(ModeSpec(entry.get("momentum_sign", +1), entry.get("pam", +1),
-                              TWO_PI * entry["detuning_hz"], TWO_PI * entry["g_hz"],
-                              entry.get("fock_cutoff", 2)))
-    return tuple(modes)
+    return tuple(ModeSpec(entry.get("momentum_sign", +1), entry.get("pam", +1),
+                          TWO_PI * entry["detuning_hz"], TWO_PI * entry["g_hz"],
+                          entry.get("fock_cutoff", 2)) for entry in section)
 
 
-def _simulate_full_model(config: RunConfig) -> ExperimentReport:
-    modes = _config_modes(config)
-    positions = config.spin_positions()
-    if len(positions) != 2:
-        raise DomainError("mode-based simulation takes exactly two spin positions")
-    s = config.data.get("spin", {}).get("s", 0.5)
-    spins = (SpinSite(s, positions[0], "A"), SpinSite(s, positions[1], "B"))
-    model = build_full_model(spins, modes)
-    space = model.space
+def _read_simulate(config: RunConfig):
+    """Integrate one basis state of a configured model and report every spin population.
 
-    pattern = [0, 1] + [0] * len(modes)  # first spin excited, vacuum modes
-    rho0 = DensityMatrix.from_pure(space, basis_vector(space, pattern))
-    cfg = config.integrator_config(abs(modes[0].detuning))
-    watch = [(f"pop_{label}", op)
-             for label, op in zip("AB", site_number_operators(space, spins))]
-    watch.append(("total_excitation", total_excitation(space)))
-    traj = evolve(model, rho0, cfg, watch)
-    metrics = {}
-    for label, _ in watch[:2]:
-        series = np.real(traj.observables[label])
-        metrics[f"peak_{label}"] = float(np.max(series))
-        metrics[f"final_{label}"] = float(series[-1])
-    report = ExperimentReport(
-        "simulate",
-        {"modes": [{"momentum_sign": m.momentum_sign, "pam": m.pam,
-                    "detuning_hz": m.detuning / TWO_PI, "g_hz": m.g / TWO_PI,
-                    "fock_cutoff": m.fock_cutoff} for m in modes],
-         "positions_m": positions,
-         "integrator": {"dt": cfg.dt, "t_final": cfg.t_final, "rate_scale_rad_s": cfg.rate_scale}},
-        metrics, {}, trajectories={"simulation": traj})
-    return report.validate()
-
-
-def _simulate(config: RunConfig) -> ExperimentReport:
-    # _EXPERIMENTS and the modes rule in RunConfig.from_dict list the config sections this
-    # reads: keep them in step with it.
+    Without ``modes`` the model is the cascade over ``spin.positions_m`` with the
+    channels of ``cascade.direction``; with ``modes`` it is the closed spin-pair/mode
+    model, started in |up, down, vacuum>.
+    """
+    sites = config.spin_sites()
     if "modes" in config.data:
-        return _simulate_full_model(config)
-    spec = config.cascade_spec()
-    direction = config.data.get("cascade", {}).get("direction", "forward")
-    if direction not in _CHANNELS:
-        raise DomainError(f"unknown cascade.direction {direction!r}")
-    forward, backward = _CHANNELS[direction]
-    model = build_cascade_model(replace(spec, gamma=spec.gamma if forward else 0.0,
-                                        gamma_prime=spec.gamma_prime if backward else 0.0))
-
-    initial = config.data.get("spin", {}).get("initial", "head_excited")
-    if initial == "head_excited":
-        pattern = [0] + [1] * (len(spec.sites) - 1)
-    elif initial == "tail_excited":
-        pattern = [1] * (len(spec.sites) - 1) + [0]
-    elif initial == "all_ground":
-        pattern = [1] * len(spec.sites)
-    elif isinstance(initial, list):
-        mapping = {"up": 0, "down": 1}
-        try:
-            pattern = [mapping[token] for token in initial]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"spin.initial entries must be 'up' or 'down', got {initial}") from exc
-        if len(pattern) != len(spec.sites):
-            raise DomainError("spin.initial length must match the number of positions")
+        modes = _config_modes(config)
+        if len(sites) != 2:
+            raise DomainError("mode-based simulation takes exactly two spin positions")
+        model = build_full_model(sites, modes)
+        pattern = [0, 1] + [0] * len(modes)  # first spin excited, vacuum modes
+        default_scale = abs(modes[0].detuning)
+        parameters = {"modes": [{"momentum_sign": m.momentum_sign, "pam": m.pam,
+                                 "detuning_hz": m.detuning / TWO_PI, "g_hz": m.g / TWO_PI,
+                                 "fock_cutoff": m.fock_cutoff} for m in modes]}
+        extra_watch = [("total_excitation", total_excitation(model.space))]
     else:
-        raise DomainError(f"unknown spin.initial {initial!r}")
-    rho0 = DensityMatrix.from_pure(model.space, basis_vector(model.space, pattern))
-
-    default_scale = max(spec.gamma, spec.gamma_prime)
-    if default_scale <= 0:
-        raise DomainError("simulate needs a positive channel rate")
+        spec = config.cascade_spec()
+        direction = config.value("cascade", "direction", "forward")
+        if direction not in _CHANNELS:
+            raise DomainError(f"unknown cascade.direction {direction!r}")
+        forward, backward = _CHANNELS[direction]
+        model = build_cascade_model(replace(spec, gamma=spec.gamma if forward else 0.0,
+                                            gamma_prime=spec.gamma_prime if backward else 0.0))
+        initial = config.value("spin", "initial", "head_excited")
+        if initial == "head_excited":
+            pattern = [0] + [1] * (len(sites) - 1)
+        elif initial == "tail_excited":
+            pattern = [1] * (len(sites) - 1) + [0]
+        elif initial == "all_ground":
+            pattern = [1] * len(sites)
+        elif isinstance(initial, list):
+            mapping = {"up": 0, "down": 1}
+            try:
+                pattern = [mapping[token] for token in initial]
+            except (KeyError, TypeError) as exc:
+                raise DomainError(f"spin.initial entries must be 'up' or 'down', got {initial}") from exc
+            if len(pattern) != len(sites):
+                raise DomainError("spin.initial length must match the number of positions")
+        else:
+            raise DomainError(f"unknown spin.initial {initial!r}")
+        default_scale = max(spec.gamma, spec.gamma_prime)
+        if default_scale <= 0:
+            raise DomainError("simulate needs a positive channel rate")
+        parameters = {"direction": direction, "gamma_rad_s": spec.gamma,
+                      "gamma_prime_rad_s": spec.gamma_prime, "k_z_rad_m": spec.k_z,
+                      "initial": initial}
+        extra_watch = []
     cfg = config.integrator_config(default_scale)
-    ops = site_number_operators(model.space, spec.sites)
-    watch = [(f"pop_{site.label}", op) for site, op in zip(spec.sites, ops)]
-    traj = evolve(model, rho0, cfg, watch)
+    parameters.update(positions_m=[site.position_z for site in sites],
+                      integrator={"dt": cfg.dt, "t_final": cfg.t_final,
+                                  "rate_scale_rad_s": cfg.rate_scale})
+    rho0 = DensityMatrix.from_pure(model.space, basis_vector(model.space, pattern))
+    populations = [(f"pop_{site.label}", op)
+                   for site, op in zip(sites, site_number_operators(model.space, sites))]
 
-    metrics = {}
-    for label, _ in watch:
-        series = np.real(traj.observables[label])
-        metrics[f"peak_{label}"] = float(np.max(series))
-        metrics[f"final_{label}"] = float(series[-1])
-    report = ExperimentReport(
-        "simulate",
-        {"direction": direction, "gamma_rad_s": spec.gamma, "gamma_prime_rad_s": spec.gamma_prime,
-         "k_z_rad_m": spec.k_z, "positions_m": [s.position_z for s in spec.sites],
-         "initial": initial,
-         "integrator": {"dt": cfg.dt, "t_final": cfg.t_final, "rate_scale_rad_s": cfg.rate_scale}},
-        metrics, {}, trajectories={"simulation": traj})
-    return report.validate()
+    def simulate() -> ExperimentReport:
+        traj = evolve(model, rho0, cfg, populations + extra_watch)
+        metrics = {}
+        for label, _ in populations:
+            series = np.real(traj.observables[label])
+            metrics[f"peak_{label}"] = float(np.max(series))
+            metrics[f"final_{label}"] = float(series[-1])
+        report = ExperimentReport("simulate", parameters, metrics, {},
+                                  trajectories={"simulation": traj})
+        return report.validate()
+
+    return simulate
 
 
-def _couplings(config: RunConfig) -> ExperimentReport:
-    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
-    params = config.experiment_parameters
-    material = config.material()
-    geom = config.geometry()
-    spin_kind = config.data.get("spin", {}).get("kind", "electron")
-    delta_hz = params.get("delta_hz", 1e4)
-    budget = coupling_table(material, geom, spin_kind, delta_hz,
+def _couplings(material, geom, kind, params) -> ExperimentReport:
+    budget = coupling_table(material, geom, kind, params.get("delta_hz", 1e4),
                             drive_u=params.get("drive_u"), n=params.get("n", 1))
     metrics = {}
     for row in budget.rows:
@@ -446,31 +434,36 @@ def _couplings(config: RunConfig) -> ExperimentReport:
     return report.validate()
 
 
-def _dispatch(config: RunConfig) -> ExperimentReport:
-    # _EXPERIMENTS lists the config sections each experiment reads: keep it in step with this.
-    name = config.experiment_name
-    params = config.experiment_parameters
-    if name == "simulate":
-        return _simulate(config)
-    if name == "couplings":
-        return _couplings(config)
-    if name == "transfer_asymmetry":
-        return transfer_asymmetry(config.cascade_spec())
-    if name == "reciprocity_sweep":
-        return reciprocity_sweep(config.cascade_spec(), params.get("ratios", (0.0, 0.25, 0.5, 1.0)))
-    if name == "cascade_chain":
-        spec = config.cascade_spec()
-        return cascade_chain(params.get("n_sites", len(spec.sites)), spec)
-    if name == "elimination_validation":
-        g = TWO_PI * params.get("g_hz", 1.0)
-        return elimination_validation(g, params.get("delta_over_g", (25.0, 50.0, 100.0)),
-                                      params.get("cutoff", 2))
-    if name == "decoherence_budget":
-        return decoherence_budget(params.get("gamma0_hz", 1.0),
-                                  params.get("drive_u", (1e-4, 2e-4)),
-                                  xi=params.get("xi_hz", 1e6),
-                                  delta_hz=params.get("delta_hz"))
-    raise DomainError(f"unknown experiment {name!r}")
+def _read_cascade_chain(config: RunConfig):
+    spec = config.cascade_spec()
+    if spec.gamma_prime != 0:
+        raise DomainError("cascade_chain runs the forward channel only; cascade.gamma_prime_hz must be 0")
+    return partial(cascade_chain, config.parameter("n_sites", len(spec.sites)), spec)
+
+
+# Every experiment: the kinds of its ``experiment.parameters``, and its reader. A reader
+# takes what the experiment needs from the config accessors and returns the call that runs
+# it; ``_execute`` rejects every supplied key the reader left unread before that call.
+_EXPERIMENTS = {
+    "simulate": ({}, _read_simulate),
+    "couplings": ({"delta_hz": "number", "drive_u": "number", "n": "count"}, lambda config: partial(
+        _couplings, config.material(), config.geometry(), config.value("spin", "kind", "electron"),
+        config.experiment_parameters)),
+    "transfer_asymmetry": ({}, lambda config: partial(transfer_asymmetry, config.cascade_spec())),
+    "reciprocity_sweep": ({"ratios": "numbers"}, lambda config: partial(
+        reciprocity_sweep, config.cascade_spec(), config.parameter("ratios", (0.0, 0.25, 0.5, 1.0)))),
+    "cascade_chain": ({"n_sites": "count"}, _read_cascade_chain),
+    "elimination_validation": (
+        {"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"}, lambda config: partial(
+            elimination_validation, TWO_PI * config.parameter("g_hz", 1.0),
+            config.parameter("delta_over_g", (25.0, 50.0, 100.0)), config.parameter("cutoff", 2))),
+    "decoherence_budget": (
+        {"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number", "delta_hz": "number"},
+        lambda config: partial(
+            decoherence_budget, config.parameter("gamma0_hz", 1.0),
+            config.parameter("drive_u", (1e-4, 2e-4)), xi=config.parameter("xi_hz", 1e6),
+            delta_hz=config.parameter("delta_hz"))),
+}
 
 
 # -- emission ----------------------------------------------------------------
@@ -573,17 +566,21 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
 def _execute(load_config, output_dir=None, *, write=True, show=None) -> int:
     """Load a config, run its experiment and write its outputs; returns the exit code.
 
-    This is the one place errors become exit codes: 2 for config and domain
-    errors (an unreadable config file included), 3 for integration, fit and
-    convergence failures, 4 for any other I/O failure. ``show`` is called
-    with the report before anything is written; ``write=False`` skips the
-    output files.
+    The config stage loads the config, runs the experiment's reader and
+    rejects every key the reader did not use, so nothing evolves or is
+    written for a config that is rejected. This is the one place errors
+    become exit codes: 2 for config and domain errors (an unreadable config
+    file included), 3 for integration, fit and convergence failures, 4 for
+    any other I/O failure. ``show`` is called with the report before
+    anything is written; ``write=False`` skips the output files.
     """
     stage = "config"
     try:
         config = load_config()
+        experiment = _EXPERIMENTS[config.experiment_name][1](config)
+        config.check_read()
         stage = "run"
-        report = _dispatch(config)
+        report = experiment()
         if show is not None:
             show(report)
         if write:
@@ -695,10 +692,11 @@ def main(argv=None) -> int:
     if args.command == "experiment":
         if args.config is not None:
             return run(args.config, args.overrides, experiment_name=args.name, output_dir=args.output)
-        minimal = {"schema_version": SCHEMA_VERSION, "experiment": {"name": args.name}}
-        if "cascade" in _EXPERIMENTS[args.name][1]:
-            minimal["cascade"] = {"gamma_hz": 1.0, "k_z_d": 0.7}
-        return _execute(lambda: RunConfig.from_dict(minimal).with_overrides(args.overrides),
+        # the default cascade is the program's, not the user's: no experiment must read it
+        minimal = {"schema_version": SCHEMA_VERSION, "experiment": {"name": args.name},
+                   "cascade": {"gamma_hz": 1.0, "k_z_d": 0.7}}
+        implicit = {("cascade", "gamma_hz"), ("cascade", "k_z_d")}
+        return _execute(lambda: RunConfig.from_dict(minimal, implicit).with_overrides(args.overrides),
                         args.output)
 
     if args.command == "validate":

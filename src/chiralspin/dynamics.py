@@ -468,13 +468,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
 
 
 def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
-                        include_jumps: bool = False, jump=None, watch=()) -> Trajectory:
+                        jump=None, watch=()) -> Trajectory:
     """Evolve under a non-Hermitian Hamiltonian.
 
-    The density matrix |psi><psi| evolves under -i(H rho - rho H^dag), plus
-    the sandwich term rate * z rho z^dag from ``jump = (rate, Operator)`` when
-    ``include_jumps=True``, which reproduces the corresponding Lindblad
-    evolution identically. Without jumps the state stays the pure
+    The density matrix |psi><psi| evolves under -i(H rho - rho H^dag), plus,
+    when ``jump = (rate, Operator)`` is given, the sandwich term
+    rate * z rho z^dag, which reproduces the corresponding Lindblad
+    evolution identically. Without a jump the state stays the pure
     psi(t) psi(t)^dag with dpsi/dt = -i H psi, unrenormalized: the decaying
     norm sqrt(tr rho) is recorded as the automatic observable ``"norm"`` and
     watched values are bare matrix elements <psi|O|psi>.
@@ -491,9 +491,7 @@ def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
 
     h_scaled = h_nh.matrix / cfg.rate_scale
     rho0 = DensityMatrix.from_pure(h_nh.space, psi)
-    if include_jumps:
-        if jump is None:
-            raise DomainError("include_jumps=True requires jump=(rate, Operator)")
+    if jump is not None:
         rate, op = jump
         if op.space != h_nh.space:
             raise DomainError("jump operator acts on a different space")

@@ -226,8 +226,7 @@ def transfer_asymmetry(spec: CascadeSpec) -> ExperimentReport:
 
     h_nh = build_nonhermitian_hamiltonian(spec, "forward")
     psi0 = basis_vector(h_nh.space, (0, 1))
-    nh = evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=False,
-                             watch=[(label_b, watch[1][1])])
+    nh = evolve_nonhermitian(h_nh, psi0, cfg, watch=[(label_b, watch[1][1])])
     peak_semiclassical = float(np.max(np.real(nh.observables[label_b])))
 
     metrics = {
@@ -321,7 +320,9 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
         dim *= int(round(2 * s.s)) + 1
     if dim > 4096:
         raise DomainError(f"chain space dimension {dim} exceeds the 4096 guard")
-    chain_spec = replace(spec, sites=sites, gamma_prime=0.0)
+    if spec.gamma_prime != 0:
+        raise DomainError("cascade_chain runs the forward channel only; gamma_prime must be 0")
+    chain_spec = replace(spec, sites=sites)
     if chain_spec.gamma <= 0:
         raise DomainError("the forward rate must be positive")
 

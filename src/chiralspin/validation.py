@@ -223,7 +223,7 @@ def jump_rewrite(spec=_pair_spec(1.0, kd=0.4), t_final=4.0) -> dict:
     watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, spec.sites)))
     lind = evolve(model, DensityMatrix.from_pure(model.space, psi0), cfg, watch)
     rewritten = evolve_nonhermitian(build_nonhermitian_hamiltonian(spec, "forward"), psi0, cfg,
-                                    include_jumps=True, jump=model.jumps[0], watch=watch)
+                                    jump=model.jumps[0], watch=watch)
     return {"deviation": _worst(_max_abs(lind.observables[label] - rewritten.observables[label])
                                 for label, _ in watch)}
 

@@ -216,10 +216,15 @@ class TestRunAndEmit:
         path, _ = write_config(tmp_path, output={"directory": str(target), "formats": ["json"]})
         assert run(path) == 4
 
-    def test_unknown_output_format_exit_code(self, tmp_path, capsys):
+    def test_unknown_output_format_exit_code(self, tmp_path, capsys, monkeypatch):
+        evolved = []
+        monkeypatch.setattr(cli_module, "evolve", lambda *args: evolved.append(args))
         path, _ = write_config(tmp_path, output={"directory": str(tmp_path / "o"), "formats": ["xml"]})
         assert run(path) == 2
-        assert "unknown output format" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown output format" in err
+        assert err.startswith("ERROR invariant=config_schema")
+        assert not evolved  # rejected with the config, before anything runs
 
     def test_infinite_metric_serialized(self, tmp_path):
         report = ExperimentReport("x", {}, {"ratio": float("inf")}, {})
@@ -315,6 +320,45 @@ class TestMainSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("ERROR invariant=config_schema") and f"'{section}'" in err
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("command, overrides, unread", [
+        (["simulate", "{config}"], ["material=alpha-SiO2"], "'material'"),
+        (["simulate", "{config}"], ["geometry.l_m=1e-6"], "'geometry'"),
+        (["simulate", "{config}"], ["spin.kind=nuclear"], "'kind'"),
+        (["simulate", "{config}"], ["spin.frequency_hz=2.1e9"], "'frequency_hz'"),
+        (["experiment", "transfer_asymmetry"], ["cascade.direction=backward"], "'direction'"),
+        (["experiment", "transfer_asymmetry"], ["spin.initial=tail_excited"], "'initial'"),
+        (["experiment", "transfer_asymmetry"], ["spin.kind=nuclear"], "'kind'"),
+        (["experiment", "couplings"], ["spin.positions_m=[0, 5e-7]"], "'positions_m'"),
+        (["experiment", "couplings"], ["spin.s=1"], "'s'"),
+        (["experiment", "cascade_chain"], ["cascade.k_z_d=0.7", "cascade.k_z_rad_m=1e6"], "'k_z_d'"),
+        (["experiment", "cascade_chain"], ["cascade.gamma_prime_hz=0.5"],
+         "cascade.gamma_prime_hz must be 0"),
+    ], ids=["simulate-material", "simulate-geometry", "simulate-spin.kind",
+            "simulate-spin.frequency_hz", "transfer_asymmetry-cascade.direction",
+            "transfer_asymmetry-spin.initial", "transfer_asymmetry-spin.kind",
+            "couplings-spin.positions_m", "couplings-spin.s", "cascade_chain-k_z_d-and-k_z_rad_m",
+            "cascade_chain-gamma_prime_hz"])
+    def test_unread_input_rejected(self, tmp_path, capsys, command, overrides, unread):
+        # each of these used to run and drop the named input without a word
+        path, _ = write_config(tmp_path)
+        argv = [str(path) if arg == "{config}" else arg for arg in command]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main([*argv, "--output", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and unread in err
+        assert not (tmp_path / "t").exists() and not (tmp_path / "out").exists()
+
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("A run configuration looks like:\n\n```json\n", 1)[1].split("```", 1)[0]
+        config = json.loads(example)
+        assert config["experiment"]["name"] == "simulate"
+        path = tmp_path / "example.json"
+        path.write_text(example)
+        assert main(["simulate", str(path), "--output", str(tmp_path / "t")]) == 0
+        assert (tmp_path / "t" / "simulation.csv").exists()
 
     @pytest.mark.parametrize("name", ["cascade_chain", "transfer_asymmetry"])
     def test_integrator_section_rejected_for_named_experiment(self, tmp_path, capsys, name):
@@ -464,6 +508,7 @@ class TestMainSubcommands:
         path, _ = write_config(
             tmp_path, integrator=None,
             spin={"s": 0.5, "positions_m": [0.0, 2.5e-7, 5.0e-7]},
+            cascade={"gamma_hz": 1.0, "gamma_prime_hz": 0.0, "k_z_d": 0.7},
             experiment={"name": "cascade_chain", "parameters": {"n_sites": 3}})
         assert main(["experiment", "cascade_chain", "--config", str(path)]) == 0
         data = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -332,7 +332,7 @@ class TestBlockStepping:
         assert dynamics_module._block_length(n // 256, 7, 8, 2, 16 * 16) == 4
 
         def run():
-            return evolve_nonhermitian(h_nh, psi0, cfg, include_jumps=include_jumps, jump=jump,
+            return evolve_nonhermitian(h_nh, psi0, cfg, jump=jump if include_jumps else None,
                                        watch=[("pop_B", n_b)])
 
         blocked = run()
@@ -505,12 +505,6 @@ class TestNonHermitianEvolution:
         with pytest.raises(DomainError):
             evolve_nonhermitian(h_nh, 2.0 * basis_vector(h_nh.space, UD),
                                 IntegratorConfig(t_final=1.0, rate_scale=1.0))
-
-    def test_include_jumps_needs_jump(self, pair_spec):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(), "forward")
-        with pytest.raises(DomainError):
-            evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD),
-                                IntegratorConfig(t_final=1.0, rate_scale=1.0), include_jumps=True)
 
 
 class TestFitExchangeRate:

@@ -144,6 +144,11 @@ class TestCascadeChain:
         with pytest.raises(DomainError):
             cascade_chain(5, chain_spec(3))
 
+    def test_backward_channel_rejected(self):
+        # the chain runs the forward channel only; a backward rate is an error, not dropped
+        with pytest.raises(DomainError, match="gamma_prime"):
+            cascade_chain(2, chain_spec(2, gamma_prime=0.5))
+
 
 class TestDecoherenceBudget:
     def test_reference_arithmetic(self):
