@@ -368,6 +368,11 @@ def _read_simulate(config: RunConfig):
         if direction not in _CHANNELS:
             raise DomainError(f"unknown cascade.direction {direction!r}")
         forward, backward = _CHANNELS[direction]
+        for key, rate, kept in (("gamma_hz", spec.gamma, forward),
+                                ("gamma_prime_hz", spec.gamma_prime, backward)):
+            if rate and not kept and ("cascade", key) not in config.implicit:
+                raise DomainError(f"cascade.direction {direction!r} drops the channel of "
+                                  f"cascade.{key}; cascade.{key} must be 0")
         model = build_cascade_model(replace(spec, gamma=spec.gamma if forward else 0.0,
                                             gamma_prime=spec.gamma_prime if backward else 0.0))
         initial = config.value("spin", "initial", "head_excited")
@@ -496,18 +501,21 @@ def _write_trajectory_csv(path: Path, traj) -> None:
     """Time plus the real and imaginary part of each observable, one row per sample.
 
     Every value is written as format(x, ".17g"): the "%.17g" row template gives
-    the same text, and formats a whole row in one call.
+    the same text, and formats a whole row in one call. A column that is +0.0
+    throughout, such as the imaginary part of a Hermitian observable, is the
+    literal "0" in the template and is never formatted.
     """
-    labels = list(traj.observables.keys())
     header = ["t[1/rate_scale]"]
     columns = [np.asarray(traj.times, dtype=float)]
-    for label in labels:
+    for label, values in traj.observables.items():
         header.append(f"Re<{label}>[dimensionless]")
         header.append(f"Im<{label}>[dimensionless]")
-        values = np.asarray(traj.observables[label])
+        values = np.asarray(values)
         columns += [values.real, values.imag]
-    table = np.column_stack(columns)
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    zero = [not (np.any(column) or np.any(np.signbit(column))) for column in columns]
+    kept = [column for column, is_zero in zip(columns, zero) if not is_zero]
+    table = np.column_stack(kept) if kept else np.empty((len(columns[0]), 0))
+    template = ",".join(["0" if is_zero else "%.17g" for is_zero in zero]) + "\n"
     with path.open("w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         for first in range(0, len(table), _CSV_PIECE_ROWS):

@@ -279,10 +279,12 @@ def embed(op: Operator, site: int, space: HilbertSpace) -> Operator:
     if op.space.dim != target.dim:
         raise DomainError(
             f"operator dimension {op.space.dim} does not match factor {site} dimension {target.dim}")
-    out = np.ones((1, 1), dtype=complex)
-    for i, f in enumerate(space.factors):
-        out = np.kron(out, op.matrix if i == site else np.eye(f.dim, dtype=complex))
-    return Operator(space, out)
+    # the (left, d, right) x (left, d, right) block diagonal of I_left (x) op (x) I_right
+    left, d, right = prod(space.dims[:site]), target.dim, prod(space.dims[site + 1:])
+    out = np.zeros((left, d, right, left, d, right), dtype=complex)
+    i, j = np.ogrid[:left, :right]
+    out[i, :, j, i, :, j] = op.matrix
+    return Operator(space, out.reshape(space.dim, space.dim))
 
 
 def tensor_product(*ops: Operator) -> Operator:

@@ -123,7 +123,11 @@ class Trajectory:
     """Sampled observables plus the final state and integrator diagnostics.
 
     ``times`` are dimensionless (units of 1/``rate_scale``); ``observables``
-    maps each watch label to a complex array aligned with ``times``.
+    maps each watch label to a complex array aligned with ``times``. The
+    imaginary part of a Hermitian observable (O equal to O^dag entry for
+    entry) is exactly 0 and its real part is Re tr(O rho); the dropped part
+    comes from the anti-Hermitian rounding of rho, which the diagnostic
+    ``max_hermiticity_dev`` reports.
     """
 
     times: np.ndarray
@@ -311,7 +315,9 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
     evolves the block of rho on the generator's closed support S (see the module
     docstring) and embeds every recorded state back into the full space. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
-    so one stacked product records them all. Each iteration steps a chunk of
+    so one stacked product records them all. For a Hermitian O the recorded
+    imaginary part is set to exactly 0, which leaves Re tr(O rho) =
+    tr(O (rho + rho^dag)/2). Each iteration steps a chunk of
     blocks of K steps (K = 1 on the stage path), one product per block, and
     then handles the chunk with array operations: it checks the trace drift
     of every step, records the samples and states, and runs the diagnostics on
@@ -439,6 +445,8 @@ def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, w
         diagnostics["max_trace_drift"] = max_trace_drift
     else:
         diagnostics["final_trace"] = trace_prev
+    hermitian = [np.array_equal(op.matrix, op.matrix.conj().T) for _, op in watch_ops]
+    table.imag[hermitian] = 0.0
     traj = Trajectory(sample_steps * dt, dict(zip(labels, table)), embedded(rho),
                       cfg.rate_scale, diagnostics)
     if state_stride:

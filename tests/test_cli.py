@@ -151,12 +151,17 @@ class TestRunAndEmit:
         observables["pop_A"].real, observables["pop_A"].imag = times, np.resize(special[::-1], n)
         observables["x<y>"].real = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
         observables["x<y>"].imag = rng.standard_normal(n)
+        # all +0.0 (written as the literal "0"), all -0.0, and +0.0 with one -0.0
+        observables["zero"] = np.full(n, complex(0.0, -0.0))
+        observables["signed"] = np.zeros(n, dtype=complex)
+        observables["signed"].real[n - 2] = -0.0
+        observables["signed"].imag = rng.standard_normal(n)
         traj = Trajectory(times, observables, None, rate_scale=1.0)
         path = tmp_path / "values.csv"
         cli_module._write_trajectory_csv(path, traj)
 
-        lines = ["t[1/rate_scale],Re<pop_A>[dimensionless],Im<pop_A>[dimensionless],"
-                 "Re<x<y>>[dimensionless],Im<x<y>>[dimensionless]"]
+        names = [f"{part}<{label}>[dimensionless]" for label in observables for part in ("Re", "Im")]
+        lines = [",".join(["t[1/rate_scale]"] + names)]
         for i in range(n):
             row = [times[i]]
             for series in observables.values():
@@ -166,6 +171,9 @@ class TestRunAndEmit:
         assert written == ("\n".join(lines) + "\n").encode("utf-8")
         assert written.count(b"\n") == n + 1 and written.endswith(b"\n")
         assert b"-0," in written and b"inf" in written and b"nan" in written
+        zero_re, zero_im, signed_re = zip(*(line.split(",")[5:8] for line in lines[1:]))
+        assert set(zero_re) == {"0"} and set(zero_im) == {"-0"}
+        assert signed_re[n - 2] == "-0" and set(signed_re[:n - 2] + signed_re[n - 1:]) == {"0"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -334,11 +342,16 @@ class TestMainSubcommands:
         (["experiment", "cascade_chain"], ["cascade.k_z_d=0.7", "cascade.k_z_rad_m=1e6"], "'k_z_d'"),
         (["experiment", "cascade_chain"], ["cascade.gamma_prime_hz=0.5"],
          "cascade.gamma_prime_hz must be 0"),
+        (["experiment", "simulate"], ["cascade.gamma_prime_hz=0.5"],
+         "cascade.gamma_prime_hz must be 0"),
+        (["simulate", "{config}"], ["cascade.direction=backward", "cascade.gamma_prime_hz=0.5"],
+         "cascade.gamma_hz must be 0"),
     ], ids=["simulate-material", "simulate-geometry", "simulate-spin.kind",
             "simulate-spin.frequency_hz", "transfer_asymmetry-cascade.direction",
             "transfer_asymmetry-spin.initial", "transfer_asymmetry-spin.kind",
             "couplings-spin.positions_m", "couplings-spin.s", "cascade_chain-k_z_d-and-k_z_rad_m",
-            "cascade_chain-gamma_prime_hz"])
+            "cascade_chain-gamma_prime_hz", "simulate-masked-gamma_prime_hz",
+            "simulate-masked-gamma_hz"])
     def test_unread_input_rejected(self, tmp_path, capsys, command, overrides, unread):
         # each of these used to run and drop the named input without a word
         path, _ = write_config(tmp_path)
@@ -396,8 +409,8 @@ class TestMainSubcommands:
     def test_simulate_any_direction_on_three_sites(self, tmp_path, direction):
         path, _ = write_config(
             tmp_path, spin={"s": 0.5, "positions_m": [0.0, 2.5e-7, 6.0e-7]},
-            cascade={"gamma_hz": 1.0, "gamma_prime_hz": 0.3, "k_z_d": 0.7,
-                     "direction": direction})
+            cascade={"gamma_hz": 0.0 if direction == "backward" else 1.0, "gamma_prime_hz": 0.3,
+                     "k_z_d": 0.7, "direction": direction})
         assert main(["simulate", str(path)]) == 0
         metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
         # the head-excited first site is the tail of the backward channel
@@ -405,6 +418,14 @@ class TestMainSubcommands:
             assert max(metrics["peak_pop_B"], metrics["peak_pop_C"]) <= 1e-10
         else:
             assert metrics["peak_pop_C"] > 1e-3
+
+    def test_inline_default_rate_is_not_user_input(self, tmp_path):
+        # the program's inline gamma_hz = 1 is not the user's, so a backward run may leave it
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "cascade.direction=backward",
+                     "--set", "cascade.gamma_prime_hz=0.5", "--output", str(out)]) == 0
+        parameters = json.loads((out / "report.json").read_text())["parameters"]
+        assert parameters["direction"] == "backward"
 
     @pytest.mark.parametrize("measure", [validation.spin_commutators, validation.dagger_involution,
                                          validation.generator_forms_agree])

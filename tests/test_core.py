@@ -107,6 +107,24 @@ class TestEmbed:
         space = HilbertSpace((spin_factor(0.5), spin_factor(1.0), boson_factor(2)))
         assert embed_homomorphism(rng, samples=10, space=space)["deviation"] <= 1e-12
 
+    @pytest.mark.parametrize("factors", [
+        (spin_factor(0.5), spin_factor(0.5)),
+        (spin_factor(0.5), spin_factor(0.5), boson_factor(2)),
+        (spin_factor(1.0), spin_factor(0.5), spin_factor(0.5), boson_factor(3)),
+        (spin_factor(0.5),) * 5,
+    ], ids=["2,2", "2,2,3", "3,2,2,4", "2^5"])
+    def test_equals_kron_chain(self, rng, factors):
+        # bit for bit, except that the chain writes -0.0 where 0 * op[a, b] has a negative
+        # part; adding +0.0 maps -0.0 to +0.0 and leaves every other entry's bits alone
+        space = HilbertSpace(factors)
+        for site, factor in enumerate(factors):
+            op = Operator(HilbertSpace((factor,)), rng.standard_normal((factor.dim, factor.dim))
+                          + 1j * rng.standard_normal((factor.dim, factor.dim)))
+            chain = np.ones((1, 1), dtype=complex)
+            for i, f in enumerate(factors):
+                chain = np.kron(chain, op.matrix if i == site else np.eye(f.dim, dtype=complex))
+            assert (embed(op, site, space).matrix + 0.0).tobytes() == (chain + 0.0).tobytes()
+
     def test_dimension_mismatch(self, two_spin_space):
         sp, _, _ = spin_operators(1.0)
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from chiralspin import (
     build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
+    embed,
     evolve,
     evolve_nonhermitian,
+    expectation,
     fit_exchange_rate,
     site_number_operators,
+    spin_operators,
 )
 from chiralspin.core import zero
 from chiralspin.experiments import single_spin_decay_model
@@ -452,6 +456,44 @@ class TestChunkedDriver:
                 evolve(model, pure(model.space, UD), cfg)
         assert err.value.step == step
         assert chunks == [(1, 400, False)]
+
+
+class TestRecordedObservables:
+    """Hermitian watches record Re tr(O rho) and an exact 0; other watches keep tr(O rho)."""
+
+    @pytest.mark.parametrize("path", ["propagator", "stage", "nonhermitian", "nonhermitian_jump"])
+    def test_values_match_expectation_at_recorded_states(self, pair_spec, two_spins, monkeypatch,
+                                                         path):
+        spec = pair_spec(gamma=1.0, gamma_prime=0.3, kd=0.9)
+        model = build_cascade_model(spec)
+        space = model.space
+        s_plus, s_minus, _ = spin_operators(0.5)
+        coherence = embed(s_plus, 0, space) @ embed(s_minus, 1, space)
+        hermitian = list(zip(("pop_A", "pop_B"), site_number_operators(space, two_spins)))
+        watch = hermitian + [("coherence", coherence)]
+        psi0 = (basis_vector(space, UD) + basis_vector(space, DU)) / np.sqrt(2.0)
+        cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, record_states_stride=25)
+        if path == "stage":
+            monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
+        if path.startswith("nonhermitian"):
+            h_nh = build_nonhermitian_hamiltonian(replace(spec, gamma_prime=0.0), "forward")
+            jump = build_cascade_model(replace(spec, gamma_prime=0.0)).jumps[0]
+            traj = evolve_nonhermitian(h_nh, psi0, cfg, watch=watch,
+                                       jump=jump if path == "nonhermitian_jump" else None)
+        else:
+            traj = evolve(model, DensityMatrix.from_pure(space, psi0), cfg, watch)
+
+        at_states = np.isin(traj.times, traj.state_times)
+        assert np.count_nonzero(at_states) == len(traj.states) > 10
+        for label, op in hermitian:
+            series = traj.observables[label]
+            assert np.all(series.imag == 0.0)
+            exact = np.array([expectation(op, state).real for state in traj.states])
+            assert np.max(np.abs(series.real[at_states] - exact)) <= 1e-12
+        series = traj.observables["coherence"]
+        exact = np.array([expectation(coherence, state) for state in traj.states])
+        assert np.max(np.abs(series[at_states] - exact)) <= 1e-12
+        assert np.max(np.abs(series.imag)) > 1e-2
 
 
 class TestNoBackAction:
