@@ -4,7 +4,8 @@ Subpackages by concern: ``core`` (dense operator algebra over composite
 spin/boson spaces), ``models`` (Hamiltonian and master-equation builders),
 ``dynamics`` (deterministic fixed-step evolution and rate fitting),
 ``materials`` (resonator coupling budgets), ``experiments`` (scripted,
-reproducible studies), ``cli`` (config-driven runs with JSON/CSV output).
+reproducible studies), ``cli`` (config-driven runs with JSON/CSV output),
+``g17`` (the exact ``format(x, ".17g")`` text of float64 arrays for the CSVs).
 """
 
 from .core import (

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import g17
 from .core import DensityMatrix, basis_vector
 from .dynamics import IntegratorConfig, evolve
 from .errors import DomainError, FitError, IntegrationError
@@ -373,8 +374,9 @@ def _read_simulate(config: RunConfig):
             if rate and not kept and ("cascade", key) not in config.implicit:
                 raise DomainError(f"cascade.direction {direction!r} drops the channel of "
                                   f"cascade.{key}; cascade.{key} must be 0")
-        model = build_cascade_model(replace(spec, gamma=spec.gamma if forward else 0.0,
-                                            gamma_prime=spec.gamma_prime if backward else 0.0))
+        spec = replace(spec, gamma=spec.gamma if forward else 0.0,
+                       gamma_prime=spec.gamma_prime if backward else 0.0)  # the channels that run
+        model = build_cascade_model(spec)
         initial = config.value("spin", "initial", "head_excited")
         if initial == "head_excited":
             pattern = [0] + [1] * (len(sites) - 1)
@@ -494,33 +496,55 @@ def _csv_label(label: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
 
 
-_CSV_PIECE_ROWS = 512  # CSV rows formatted and written per call
+_CSV_PIECE_ROWS = 512  # CSV rows encoded and written per call
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
+def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
     """Time plus the real and imaginary part of each observable, one row per sample.
 
-    Every value is written as format(x, ".17g"): the "%.17g" row template gives
-    the same text, and formats a whole row in one call. A column that is +0.0
-    throughout, such as the imaginary part of a Hermitian observable, is the
-    literal "0" in the template and is never formatted.
+    Every value is written as format(x, ".17g"), encoded by :mod:`.g17` a
+    piece of rows at a time and written as one buffer. A column after the
+    first that is +0.0 throughout, such as the imaginary part of a Hermitian
+    observable, is never encoded: its literal "0" is part of the separator
+    after the column before it. With ``keep_grid`` this returns the time
+    column's fields, which a call for a trajectory on an equal time grid
+    takes as ``grid`` instead of encoding its own.
     """
+    times = np.asarray(traj.times, dtype=float)
     header = ["t[1/rate_scale]"]
-    columns = [np.asarray(traj.times, dtype=float)]
+    columns = [times]
     for label, values in traj.observables.items():
         header.append(f"Re<{label}>[dimensionless]")
         header.append(f"Im<{label}>[dimensionless]")
         values = np.asarray(values)
         columns += [values.real, values.imag]
-    zero = [not (np.any(column) or np.any(np.signbit(column))) for column in columns]
-    kept = [column for column, is_zero in zip(columns, zero) if not is_zero]
-    table = np.column_stack(kept) if kept else np.empty((len(columns[0]), 0))
-    template = ",".join(["0" if is_zero else "%.17g" for is_zero in zero]) + "\n"
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        for first in range(0, len(table), _CSV_PIECE_ROWS):
-            out.write("".join([template % tuple(row)
-                               for row in table[first:first + _CSV_PIECE_ROWS].tolist()]))
+    kept = [0] + [i for i in range(1, len(columns))
+                  if np.any(columns[i]) or np.any(np.signbit(columns[i]))]
+    separators = [(",0" * (end - i - 1) + ("," if end < len(columns) else "\n")).encode()
+                  for i, end in zip(kept, kept[1:] + [len(columns)])]
+    reuse = grid is not None and np.array_equal(grid[0], times)
+    fresh = kept[1:] if reuse else kept
+    if keep_grid and not reuse:
+        grid = (times, np.empty((6, len(times)), dtype=np.uint32), np.empty(len(times), dtype=np.int16))
+
+    def fields(piece: slice) -> list:
+        """The (text, layout) fields of every kept column on the rows ``piece``."""
+        rows = len(times[piece])
+        encoded = []
+        if fresh:
+            text, layout = g17.encode(np.concatenate([columns[i][piece] for i in fresh]))
+            encoded = [(text[:, j:j + rows], layout[j:j + rows]) for j in range(0, len(layout), rows)]
+        if reuse:
+            encoded.insert(0, (grid[1][:, piece], grid[2][piece]))
+        elif keep_grid:
+            grid[1][:, piece], grid[2][piece] = encoded[0]
+        return encoded
+
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode("utf-8"))
+        for first in range(0, len(times), _CSV_PIECE_ROWS):
+            out.write(g17.join(fields(slice(first, first + _CSV_PIECE_ROWS)), separators))
+    return grid if keep_grid else None
 
 
 def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
@@ -535,9 +559,12 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
 
     refs: list[str] = []
     if "csv" in formats:
-        for label, traj in report.trajectories.items():
+        grid = None  # the encoded time column, kept while the next trajectory has the same one
+        trajectories = list(report.trajectories.items())
+        for (label, traj), after in zip(trajectories, trajectories[1:] + [None]):
             name = _csv_label(label) + ".csv"
-            _write_trajectory_csv(outdir / name, traj)
+            keep_grid = after is not None and np.array_equal(after[1].times, traj.times)
+            grid = _write_trajectory_csv(outdir / name, traj, grid, keep_grid)
             refs.append(name)
             written.append(outdir / name)
     report.trajectory_refs = refs

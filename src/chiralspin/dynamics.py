@@ -147,10 +147,12 @@ def _generator_scale(h_scaled: np.ndarray, sandwiches) -> float:
     return scale
 
 
-def _resolve_grid(cfg: IntegratorConfig, scale: float) -> tuple[int, float]:
+def _resolve_grid(cfg: IntegratorConfig, scale) -> tuple[int, float]:
+    """Step count and step; ``scale()``, the generator magnitude, is called only without ``cfg.dt``."""
     dt = cfg.dt
     if dt is None:
-        dt = 1e-3 / scale if scale > 0 else cfg.t_final / 1000.0
+        magnitude = scale()
+        dt = 1e-3 / magnitude if magnitude > 0 else cfg.t_final / 1000.0
     if dt <= 0:
         dt = cfg.t_final / 1000.0 if cfg.t_final > 0 else 1.0
     n = max(1, int(round(cfg.t_final / dt)))
@@ -307,11 +309,12 @@ def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
         inside = grown
 
 
-def _integrate_density(gen: Generator, scale: float, rho0: DensityMatrix, cfg, watch_ops, *,
+def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_ops, *,
                        check_trace: bool) -> Trajectory:
     """The fixed-step driver behind every evolution.
 
-    ``scale`` is the generator magnitude that sets the default step. The loop
+    ``scale()`` returns the generator magnitude that sets the default step; it
+    is called only when ``cfg.dt`` is None. The loop
     evolves the block of rho on the generator's closed support S (see the module
     docstring) and embeds every recorded state back into the full space. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
@@ -471,8 +474,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
             raise DomainError(f"watched operator {label!r} acts on a different space")
     rho0.validate()
     gen = model.generator(cfg.rate_scale)
-    scale = _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches)
-    return _integrate_density(gen, scale, rho0, cfg, list(watch), check_trace=True)
+    return _integrate_density(
+        gen, lambda: _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches),
+        rho0, cfg, list(watch), check_trace=True)
 
 
 def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
@@ -504,12 +508,12 @@ def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
         if op.space != h_nh.space:
             raise DomainError("jump operator acts on a different space")
         gen = Generator(h_scaled, ((rate / cfg.rate_scale, op.matrix),))
-        return _integrate_density(gen, _generator_scale(h_scaled, gen.sandwiches), rho0, cfg,
-                                  list(watch), check_trace=False)
+        return _integrate_density(gen, lambda: _generator_scale(h_scaled, gen.sandwiches), rho0,
+                                  cfg, list(watch), check_trace=False)
 
     watch = [("norm", identity(h_nh.space))] + list(watch)
-    traj = _integrate_density(Generator(h_scaled), _generator_scale(h_scaled, ()), rho0, cfg,
-                              watch, check_trace=False)
+    traj = _integrate_density(Generator(h_scaled), lambda: _generator_scale(h_scaled, ()), rho0,
+                              cfg, watch, check_trace=False)
     traj.observables["norm"] = np.sqrt(traj.observables["norm"].real).astype(complex)
     traj.diagnostics["final_norm"] = float(np.sqrt(traj.diagnostics.pop("final_trace")))
     return traj

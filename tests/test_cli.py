@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -59,6 +60,17 @@ MALFORMED = [
                  ['material={"v_plus_m_s": 5e3, "v_minus_m_s": 4e3, "xi_S_hz": 1e9, "xi_I_hz": 1e6}'],
                  id="couplings:material_without_density"),
 ]
+
+
+def per_value_csv(traj) -> bytes:
+    """The trajectory CSV written one format(x, ".17g") at a time."""
+    columns = [np.asarray(traj.times, dtype=float)]
+    names = ["t[1/rate_scale]"]
+    for name, values in traj.observables.items():
+        columns += [np.real(values), np.imag(values)]
+        names += [f"Re<{name}>[dimensionless]", f"Im<{name}>[dimensionless]"]
+    lines = [",".join(names)] + [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestRunConfig:
@@ -174,6 +186,47 @@ class TestRunAndEmit:
         zero_re, zero_im, signed_re = zip(*(line.split(",")[5:8] for line in lines[1:]))
         assert set(zero_re) == {"0"} and set(zero_im) == {"-0"}
         assert signed_re[n - 2] == "-0" and set(signed_re[:n - 2] + signed_re[n - 1:]) == {"0"}
+
+    def test_benchmark_csvs_match_per_value_format(self, tmp_path, monkeypatch, capsys):
+        # every CSV of every benchmark invocation (seed 1) against a writer that formats
+        # one value at a time
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        reports = []
+
+        def emit(report, directory, formats=("json", "csv")):
+            reports.append((Path(directory), report))
+            return emit_report(report, directory, formats)
+
+        monkeypatch.setattr(cli_module, "emit_report", emit)
+        for workload in workloads.WORKLOADS:
+            for step in workloads.plan(workload, 1, str(tmp_path / workload)):
+                assert main(step["argv"]) == 0
+        checked = 0
+        for directory, report in reports:
+            for label, traj in report.trajectories.items():
+                path = directory / (cli_module._csv_label(label) + ".csv")
+                assert path.read_bytes() == per_value_csv(traj), path
+                checked += 1
+        assert checked == 3 + 2 + 18  # elimination, chain5, pair_mix
+
+    def test_shared_time_grid_encoded_once(self, tmp_path, monkeypatch):
+        # a report's trajectories on one time grid encode it once; another grid is encoded anew
+        times = np.linspace(0.0, 3.0, 1201)
+        grids = {"a": times, "b": times.copy(), "c": 2.0 * times, "d": 2.0 * times}
+        report = ExperimentReport("grids", {}, {}, {}, trajectories={
+            label: Trajectory(t, {"pop": np.sin(t + k).astype(complex)}, None, rate_scale=1.0)
+            for k, (label, t) in enumerate(grids.items())})
+        encoded = []
+        encode = cli_module.g17.encode
+        monkeypatch.setattr(cli_module.g17, "encode",
+                            lambda values: encoded.append(values.size) or encode(values))
+        emit_report(report, tmp_path)
+        assert sum(encoded) == 6 * len(times)  # t twice, pop four times
+        for label, traj in report.trajectories.items():
+            assert (tmp_path / f"{label}.csv").read_bytes() == per_value_csv(traj)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -426,6 +479,19 @@ class TestMainSubcommands:
                      "--set", "cascade.gamma_prime_hz=0.5", "--output", str(out)]) == 0
         parameters = json.loads((out / "report.json").read_text())["parameters"]
         assert parameters["direction"] == "backward"
+
+    def test_backward_run_reads_only_its_channel(self, tmp_path):
+        # the dropped inline gamma is neither echoed nor counted in the default rate scale
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "cascade.direction=backward",
+                     "--set", "cascade.gamma_prime_hz=0.5", "--output", str(out)]) == 0
+        parameters = json.loads((out / "report.json").read_text())["parameters"]
+        assert parameters["gamma_rad_s"] == 0.0
+        assert parameters["gamma_prime_rad_s"] == pytest.approx(math.pi)
+        assert parameters["integrator"]["rate_scale_rad_s"] == pytest.approx(math.pi)
+        # without a backward rate no channel runs: rejected like a config with both rates 0
+        assert main(["experiment", "simulate", "--set", "cascade.direction=backward",
+                     "--output", str(tmp_path / "u")]) == 2
 
     @pytest.mark.parametrize("measure", [validation.spin_commutators, validation.dagger_involution,
                                          validation.generator_forms_agree])

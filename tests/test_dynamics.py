@@ -102,6 +102,31 @@ class TestEvolveBasics:
         assert traj.times[-1] == pytest.approx(1.0)
         assert len(traj.times) == len(traj.observables["pop"])
 
+    def test_generator_scale_only_without_dt(self, pair_spec, monkeypatch):
+        # the ||H||_2 SVD sets the default step only; a run with a given dt never computes it
+        class Computed(Exception):
+            pass
+
+        def computed(*args):
+            raise Computed
+
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
+        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.4), "forward")
+        psi0 = basis_vector(h_nh.space, UD)
+        jump = (1.0, embed(spin_operators(0.5)[1], 0, h_nh.space))
+        runs = [lambda cfg: evolve(model, pure(model.space, UD), cfg),
+                lambda cfg: evolve_nonhermitian(h_nh, psi0, cfg),
+                lambda cfg: evolve_nonhermitian(h_nh, psi0, cfg, jump=jump)]
+        given = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2)
+        expected = [run(given).observables for run in runs]
+        monkeypatch.setattr(dynamics_module, "_generator_scale", computed)
+        for run, observables in zip(runs, expected):
+            traj = run(given)
+            assert traj.diagnostics["n_steps"] == 100
+            assert all(np.array_equal(traj.observables[k], v) for k, v in observables.items())
+            with pytest.raises(Computed):
+                run(IntegratorConfig(t_final=1.0, rate_scale=1.0))
+
     def test_state_recording(self, pair_spec):
         model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2, record_states_stride=10)
