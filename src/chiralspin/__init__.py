@@ -12,12 +12,14 @@ from .core import (
     DensityMatrix,
     HilbertSpace,
     Operator,
+    StateStack,
     basis_vector,
     boson_operators,
     commutator,
     embed,
     expectation,
     partial_trace,
+    partial_trace_stack,
     spin_operators,
     tensor_product,
 )

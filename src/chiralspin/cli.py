@@ -508,7 +508,8 @@ def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
     observable, is never encoded: its literal "0" is part of the separator
     after the column before it. With ``keep_grid`` this returns the time
     column's fields, which a call for a trajectory on an equal time grid
-    takes as ``grid`` instead of encoding its own.
+    takes as ``grid`` instead of encoding its own. Returns the SHA-256 hex digest
+    of the written bytes, hashed as they are written, and the grid to pass on.
     """
     times = np.asarray(traj.times, dtype=float)
     header = ["t[1/rate_scale]"]
@@ -540,22 +541,29 @@ def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
             grid[1][:, piece], grid[2][piece] = encoded[0]
         return encoded
 
+    digest = hashlib.sha256()
     with path.open("wb") as out:
-        out.write((",".join(header) + "\n").encode("utf-8"))
+        def write(data: bytes):
+            out.write(data)
+            digest.update(data)
+
+        write((",".join(header) + "\n").encode("utf-8"))
         for first in range(0, len(times), _CSV_PIECE_ROWS):
-            out.write(g17.join(fields(slice(first, first + _CSV_PIECE_ROWS)), separators))
-    return grid if keep_grid else None
+            write(g17.join(fields(slice(first, first + _CSV_PIECE_ROWS)), separators))
+    return digest.hexdigest(), grid if keep_grid else None
 
 
 def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) -> list[Path]:
     """Write report.json, one CSV per trajectory, and a MANIFEST of content hashes.
 
     Outputs contain no timestamps or environment data, so re-running an
-    identical config reproduces byte-identical files.
+    identical config reproduces byte-identical files. Each file is hashed from the
+    bytes written to it, never read back.
     """
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    digests: dict[str, str] = {}
 
     refs: list[str] = []
     if "csv" in formats:
@@ -564,7 +572,7 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
         for (label, traj), after in zip(trajectories, trajectories[1:] + [None]):
             name = _csv_label(label) + ".csv"
             keep_grid = after is not None and np.array_equal(after[1].times, traj.times)
-            grid = _write_trajectory_csv(outdir / name, traj, grid, keep_grid)
+            digests[name], grid = _write_trajectory_csv(outdir / name, traj, grid, keep_grid)
             refs.append(name)
             written.append(outdir / name)
     report.trajectory_refs = refs
@@ -582,14 +590,12 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
             "units": {"metrics": "suffix of each key (hz, rad_s, ratios dimensionless)",
                       "trajectory_time": "1/rate_scale"},
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        (outdir / "report.json").write_text(text, encoding="utf-8")
+        data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        (outdir / "report.json").write_bytes(data)
+        digests["report.json"] = hashlib.sha256(data).hexdigest()
         written.append(outdir / "report.json")
 
-    manifest_lines = []
-    for path in sorted(written, key=lambda p: p.name):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest_lines.append(f"sha256:{digest}  {path.name}")
+    manifest_lines = [f"sha256:{digests[name]}  {name}" for name in sorted(digests)]
     (outdir / "MANIFEST").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     written.append(outdir / "MANIFEST")
     return written

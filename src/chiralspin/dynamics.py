@@ -22,8 +22,11 @@ the loop integrates the generator restricted to S x S. The set is read from
 the exact nonzero pattern, with no tolerance. A one-excitation cascade run
 stays in span{|G>, |e_1>, ..., |e_N>} (N+1 states instead of 2^N), because
 H conserves the excitation number and each jump lowers it by one. The step
-count still comes from the full generator's magnitude, and recorded and
-final states are full-space density matrices, zero outside S x S.
+count still comes from the full generator's magnitude. Recorded states stay
+on S: they are one (m, |S|, |S|) stack, a :class:`~chiralspin.core.StateStack`,
+which :func:`~chiralspin.core.partial_trace_stack` reduces as a whole and
+which embeds a state into the full space only when it is read. The final
+state is a full-space density matrix, zero outside S x S.
 
 For small supports the one-step map P is precomputed as a dense
 superoperator matrix (the 4th-order Taylor polynomial of exp(h*L), which is
@@ -52,12 +55,13 @@ count and the strides, so results stay deterministic run to run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, identity
+from .core import DensityMatrix, Operator, StateStack, identity
 from .errors import DomainError, FitError, IntegrationError
 from .models import Generator, LindbladModel
 
@@ -90,7 +94,7 @@ class IntegratorConfig:
     evolutions; violating it raises :class:`IntegrationError` with the
     offending step. ``sample_stride`` controls how often watched expectation
     values are recorded (1 = every step) and ``record_states_stride``
-    optionally stores full density-matrix snapshots. The loop steps a chunk
+    optionally stores density-matrix snapshots. The loop steps a chunk
     of blocks at a time, K steps per block on small supports and one step on
     larger ones, and then checks and records the chunk (see the module
     docstring); the trace guard still checks every step, and the more
@@ -128,6 +132,14 @@ class Trajectory:
     entry) is exactly 0 and its real part is Re tr(O rho); the dropped part
     comes from the anti-Hermitian rounding of rho, which the diagnostic
     ``max_hermiticity_dev`` reports.
+
+    With ``record_states_stride`` set, ``states`` holds the state at each of
+    ``state_times``. An evolution records them as a
+    :class:`~chiralspin.core.StateStack` on the closed support of its run: it has a
+    length and indexes (``states[-1]`` too) and iterates as full-space
+    :class:`~chiralspin.core.DensityMatrix` values, each built when it is read, and
+    :func:`~chiralspin.core.partial_trace_stack` reduces it without building them.
+    ``final_state`` is a full-space density matrix.
     """
 
     times: np.ndarray
@@ -135,7 +147,7 @@ class Trajectory:
     final_state: DensityMatrix
     rate_scale: float
     diagnostics: dict[str, float] = field(default_factory=dict)
-    states: list[DensityMatrix] | None = None
+    states: Sequence[DensityMatrix] | None = None
     state_times: np.ndarray | None = None
 
 
@@ -316,7 +328,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     ``scale()`` returns the generator magnitude that sets the default step; it
     is called only when ``cfg.dt`` is None. The loop
     evolves the block of rho on the generator's closed support S (see the module
-    docstring) and embeds every recorded state back into the full space. Watched
+    docstring) and records states on S, in one preallocated stack. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
     so one stacked product records them all. For a Hermitian O the recorded
     imaginary part is set to exactly 0, which leaves Re tr(O rho) =
@@ -338,11 +350,6 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     if d < space.dim:
         gen = Generator(gen.k[cut], tuple((rate, z[cut]) for rate, z in gen.sandwiches))
 
-    def embedded(r: np.ndarray) -> DensityMatrix:
-        out = np.zeros((space.dim, space.dim), dtype=complex)
-        out[cut] = r
-        return DensityMatrix(space, out)
-
     def lowest_eigenvalue(r: np.ndarray) -> float:
         # the lowest eigenvalue over one state or a stack of them; outside S x S the
         # state is exactly zero, which adds the eigenvalue 0
@@ -357,7 +364,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
 
     rho = rho0.matrix[cut].astype(complex)
     table[:, 0] = functionals @ rho.reshape(-1)
-    states = [embedded(rho)] if state_stride else []
+    states = np.empty((_steps(n, state_stride).size if state_stride else 0, d, d), dtype=complex)
+    states[:1] = rho
 
     max_trace_drift = 0.0
     max_herm_dev = 0.0
@@ -370,8 +378,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         # Stationary input (dark state or trivial generator): the exact
         # solution is constant, so every sample repeats the first.
         table[:, 1:] = table[:, :1]
-        if state_stride:
-            states += [embedded(rho) for _ in _steps(n, state_stride)[1:]]
+        states[1:] = rho
     else:
         if d <= _PROPAGATOR_MAX_DIM:
             k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
@@ -384,7 +391,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         boundary = np.empty((chunk + 1, d * d), dtype=complex)  # states at one chunk's block ends
         boundary[0] = rho.reshape(-1)
 
-        sample, start = 1, 0
+        sample, start, recorded = 1, 0, 1
         while start < n:
             bounds = [start]
             # A chunk may run past an unstable step; the guard below reports the first one.
@@ -436,8 +443,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
             table[:, sample:sample + len(picked)] = picked.T
             sample += len(picked)
             if state_stride:
-                for b in np.flatnonzero((ends % state_stride == 0) | (ends == n)):
-                    states.append(embedded(vs[b + 1].reshape(d, d)))
+                ended = vs[1:][(ends % state_stride == 0) | (ends == n)]
+                states[recorded:recorded + len(ended)] = ended.reshape(-1, d, d)
+                recorded += len(ended)
             boundary[0] = vs[-1]
         rho = boundary[0].reshape(d, d)
 
@@ -450,10 +458,10 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         diagnostics["final_trace"] = trace_prev
     hermitian = [np.array_equal(op.matrix, op.matrix.conj().T) for _, op in watch_ops]
     table.imag[hermitian] = 0.0
-    traj = Trajectory(sample_steps * dt, dict(zip(labels, table)), embedded(rho),
-                      cfg.rate_scale, diagnostics)
+    traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
+                      StateStack(space, support, rho[None])[0], cfg.rate_scale, diagnostics)
     if state_stride:
-        traj.states = states
+        traj.states = StateStack(space, support, states)
         traj.state_times = _steps(n, state_stride) * dt
     return traj
 

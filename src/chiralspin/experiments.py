@@ -20,7 +20,7 @@ from .core import (
     basis_vector,
     boson_operators,
     embed,
-    partial_trace,
+    partial_trace_stack,
     spin_factor,
     spin_operators,
     zero,
@@ -344,10 +344,7 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
         else:
             sub_model = build_cascade_model(replace(chain_spec, sites=sites[:j]))
         sub = evolve(sub_model, one_excited_state(sub_model.space, 0), cfg, [])
-        worst = 0.0
-        for full_state, sub_state in zip(head.states, sub.states):
-            reduced = partial_trace(full_state, range(j))
-            worst = max(worst, float(np.max(np.abs(reduced.matrix - sub_state.matrix))))
+        worst = partial_trace_stack(head.states, range(j)).max_deviation(sub.states)
         metrics[f"prefix_supnorm_{j}"] = worst
         flags[f"prefix_supnorm_{j}__le_1e-8"] = worst <= 1e-8
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import (DensityMatrix, HilbertSpace, Operator, basis_vector, boson_operators, commutator,
-                   embed, partial_trace, spin_factor, spin_operators)
+                   embed, partial_trace, partial_trace_stack, spin_factor, spin_operators)
 from .dynamics import IntegratorConfig, evolve, evolve_nonhermitian
 from .experiments import single_spin_decay_model
 from .materials import ResonatorGeometry, builtin_material, coupling_table, effective_gamma
@@ -240,8 +240,7 @@ def no_back_action(spec=_pair_spec(1.0, kd=0.9), downstream=None) -> dict:
     full = evolve(model, DensityMatrix(model.space, np.kron(up, downstream)), cfg)
     single = single_spin_decay_model(spec.sites[0], spec.gamma)
     alone = evolve(single, DensityMatrix(single.space, up), cfg)
-    return {"reduced_deviation": _worst(_max_abs(partial_trace(fs, {0}).matrix - ss.matrix)
-                                        for fs, ss in zip(full.states, alone.states))}
+    return {"reduced_deviation": partial_trace_stack(full.states, {0}).max_deviation(alone.states)}
 
 
 def budget_identities() -> dict:

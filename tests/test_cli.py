@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -276,6 +277,24 @@ class TestRunAndEmit:
         target.write_text("a file, not a directory")
         path, _ = write_config(tmp_path, output={"directory": str(target), "formats": ["json"]})
         assert run(path) == 4
+
+    def test_manifest_hashes_bytes_as_written(self, tmp_path, monkeypatch):
+        # no output file is read back to be hashed; the digests are those of the files on disk
+        times = np.linspace(0.0, 3.0, 1300)  # three CSV pieces
+        report = ExperimentReport("hashes", {"p": 1.0}, {"m": 2.0}, {}, trajectories={
+            label: Trajectory(times, {"pop": np.cos(times * k).astype(complex)}, None, rate_scale=1.0)
+            for k, label in enumerate(("b", "a"))})
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read back")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_bytes", refuse)
+            files = emit_report(report, tmp_path)
+        assert [path.name for path in files] == ["b.csv", "a.csv", "report.json", "MANIFEST"]
+        expected = [f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                    for path in sorted(files[:-1])]
+        assert (tmp_path / "MANIFEST").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_unknown_output_format_exit_code(self, tmp_path, capsys, monkeypatch):
         evolved = []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from chiralspin import (
     DensityMatrix,
     DomainError,
     Operator,
+    StateStack,
     basis_vector,
     boson_operators,
     embed,
     expectation,
     partial_trace,
+    partial_trace_stack,
     spin_operators,
     tensor_product,
 )
@@ -171,6 +175,100 @@ class TestPartialTrace:
     def test_out_of_range_keep_rejected(self, two_spin_space, random_state_factory):
         with pytest.raises(DomainError):
             partial_trace(random_state_factory(two_spin_space), {0, 5})
+
+
+# spin-1/2, spin-1 and boson factors in different orders
+MIXED_SPACES = [
+    pytest.param(HilbertSpace((spin_factor(0.5), spin_factor(1.0), boson_factor(2))), id="s1b"),
+    pytest.param(HilbertSpace((boson_factor(1), spin_factor(0.5), spin_factor(1.0),
+                               spin_factor(0.5))), id="bs1s"),
+]
+
+
+def restricted_stack(rng, space, size, count=3):
+    """``count`` random states that vanish outside a random support of ``size`` basis states."""
+    support = np.sort(rng.choice(space.dim, size, replace=False))
+    return StateStack(space, support, [random_density(rng, size) for _ in range(count)])
+
+
+class TestPartialTraceStack:
+    """The batched reduction on the support against partial_trace of the embedded states."""
+
+    @pytest.mark.parametrize("space", MIXED_SPACES)
+    def test_matches_partial_trace_of_embedded_states(self, rng, space):
+        n = len(space.factors)
+        # every keep set: singletons, non-contiguous sets and keep-all among them
+        keeps = [set(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+        for size in (1, 3, space.dim // 2, space.dim):
+            states = restricted_stack(rng, space, size)
+            for keep in keeps:
+                reduced = partial_trace_stack(states, keep)
+                assert reduced.space == space.subspace(sorted(keep))
+                assert len(reduced) == len(states)
+                for mine, state in zip(reduced, states):
+                    assert np.max(np.abs(mine.matrix - partial_trace(state, keep).matrix)) <= 1e-15
+
+    def test_reduced_support_holds_the_kept_digits(self, rng):
+        # |00>, |01> and |11> of two spins keep {0, 1} of the first spin, and {0, 1} of the second
+        space = HilbertSpace((spin_factor(0.5), spin_factor(0.5)))
+        states = StateStack(space, [0, 1, 3], [random_density(rng, 3)])
+        assert partial_trace_stack(states, {0}).support.tolist() == [0, 1]
+        assert partial_trace_stack(states, {1}).support.tolist() == [0, 1]
+        assert partial_trace_stack(states, {0, 1}).support.tolist() == [0, 1, 3]
+
+    def test_bad_keep_rejected(self, rng, two_spin_space):
+        states = restricted_stack(rng, two_spin_space, 2)
+        for keep in (set(), {0, 5}, {-1}):
+            with pytest.raises(DomainError):
+                partial_trace_stack(states, keep)
+
+
+class TestStateStack:
+    def test_sequence_of_embedded_states(self, rng):
+        space = HilbertSpace((spin_factor(1.0), boson_factor(2)))
+        states = restricted_stack(rng, space, 4, count=5)
+        embedded = []
+        for block in states.matrices:
+            full = np.zeros((space.dim, space.dim), dtype=complex)
+            full[np.ix_(states.support, states.support)] = block
+            embedded.append(full)
+        assert len(states) == 5 and states
+        assert [state.matrix.tolist() for state in states] == [m.tolist() for m in embedded]
+        for k in (0, 3, -1, -5, np.int64(2)):
+            assert states[k].space == space
+            assert np.array_equal(states[k].matrix, embedded[k])
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                states[k]
+        with pytest.raises(ValueError):
+            states.matrices[0, 0, 0] = 1.0
+
+    def test_shape_must_match_support(self, two_spin_space):
+        for support, shape in (([0, 1], (2, 2)), ([0, 1], (1, 2, 3)), ([[0, 1]], (1, 2, 2))):
+            with pytest.raises(DomainError):
+                StateStack(two_spin_space, support, np.zeros(shape))
+
+    def test_empty_stack_is_false(self, two_spin_space):
+        states = StateStack(two_spin_space, [0], np.empty((0, 1, 1)))
+        assert not states and len(states or ()) == 0 and list(states) == []
+
+    def test_max_deviation_places_both_on_one_support(self, rng):
+        space = HilbertSpace((spin_factor(0.5), spin_factor(1.0)))
+        for size_a, size_b in ((2, 5), (6, 6), (1, 3)):
+            a = restricted_stack(rng, space, size_a)
+            b = restricted_stack(rng, space, size_b)
+            expected = max(float(np.max(np.abs(x.matrix - y.matrix))) for x, y in zip(a, b))
+            assert a.max_deviation(b) == b.max_deviation(a) == expected
+        assert a.max_deviation(a) == 0.0
+        nan = StateStack(space, a.support, np.full_like(a.matrices, np.nan))
+        assert np.isnan(nan.max_deviation(a))
+
+    def test_max_deviation_rejects_other_space_or_length(self, rng, two_spin_space):
+        a = restricted_stack(rng, two_spin_space, 2)
+        with pytest.raises(DomainError):
+            a.max_deviation(restricted_stack(rng, HilbertSpace((spin_factor(1.5),)), 2))
+        with pytest.raises(DomainError):
+            a.max_deviation(restricted_stack(rng, two_spin_space, 2, count=2))
 
 
 class TestExpectation:

@@ -664,7 +664,7 @@ class TestClosedSupport:
             assert np.max(np.abs(mine.observables[label] - series)) <= tol
         assert np.array_equal(mine.state_times, full.state_times)
         assert len(mine.states) == len(full.states) == len(full.state_times)
-        for a, b in zip(mine.states + [mine.final_state], full.states + [full.final_state]):
+        for a, b in zip(list(mine.states) + [mine.final_state], list(full.states) + [full.final_state]):
             assert a.space == b.space
             assert np.max(np.abs(a.matrix - b.matrix)) <= tol
         assert mine.diagnostics["min_eigenvalue"] == pytest.approx(
@@ -698,6 +698,33 @@ class TestClosedSupport:
         restricted, full = self.run_both(monkeypatch, model, rho0, cfg, watch)
         assert restricted.diagnostics["n_steps"] > 10000
         self.assert_same_run(restricted, full, 1e-10)
+
+    @pytest.mark.parametrize("pattern", [(0, 1, 1), (1, 1, 1)], ids=["head", "stationary"])
+    def test_recorded_states_read_as_full_space(self, monkeypatch, pattern):
+        # a state stride that does not divide the 1500 steps, and the stationary all-ground start
+        sites = chain_sites(3)
+        model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, sites))
+        cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, record_states_stride=70)
+        restricted, full = self.run_both(monkeypatch, model, pure(model.space, pattern), cfg, [])
+        self.assert_same_run(restricted, full, 1e-12)
+        assert restricted.diagnostics["stationary"] == float(pattern == (1, 1, 1))
+        states = restricted.states
+        assert states and len(states) == len(full.states) == 1500 // 70 + 2
+        assert restricted.state_times[-1] == pytest.approx(3.0)
+        for k in (0, 1, 21, -1, -2, -len(states)):
+            assert states[k].space == model.space
+            assert np.max(np.abs(states[k].matrix - full.states[k].matrix)) <= 1e-12
+        assert np.array_equal(states[-1].matrix, restricted.final_state.matrix)
+        with pytest.raises(IndexError):
+            states[len(states)]
+
+    def test_state_count_as_the_benchmark_tracer_reads_it(self):
+        # perfbench's tracer counts recorded states as len(result.states or ())
+        model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.6 / 2.5e-7, chain_sites(3)))
+        rho0 = pure(model.space, (0, 1, 1))
+        for stride, count in ((0, 0), (70, 23), (1500, 2), (5000, 2)):
+            cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, record_states_stride=stride)
+            assert len(evolve(model, rho0, cfg).states or ()) == count
 
     @pytest.mark.parametrize("n, pattern", [(3, (0, 1, 1)), (3, (0, 1, 0))])
     def test_bidirectional_chain_matches_expm(self, n, pattern):
