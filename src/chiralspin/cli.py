@@ -100,6 +100,9 @@ _SCHEMA = {
 _REQUIRED = {"material": ("density_kg_m3", "v_plus_m_s", "v_minus_m_s", "xi_S_hz", "xi_I_hz"),
              "mode": ("detuning_hz", "g_hz")}
 
+# The program's default values for a run without a config file (see RunConfig.value).
+_INLINE_DEFAULTS = {"cascade": {"gamma_hz": 1.0, "k_z_d": 0.7}}
+
 # The channels each cascade.direction keeps: (forward rate gamma, backward rate gamma_prime).
 _CHANNELS = {"forward": (True, False), "chain": (True, False),
              "backward": (False, True), "bidirectional": (True, True)}
@@ -158,20 +161,20 @@ class RunConfig:
     """A validated run configuration; wraps the canonical JSON dict.
 
     Only the keys it was given are stored, so parse -> serialize -> parse is
-    the identity. ``implicit`` names the (section, key) pairs of ``data`` that
-    the program filled in rather than the user. Typed accessors construct the
-    domain objects on demand and record in ``read`` each (section, key) whose
-    value they use, with key None for a section used whole. After an
-    experiment's reader has run, :meth:`check_read` rejects every
-    user-supplied key that it did not use.
+    the identity. ``defaults`` holds the program's default values by section,
+    which :meth:`value` reads where ``data`` lacks the key. Typed accessors
+    construct the domain objects on demand and record in ``read`` each
+    (section, key) whose value they use, with key None for a section used
+    whole. After an experiment's reader has run, :meth:`check_read` rejects
+    every key of ``data`` that it did not use.
     """
 
     data: dict
-    implicit: frozenset = frozenset()
+    defaults: dict = field(default_factory=dict)
     read: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     @classmethod
-    def from_dict(cls, data: dict, implicit=frozenset()) -> "RunConfig":
+    def from_dict(cls, data: dict, defaults=None) -> "RunConfig":
         _check_section(_SCHEMA[""], data, "")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -193,11 +196,13 @@ class RunConfig:
                 raise DomainError("modes must be 'auto' or a list of mode objects")
             for i, mode in enumerate(modes):
                 _check_section(_SCHEMA["mode"], mode, f"modes[{i}].", _REQUIRED["mode"])
-        return cls(deepcopy(data), frozenset(implicit))
+        return cls(deepcopy(data), defaults or {})
 
     @classmethod
-    def load(cls, path, overrides=()) -> "RunConfig":
-        """Read a JSON config and apply ``section.key=value`` overrides, then validate."""
+    def load(cls, path=None, overrides=()) -> "RunConfig":
+        """Read a JSON config (or without one start from the defaults), apply overrides, validate."""
+        if path is None:
+            return cls({"schema_version": SCHEMA_VERSION}, _INLINE_DEFAULTS).with_overrides(overrides)
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -209,14 +214,13 @@ class RunConfig:
         return deepcopy(self.data)
 
     def with_overrides(self, overrides) -> "RunConfig":
-        """Apply ``section.key=value`` overrides on top of the file values; what they set is the user's."""
-        data = _apply_overrides(self.to_dict(), overrides)
-        paths = {tuple(item.split("=", 1)[0].split(".")[:2]) for item in overrides}
-        return RunConfig.from_dict(data, {pair for pair in self.implicit
-                                          if pair not in paths and pair[:1] not in paths})
+        """Apply ``section.key=value`` overrides; a section they set whole drops its defaults."""
+        whole = {item.split("=", 1)[0] for item in overrides}
+        return RunConfig.from_dict(_apply_overrides(self.to_dict(), overrides),
+                                   {name: keys for name, keys in self.defaults.items() if name not in whole})
 
     def check_read(self) -> None:
-        """Reject every user-supplied key that no accessor has read.
+        """Reject every key of ``data`` that no accessor has read.
 
         ``schema_version``, ``experiment`` and ``output`` are exempt. A section
         none of whose keys was read is named whole, otherwise its unread keys.
@@ -226,12 +230,9 @@ class RunConfig:
         for section, value in self.data.items():
             if section in ("schema_version", "experiment", "output") or (section, None) in self.read:
                 continue
-            supplied = ([key for key in value if (section, key) not in self.implicit]
-                        if isinstance(value, dict) else [None])
             if section not in read_sections:
-                if supplied or not value:  # an empty section counts, program-filled keys do not
-                    sections.append(section)
-            elif unread := sorted(key for key in supplied if (section, key) not in self.read):
+                sections.append(section)
+            elif unread := sorted(key for key in value if (section, key) not in self.read):
                 keys.append(f"{section} key(s) {unread}")
         problems = ([f"section(s) {sorted(sections)}"] if sections else []) + sorted(keys)
         if problems:
@@ -258,9 +259,9 @@ class RunConfig:
         return self.data.get(name, default)
 
     def value(self, section: str, key: str, default=None):
-        """One key of a section, or ``default`` when it is absent."""
+        """One key of a section; where it is absent, the program's default or else ``default``."""
         self.read.add((section, key))
-        return self.data.get(section, {}).get(key, default)
+        return self.data.get(section, {}).get(key, self.defaults.get(section, {}).get(key, default))
 
     def material(self):
         section = self.section("material", "alpha-SiO2")
@@ -371,7 +372,7 @@ def _read_simulate(config: RunConfig):
         forward, backward = _CHANNELS[direction]
         for key, rate, kept in (("gamma_hz", spec.gamma, forward),
                                 ("gamma_prime_hz", spec.gamma_prime, backward)):
-            if rate and not kept and ("cascade", key) not in config.implicit:
+            if rate and not kept and key in config.data.get("cascade", {}):
                 raise DomainError(f"cascade.direction {direction!r} drops the channel of "
                                   f"cascade.{key}; cascade.{key} must be 0")
         spec = replace(spec, gamma=spec.gamma if forward else 0.0,
@@ -650,7 +651,7 @@ def _execute(load_config, output_dir=None, *, write=True, show=None) -> int:
 
 
 def run(config_path, overrides=(), experiment_name=None, output_dir=None) -> int:
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run, from the defaults without ``config_path``; returns the exit code."""
     def load():
         # the command's experiment name applies before validation, like any override
         name = [] if experiment_name is None else [f"experiment.name={experiment_name}"]
@@ -701,6 +702,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config value (dotted path)")
     p_sim.add_argument("--output", default=None, help="override the output directory")
+    p_sim.set_defaults(name="simulate")
 
     p_exp = sub.add_parser("experiment", help="run a named experiment from a config")
     p_exp.add_argument("name", choices=tuple(_EXPERIMENTS))
@@ -727,18 +729,8 @@ def main(argv=None) -> int:
                         write=bool(args.output),
                         show=lambda report: print(_budget_table_text(report.parameters["budget"])))
 
-    if args.command == "simulate":
-        return run(args.config, args.overrides, experiment_name="simulate", output_dir=args.output)
-
-    if args.command == "experiment":
-        if args.config is not None:
-            return run(args.config, args.overrides, experiment_name=args.name, output_dir=args.output)
-        # the default cascade is the program's, not the user's: no experiment must read it
-        minimal = {"schema_version": SCHEMA_VERSION, "experiment": {"name": args.name},
-                   "cascade": {"gamma_hz": 1.0, "k_z_d": 0.7}}
-        implicit = {("cascade", "gamma_hz"), ("cascade", "k_z_d")}
-        return _execute(lambda: RunConfig.from_dict(minimal, implicit).with_overrides(args.overrides),
-                        args.output)
+    if args.command in ("simulate", "experiment"):
+        return run(args.config, args.overrides, experiment_name=args.name, output_dir=args.output)
 
     if args.command == "validate":
         from .validation import run_invariant_suite

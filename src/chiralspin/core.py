@@ -73,9 +73,7 @@ def spin_factor(s: float) -> Factor:
 
 def boson_factor(cutoff: int) -> Factor:
     """Factor for a bosonic mode truncated at Fock occupation ``cutoff``."""
-    if int(cutoff) != cutoff or cutoff < 1:
-        raise DomainError(f"Fock cutoff must be a positive integer, got {cutoff}")
-    return Factor("boson", int(cutoff) + 1)
+    return Factor("boson", _boson_dim(cutoff))
 
 
 def _spin_dim(s: float) -> int:
@@ -83,6 +81,12 @@ def _spin_dim(s: float) -> int:
     if abs(two_s - round(two_s)) > 1e-12 or round(two_s) < 0:
         raise DomainError(f"spin quantum number must be a non-negative half-integer, got {s}")
     return int(round(two_s)) + 1
+
+
+def _boson_dim(cutoff: int) -> int:
+    if int(cutoff) != cutoff or cutoff < 1:
+        raise DomainError(f"Fock cutoff must be a positive integer, got {cutoff}")
+    return int(cutoff) + 1
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,14 @@ class DensityMatrix:
         return complex(np.trace(self.matrix))
 
     def min_eigenvalue(self) -> float:
+        """Lowest eigenvalue of the Hermitian part, diagonalised on its nonzero rows and columns.
+
+        Outside that block the Hermitian part is exactly zero, which adds the eigenvalue 0.
+        """
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        return float(np.linalg.eigvalsh(herm)[0])
+        inside = np.flatnonzero(np.any(herm != 0, axis=0))
+        low = float(np.linalg.eigvalsh(herm[np.ix_(inside, inside)])[0]) if inside.size else 0.0
+        return low if inside.size == herm.shape[0] else min(low, 0.0)
 
     def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-10,
                  eig_tol: float = 1e-8, check_trace: bool = True) -> "DensityMatrix":
@@ -257,9 +267,7 @@ def boson_operators(cutoff: int) -> tuple[Operator, Operator]:
     the top Fock state; that artifact is inherent to the cutoff and is handled
     downstream by cutoff-doubling convergence checks, not papered over here.
     """
-    if int(cutoff) != cutoff or cutoff < 1:
-        raise DomainError(f"Fock cutoff must be a positive integer, got {cutoff}")
-    dim = int(cutoff) + 1
+    dim = _boson_dim(cutoff)
     space = HilbertSpace((Factor("boson", dim),))
     a = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):

@@ -325,6 +325,10 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                        check_trace: bool) -> Trajectory:
     """The fixed-step driver behind every evolution.
 
+    It first checks that every watched operator acts on the state's space, that
+    the scaled generator is finite (a tiny ``rate_scale`` overflows it) and that
+    numpy can size the step grid's arrays, raising :class:`DomainError` if not.
+
     ``scale()`` returns the generator magnitude that sets the default step; it
     is called only when ``cfg.dt`` is None. The loop
     evolves the block of rho on the generator's closed support S (see the module
@@ -339,6 +343,12 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     the blocks that reach each multiple of ``n // 256`` steps.
     """
     space = rho0.space
+    for label, op in watch_ops:
+        if op.space != space:
+            raise DomainError(f"watched operator {label!r} acts on a different space")
+    if not (np.isfinite(gen.k).all()
+            and all(np.isfinite(rate) and np.isfinite(z).all() for rate, z in gen.sandwiches)):
+        raise DomainError(f"rate_scale {cfg.rate_scale:.3e} leaves the scaled generator non-finite")
     n, dt = _resolve_grid(cfg, scale)
     diag_stride = max(1, n // 256)
     sample_stride = cfg.sample_stride
@@ -350,6 +360,14 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     if d < space.dim:
         gen = Generator(gen.k[cut], tuple((rate, z[cut]) for rate, z in gen.sandwiches))
 
+    try:
+        sample_steps = _steps(n, sample_stride)
+        state_steps = _steps(n, state_stride) if state_stride else np.empty(0, dtype=int)
+        table = np.empty((len(watch_ops), sample_steps.size), dtype=complex)
+        states = np.empty((state_steps.size, d, d), dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"the step grid of {n} steps is too large to allocate") from exc
+
     def lowest_eigenvalue(r: np.ndarray) -> float:
         # the lowest eigenvalue over one state or a stack of them; outside S x S the
         # state is exactly zero, which adds the eigenvalue 0
@@ -359,12 +377,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     labels = [label for label, _ in watch_ops]
     functionals = np.array([op.matrix[cut].T.reshape(-1) for _, op in watch_ops],
                            dtype=complex).reshape(len(labels), d * d)
-    sample_steps = _steps(n, sample_stride)
-    table = np.empty((len(labels), sample_steps.size), dtype=complex)
 
     rho = rho0.matrix[cut].astype(complex)
     table[:, 0] = functionals @ rho.reshape(-1)
-    states = np.empty((_steps(n, state_stride).size if state_stride else 0, d, d), dtype=complex)
     states[:1] = rho
 
     max_trace_drift = 0.0
@@ -462,7 +477,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                       StateStack(space, support, rho[None])[0], cfg.rate_scale, diagnostics)
     if state_stride:
         traj.states = StateStack(space, support, states)
-        traj.state_times = _steps(n, state_stride) * dt
+        traj.state_times = state_steps * dt
     return traj
 
 
@@ -477,9 +492,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
     """
     if model.space != rho0.space:
         raise DomainError("initial state space does not match model space")
-    for label, op in watch:
-        if op.space != model.space:
-            raise DomainError(f"watched operator {label!r} acts on a different space")
     rho0.validate()
     gen = model.generator(cfg.rate_scale)
     return _integrate_density(
@@ -497,7 +509,7 @@ def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
     evolution identically. Without a jump the state stays the pure
     psi(t) psi(t)^dag with dpsi/dt = -i H psi, unrenormalized: the decaying
     norm sqrt(tr rho) is recorded as the automatic observable ``"norm"`` and
-    watched values are bare matrix elements <psi|O|psi>.
+    watched values are bare matrix elements <psi|O|psi>. Both run as one Generator.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi.size != h_nh.space.dim:
@@ -505,25 +517,24 @@ def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"initial state must be normalized, got norm {norm:.6g}")
-    for label, op in watch:
-        if op.space != h_nh.space:
-            raise DomainError(f"watched operator {label!r} acts on a different space")
 
-    h_scaled = h_nh.matrix / cfg.rate_scale
+    with np.errstate(over="ignore", invalid="ignore"):  # the step driver rejects inf/nan
+        h_scaled = h_nh.matrix / cfg.rate_scale
     rho0 = DensityMatrix.from_pure(h_nh.space, psi)
-    if jump is not None:
+    sandwiches, watch = (), list(watch)
+    if jump is None:
+        watch.insert(0, ("norm", identity(h_nh.space)))
+    else:
         rate, op = jump
         if op.space != h_nh.space:
             raise DomainError("jump operator acts on a different space")
-        gen = Generator(h_scaled, ((rate / cfg.rate_scale, op.matrix),))
-        return _integrate_density(gen, lambda: _generator_scale(h_scaled, gen.sandwiches), rho0,
-                                  cfg, list(watch), check_trace=False)
-
-    watch = [("norm", identity(h_nh.space))] + list(watch)
-    traj = _integrate_density(Generator(h_scaled), lambda: _generator_scale(h_scaled, ()), rho0,
-                              cfg, watch, check_trace=False)
-    traj.observables["norm"] = np.sqrt(traj.observables["norm"].real).astype(complex)
-    traj.diagnostics["final_norm"] = float(np.sqrt(traj.diagnostics.pop("final_trace")))
+        sandwiches = ((rate / cfg.rate_scale, op.matrix),)
+    traj = _integrate_density(Generator(h_scaled, sandwiches),
+                              lambda: _generator_scale(h_scaled, sandwiches), rho0, cfg, watch,
+                              check_trace=False)
+    if jump is None:
+        traj.observables["norm"] = np.sqrt(traj.observables["norm"].real).astype(complex)
+        traj.diagnostics["final_norm"] = float(np.sqrt(traj.diagnostics.pop("final_trace")))
     return traj
 
 

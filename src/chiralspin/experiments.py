@@ -315,11 +315,6 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
     if not (2 <= n_sites <= len(spec.sites)):
         raise DomainError(f"n_sites must be between 2 and {len(spec.sites)}")
     sites = spec.sites[:n_sites]
-    dim = 1
-    for s in sites:
-        dim *= int(round(2 * s.s)) + 1
-    if dim > 4096:
-        raise DomainError(f"chain space dimension {dim} exceeds the 4096 guard")
     if spec.gamma_prime != 0:
         raise DomainError("cascade_chain runs the forward channel only; gamma_prime must be 0")
     chain_spec = replace(spec, sites=sites)

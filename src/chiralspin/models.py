@@ -2,7 +2,8 @@
 
 Covers the closed two-spin/one-mode model with rotating or counter-rotating
 coupling, the directional (cascaded) spin model over N ordered sites, and the
-explicit non-Hermitian rewrite of one directional pair channel.
+explicit non-Hermitian rewrite of one directional pair channel. Every model is
+dense, on a space made by :func:`_dense_space`, the one size guard.
 
 Sign and phase conventions:
 
@@ -77,8 +78,7 @@ class ModeSpec:
             raise DomainError(f"pseudoangular momentum must be +-1, got {self.pam}")
         if self.g < 0:
             raise DomainError(f"coupling must be non-negative, got {self.g}")
-        if int(self.fock_cutoff) != self.fock_cutoff or self.fock_cutoff < 1:
-            raise DomainError(f"fock_cutoff must be a positive integer, got {self.fock_cutoff}")
+        boson_factor(self.fock_cutoff)  # rejects a cutoff that is not a positive integer
         derived = ROTATING if self.pam == 1 else COUNTER_ROTATING
         if self.coupling_class == "":
             object.__setattr__(self, "coupling_class", derived)
@@ -182,12 +182,21 @@ class LindbladModel:
         k = self.hamiltonian.matrix.astype(complex)
         for rate, op in self.jumps:
             k = k - (0.5j * rate) * (op.matrix.conj().T @ op.matrix)
-        return Generator(k / rate_scale,
-                         tuple((rate / rate_scale, op.matrix) for rate, op in self.jumps))
+        with np.errstate(over="ignore", invalid="ignore"):  # the step driver rejects inf/nan
+            k = k / rate_scale
+        return Generator(k, tuple((rate / rate_scale, op.matrix) for rate, op in self.jumps))
+
+
+def _dense_space(factors) -> HilbertSpace:
+    """The space of ``factors``, refused before anything is allocated above 4096 basis states."""
+    space = HilbertSpace(tuple(factors))
+    if space.dim > 4096:  # one 4096 x 4096 complex matrix is 256 MB
+        raise DomainError(f"model space dimension {space.dim} exceeds the dense limit 4096")
+    return space
 
 
 def _spin_space(sites) -> HilbertSpace:
-    return HilbertSpace(tuple(spin_factor(s.s) for s in sites))
+    return _dense_space(spin_factor(s.s) for s in sites)
 
 
 def _site_ops(space: HilbertSpace, sites, index: int):
@@ -211,8 +220,8 @@ def build_full_model(spins, modes) -> LindbladModel:
         raise DomainError(f"the full model takes exactly two spins, got {len(spins)}")
     if not modes:
         raise DomainError("the full model needs at least one mode")
-    factors = tuple(spin_factor(s.s) for s in spins) + tuple(boson_factor(m.fock_cutoff) for m in modes)
-    space = HilbertSpace(factors)
+    space = _dense_space(tuple(spin_factor(s.s) for s in spins)
+                         + tuple(boson_factor(m.fock_cutoff) for m in modes))
     delta_ref = modes[0].detuning
     h = zero(space)
     for j in range(len(spins)):
@@ -317,7 +326,7 @@ def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:
     ops = []
     for j, site in enumerate(sites):
         sp, sm, _ = spin_operators(site.s)
-        ops.append(embed(sp, j, space) @ embed(sm, j, space))
+        ops.append(embed(sp @ sm, j, space))
     return ops
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,22 @@ MALFORMED = [
                  id="couplings:material_without_density"),
 ]
 
+# (experiment, overrides) with a model or step grid far beyond what the program can hold:
+# each must exit 2 before anything of that size is allocated.
+_POSITIONS = [i * 1e-7 for i in range(40)]
+OVERSIZED = [
+    pytest.param("simulate", [f"spin.positions_m={_POSITIONS}"], id="simulate:40_positions"),
+    pytest.param("transfer_asymmetry", ["spin.s=1e12"], id="transfer_asymmetry:spin.s=1e12"),
+    pytest.param("elimination_validation", ["experiment.parameters.cutoff=100000000"],
+                 id="elimination_validation:cutoff=1e8"),
+    pytest.param("cascade_chain", [f"spin.positions_m={_POSITIONS[:13]}",
+                                   "experiment.parameters.n_sites=13"], id="cascade_chain:13_sites"),
+    pytest.param("simulate", ["integrator.t_final=1e30"], id="simulate:t_final=1e30"),
+    pytest.param("elimination_validation", ["experiment.parameters.delta_over_g=[1e12]"],
+                 id="elimination_validation:delta_over_g=1e12"),
+    pytest.param("simulate", ["integrator.rate_scale_hz=1e-310"], id="simulate:rate_scale_hz=1e-310"),
+]
+
 
 def per_value_csv(traj) -> bytes:
     """The trajectory CSV written one format(x, ".17g") at a time."""
@@ -117,6 +134,21 @@ class TestRunConfig:
         path, _ = write_config(tmp_path)
         with pytest.raises(DomainError):
             RunConfig.load(path).with_overrides(["cascade.gamma_hz=-1.0"])
+
+    def test_inline_defaults_fill_only_absent_keys(self):
+        # a run without a config file reads the program's cascade where the user gave no key,
+        # and a cascade section set whole is the user's, without the defaults
+        def spec(*overrides):
+            return RunConfig.load(None, ["experiment.name=transfer_asymmetry", *overrides]).cascade_spec()
+
+        default = spec()
+        assert default.gamma == pytest.approx(2 * np.pi) and default.k_z * 2.5e-7 == pytest.approx(0.7)
+        one_key = spec("cascade.gamma_hz=2")
+        assert one_key.gamma == pytest.approx(4 * np.pi) and one_key.k_z == default.k_z
+        whole = spec('cascade={"gamma_hz": 2}')
+        assert whole.gamma == pytest.approx(4 * np.pi) and whole.k_z == 0.0
+        assert RunConfig.load(None, ["experiment.name=transfer_asymmetry"]).to_dict() == {
+            "schema_version": 1, "experiment": {"name": "transfer_asymmetry"}}
 
     def test_cascade_spec_units(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -384,6 +416,28 @@ class TestMainSubcommands:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("ERROR invariant=config_schema")
         assert overrides[0].split("=")[0] in proc.stderr
+
+    @pytest.mark.parametrize("name, overrides", OVERSIZED)
+    def test_oversized_input_exits_2_without_traceback(self, tmp_path, name, overrides):
+        src = Path(chiralspin.__file__).parents[1]
+        argv = ["experiment", name]
+        for override in overrides:
+            argv += ["--set", override]
+
+        def cap_memory():
+            # an input that is not refused fails fast here instead of exhausting the host
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "chiralspin.cli", *argv, "--output", str(tmp_path / "t")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=cap_memory, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ERROR invariant=")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("name, override", [
         ("decoherence_budget", "cascade.gamma_hz=5"),

@@ -6,6 +6,7 @@ import pytest
 from chiralspin import (
     DensityMatrix,
     DomainError,
+    ModeSpec,
     Operator,
     StateStack,
     basis_vector,
@@ -86,6 +87,14 @@ class TestBosonOperators:
     def test_bad_cutoff_rejected(self, bad):
         with pytest.raises(DomainError):
             boson_operators(bad)
+
+
+    @pytest.mark.parametrize("reader", [boson_factor, lambda c: ModeSpec(+1, +1, 1.0, 0.1, c)],
+                             ids=["boson_factor", "ModeSpec"])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    def test_bad_cutoff_rejected_by_every_reader(self, reader, bad):
+        with pytest.raises(DomainError, match=f"Fock cutoff must be a positive integer, got {bad}"):
+            reader(bad)
 
 
 class TestEmbed:
@@ -356,6 +365,50 @@ class TestDensityMatrixInvariants:
         m = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
         with pytest.raises(DomainError):
             DensityMatrix(two_spin_space, m).validate()
+
+
+    @staticmethod
+    def on_support(matrix, support, dim=8):
+        full = np.zeros((dim, dim), dtype=complex)
+        full[np.ix_(support, support)] = matrix
+        return DensityMatrix(HilbertSpace((spin_factor(0.5),) * 3), full)
+
+    @staticmethod
+    def full_space_verdict(rho):
+        """validate()'s message for a unit-trace state, eigenvalues taken on the whole space."""
+        herm = 0.5 * (rho.matrix + rho.matrix.conj().T)
+        lo = float(np.linalg.eigvalsh(herm)[0])
+        dev = float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
+        if dev > 1e-10:
+            return f"density matrix hermiticity deviation {dev:.3e} exceeds 1e-10"
+        if lo < -1e-8:
+            return f"density matrix minimum eigenvalue {lo:.3e} below -1e-08"
+        return None
+
+    @pytest.mark.parametrize("case", ["basis_state", "negative_inside", "nonhermitian_block",
+                                      "mixed_block", "full_support"])
+    def test_partial_support_verdicts_match_full_space(self, rng, case):
+        # the lowest eigenvalue is taken on the nonzero block; verdicts and messages are
+        # those of a full-space eigvalsh
+        if case == "basis_state":
+            rho = self.on_support([[1.0]], [5])
+        elif case == "negative_inside":
+            rho = self.on_support(np.diag([0.7, 0.5, -0.2]), [0, 3, 6])
+        elif case == "nonhermitian_block":
+            rho = self.on_support([[0.5, 0.3], [0.0, 0.5]], [2, 7])
+        elif case == "mixed_block":
+            rho = self.on_support(random_density(rng, 4), [1, 2, 4, 7])
+        else:
+            rho = self.on_support(random_density(rng, 8), range(8))
+        expected = self.full_space_verdict(rho)
+        if expected is None:
+            assert rho.validate() is rho
+            full = float(np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T))[0])
+            assert rho.min_eigenvalue() == pytest.approx(full, abs=1e-15)
+        else:
+            with pytest.raises(DomainError) as err:
+                rho.validate()
+            assert str(err.value) == expected
 
 
 class TestHilbertSpace:

@@ -127,6 +127,29 @@ class TestEvolveBasics:
             with pytest.raises(Computed):
                 run(IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
+    @pytest.mark.parametrize("entry", ["evolve", "nonhermitian", "nonhermitian_jump"])
+    def test_driver_entry_checks_every_evolution(self, pair_spec, entry):
+        # a watch on another space, a generator that a tiny rate_scale makes non-finite, and
+        # step grids numpy cannot size (ValueError at 1e33 steps, MemoryError at 1e15)
+        spec = pair_spec(gamma=1.0, kd=0.4)
+        model = build_cascade_model(spec)
+        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
+        jump = (1.0, embed(spin_operators(0.5)[1], 0, h_nh.space)) if entry == "nonhermitian_jump" else None
+
+        def run(cfg, watch=()):
+            if entry == "evolve":
+                return evolve(model, pure(model.space, UD), cfg, watch)
+            return evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD), cfg, jump=jump, watch=watch)
+
+        one_spin = single_spin_decay_model(SpinSite(0.5, 0.0), 1.0).jumps[0][1]
+        with pytest.raises(DomainError, match="watched operator 'far' acts on a different space"):
+            run(IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2), [("far", one_spin)])
+        with pytest.raises(DomainError, match="rate_scale 1.000e-310 leaves the scaled generator"):
+            run(IntegratorConfig(t_final=1.0, rate_scale=1e-310))
+        for t_final in (1e30, 1e12):
+            with pytest.raises(DomainError, match=f"grid of {round(t_final / 1e-3)} steps is too large"):
+                run(IntegratorConfig(t_final=t_final, rate_scale=1.0, dt=1e-3))
+
     def test_state_recording(self, pair_spec):
         model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2, record_states_stride=10)

@@ -12,8 +12,12 @@ from chiralspin import (
     build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
+    embed,
+    site_number_operators,
     spin_operators,
 )
+import chiralspin.models as models_module
+from chiralspin.core import spin_factor
 from chiralspin.validation import (
     dark_state_residual,
     excitation_conservation,
@@ -64,6 +68,39 @@ class TestModeSpec:
     def test_negative_coupling_rejected(self):
         with pytest.raises(DomainError):
             ModeSpec(+1, +1, 1.0, -0.1, 2)
+
+
+class TestDenseGuard:
+    @pytest.mark.parametrize("build", [
+        lambda: build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, [SpinSite(0.5, 1e-7 * j) for j in range(40)])),
+        lambda: build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, [SpinSite(1e12, 0.0), SpinSite(0.5, 1.0)])),
+        lambda: build_nonhermitian_hamiltonian(
+            CascadeSpec(1.0, 0.0, 0.0, [SpinSite(1e12, 0.0), SpinSite(0.5, 1.0)]), "forward"),
+        lambda: build_full_model([SpinSite(0.5, 0.0), SpinSite(0.5, 1.0)], [ModeSpec(+1, +1, 1.0, 0.1, 10**8)]),
+    ], ids=["cascade_40_sites", "cascade_spin_1e12", "nonhermitian_spin_1e12", "full_cutoff_1e8"])
+    def test_oversized_space_rejected(self, build):
+        # refused by the one guard, before numpy is asked for a matrix of that size
+        with pytest.raises(DomainError, match="exceeds the dense limit 4096"):
+            build()
+
+    def test_bound_is_inclusive(self):
+        # the guard sizes the space only, so this allocates nothing: 4096 states pass
+        assert models_module._dense_space([spin_factor(0.5)] * 12).dim == 4096
+        with pytest.raises(DomainError, match="8192"):
+            models_module._dense_space([spin_factor(0.5)] * 13)
+
+
+class TestSiteNumberOperators:
+    @pytest.mark.parametrize("spins", [(0.5,) * 9, (0.5, 1.0, 1.5, 0.5), (1.0,) * 5, (2.5, 0.5, 1.0)],
+                             ids=["9x1/2", "1/2,1,3/2,1/2", "5x1", "5/2,1/2,1"])
+    def test_equal_product_of_embedded_ladders_bit_for_bit(self, spins):
+        sites = [SpinSite(s, 1e-7 * j) for j, s in enumerate(spins)]
+        space = build_cascade_model(CascadeSpec(0.0, 0.0, 0.0, sites)).space
+        for j, (site, op) in enumerate(zip(sites, site_number_operators(space, sites))):
+            sp, sm, _ = spin_operators(site.s)
+            product = (embed(sp, j, space) @ embed(sm, j, space)).matrix
+            assert np.array_equal(op.matrix, product)
+            assert np.array_equal(np.signbit(op.matrix.view(float)), np.signbit(product.view(float)))
 
 
 class TestCascadeSpec:
