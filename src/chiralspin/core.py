@@ -22,6 +22,7 @@ import operator
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -91,7 +92,12 @@ def _boson_dim(cutoff: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """An ordered list of spin/boson factors; total dimension is their product."""
+    """An ordered list of spin/boson factors; total dimension is their product.
+
+    ``dim`` and ``dims`` are computed on first read and kept on the instance; they
+    are left out of the pickled state, so only ``factors`` is compared, hashed and
+    pickled.
+    """
 
     factors: tuple[Factor, ...]
 
@@ -100,13 +106,16 @@ class HilbertSpace:
             raise DomainError("a Hilbert space needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return prod(f.dim for f in self.factors)
+        return prod(self.dims)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
+
+    def __getstate__(self):
+        return {"factors": self.factors}
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -249,15 +258,24 @@ def spin_operators(s: float) -> tuple[Operator, Operator, Operator]:
 
     Satisfies [S_z, S_+-] = +-S_+- and S_+ S_- - S_- S_+ = 2 S_z exactly.
     """
+    space = HilbertSpace((Factor("spin", _spin_dim(s)),))
+    return tuple(Operator(space, m) for m in _spin_ladders(s))
+
+
+@lru_cache(maxsize=64)
+def _spin_ladders(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only matrices of :func:`spin_operators`, built once per ``s``."""
     dim = _spin_dim(s)
-    space = HilbertSpace((Factor("spin", dim),))
     m = s - np.arange(dim)  # descending: +s, s-1, ..., -s
     sz = np.diag(m.astype(complex))
     sp = np.zeros((dim, dim), dtype=complex)
     for col in range(1, dim):
         mm = m[col]
         sp[col - 1, col] = np.sqrt(s * (s + 1) - mm * (mm + 1))
-    return (Operator(space, sp), Operator(space, sp.conj().T), Operator(space, sz))
+    ladders = (sp, np.array(sp.conj().T), sz)
+    for matrix in ladders:
+        matrix.setflags(write=False)
+    return ladders
 
 
 def boson_operators(cutoff: int) -> tuple[Operator, Operator]:
@@ -285,18 +303,22 @@ def zero(space: HilbertSpace) -> Operator:
 
 def embed(op: Operator, site: int, space: HilbertSpace) -> Operator:
     """Place ``op`` on factor ``site`` of ``space``, identity elsewhere."""
-    if not (0 <= site < len(space.factors)):
-        raise DomainError(f"site {site} out of range for {len(space.factors)} factors")
-    target = space.factors[site]
-    if op.space.dim != target.dim:
+    return Operator(space, _embedded(op.matrix, site, space.dims))
+
+
+def _embedded(matrix: np.ndarray, site: int, dims: tuple[int, ...]) -> np.ndarray:
+    """:func:`embed` on raw arrays: a new array on the space of factor dimensions ``dims``."""
+    if not (0 <= site < len(dims)):
+        raise DomainError(f"site {site} out of range for {len(dims)} factors")
+    if matrix.shape[0] != dims[site]:
         raise DomainError(
-            f"operator dimension {op.space.dim} does not match factor {site} dimension {target.dim}")
-    # the (left, d, right) x (left, d, right) block diagonal of I_left (x) op (x) I_right
-    left, d, right = prod(space.dims[:site]), target.dim, prod(space.dims[site + 1:])
+            f"operator dimension {matrix.shape[0]} does not match factor {site} dimension {dims[site]}")
+    # the (left, d, right) x (left, d, right) block diagonal of I_left (x) matrix (x) I_right
+    left, d, right = prod(dims[:site]), dims[site], prod(dims[site + 1:])
     out = np.zeros((left, d, right, left, d, right), dtype=complex)
-    i, j = np.ogrid[:left, :right]
-    out[i, :, j, i, :, j] = op.matrix
-    return Operator(space, out.reshape(space.dim, space.dim))
+    i, j = np.arange(left)[:, None], np.arange(right)
+    out[i, :, j, i, :, j] = matrix
+    return out.reshape(left * d * right, left * d * right)
 
 
 def tensor_product(*ops: Operator) -> Operator:

@@ -128,8 +128,9 @@ class Trajectory:
 
     ``times`` are dimensionless (units of 1/``rate_scale``); ``observables``
     maps each watch label to a complex array aligned with ``times``. The
-    imaginary part of a Hermitian observable (O equal to O^dag entry for
-    entry) is exactly 0 and its real part is Re tr(O rho); the dropped part
+    imaginary part of an observable that is Hermitian on the run's closed
+    support S (O[S,S] equal to its adjoint entry for entry, as every Hermitian O
+    is) is exactly 0 and its real part is Re tr(O rho); the dropped part
     comes from the anti-Hermitian rounding of rho, which the diagnostic
     ``max_hermiticity_dev`` reports.
 
@@ -334,9 +335,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     evolves the block of rho on the generator's closed support S (see the module
     docstring) and records states on S, in one preallocated stack. Watched
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
-    so one stacked product records them all. For a Hermitian O the recorded
-    imaginary part is set to exactly 0, which leaves Re tr(O rho) =
-    tr(O (rho + rho^dag)/2). Each iteration steps a chunk of
+    so one stacked product records them all. Where the block O[S,S] is
+    Hermitian the recorded imaginary part is set to exactly 0, which leaves
+    Re tr(O rho) = tr(O (rho + rho^dag)/2). Each iteration steps a chunk of
     blocks of K steps (K = 1 on the stage path), one product per block, and
     then handles the chunk with array operations: it checks the trace drift
     of every step, records the samples and states, and runs the diagnostics on
@@ -375,7 +376,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         return low if d == space.dim else min(low, 0.0)
 
     labels = [label for label, _ in watch_ops]
-    functionals = np.array([op.matrix[cut].T.reshape(-1) for _, op in watch_ops],
+    blocks = [op.matrix[cut] for _, op in watch_ops]  # O[S, S], all of O that tr(O rho) reads
+    functionals = np.array([block.T.reshape(-1) for block in blocks],
                            dtype=complex).reshape(len(labels), d * d)
 
     rho = rho0.matrix[cut].astype(complex)
@@ -471,7 +473,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         diagnostics["max_trace_drift"] = max_trace_drift
     else:
         diagnostics["final_trace"] = trace_prev
-    hermitian = [np.array_equal(op.matrix, op.matrix.conj().T) for _, op in watch_ops]
+    hermitian = [np.array_equal(block, block.conj().T) for block in blocks]
     table.imag[hermitian] = 0.0
     traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
                       StateStack(space, support, rho[None])[0], cfg.rate_scale, diagnostics)

@@ -20,18 +20,18 @@ Sign and phase conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .core import (
     HilbertSpace,
     Operator,
+    _embedded,
+    _spin_ladders,
     boson_factor,
     boson_operators,
-    embed,
     spin_factor,
-    spin_operators,
-    zero,
 )
 from .errors import DomainError
 
@@ -199,9 +199,8 @@ def _spin_space(sites) -> HilbertSpace:
     return _dense_space(spin_factor(s.s) for s in sites)
 
 
-def _site_ops(space: HilbertSpace, sites, index: int):
-    sp, sm, sz = spin_operators(sites[index].s)
-    return embed(sp, index, space), embed(sm, index, space), embed(sz, index, space)
+def _zeros(space: HilbertSpace) -> np.ndarray:
+    return np.zeros((space.dim, space.dim), dtype=complex)
 
 
 def build_full_model(spins, modes) -> LindbladModel:
@@ -222,28 +221,27 @@ def build_full_model(spins, modes) -> LindbladModel:
         raise DomainError("the full model needs at least one mode")
     space = _dense_space(tuple(spin_factor(s.s) for s in spins)
                          + tuple(boson_factor(m.fock_cutoff) for m in modes))
+    dims = space.dims
     delta_ref = modes[0].detuning
-    h = zero(space)
-    for j in range(len(spins)):
-        _, _, sz = _site_ops(space, spins, j)
-        h = h + delta_ref * sz
+    h = _zeros(space)
+    for j, spin in enumerate(spins):
+        h += _embedded(_spin_ladders(spin.s)[2], j, dims) * complex(delta_ref)
     for m_idx, mode in enumerate(modes):
-        a, adag = boson_operators(mode.fock_cutoff)
-        a_full = embed(a, len(spins) + m_idx, space)
-        adag_full = embed(adag, len(spins) + m_idx, space)
+        a, adag = (_embedded(op.matrix, len(spins) + m_idx, dims)
+                   for op in boson_operators(mode.fock_cutoff))
         if mode.coupling_class == ROTATING:
             offset = delta_ref - mode.detuning
         else:
             offset = mode.detuning - delta_ref
         if offset != 0.0:
-            h = h + offset * (adag_full @ a_full)
-        for j in range(len(spins)):
-            sp, sm, _ = _site_ops(space, spins, j)
+            h += (adag @ a) * complex(offset)
+        for j, spin in enumerate(spins):
+            sp, sm = (_embedded(m, j, dims) for m in _spin_ladders(spin.s)[:2])
             if mode.coupling_class == ROTATING:
-                h = h + mode.g * (sm @ adag_full + sp @ a_full)
+                h += (sm @ adag + sp @ a) * complex(mode.g)
             else:
-                h = h + mode.g * (sp @ adag_full + sm @ a_full)
-    return LindbladModel(h, (), space)
+                h += (sp @ adag + sm @ a) * complex(mode.g)
+    return LindbladModel(Operator(space, h), (), space)
 
 
 def _pair_geometry(spec: CascadeSpec):
@@ -276,30 +274,46 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     z^dag z itself (the product conj(c_j) c_l of the jump weights), so in
     K = H - i r z^dag z the upstream entries cancel exactly, not only to
     rounding: the effective Hamiltonian never moves an excitation against
-    the channel.
+    the channel. The builder holds one embedded ladder at a time.
     """
     sites = spec.sites
     space = _spin_space(sites)
-    n = len(sites)
-    h = zero(space)
+    dims, n = space.dims, len(sites)
+    h = _zeros(space)
     jumps = []
     for rate, order in ((spec.gamma, range(n)), (spec.gamma_prime, range(n - 1, -1, -1))):
         if rate <= 0:
             continue
         head = sites[order[0]].position_z
-        z = zero(space)
-        downstream = zero(space)  # sum of S_l^- over the sites after the current one
-        upstream_hops = zero(space)  # sum of S_j^+ S_l^- over j upstream of l
+        z = _zeros(space)
         for j in reversed(order):
-            sp_j, sm_j, _ = _site_ops(space, sites, j)
-            z = z + np.exp(-1j * spec.k_z * abs(sites[j].position_z - head)) * sm_j
-            upstream_hops = upstream_hops + sp_j @ downstream
-            downstream = downstream + sm_j
-        zz = z.matrix.conj().T @ z.matrix  # the same product LindbladModel.generator forms
-        t = (1j * rate) * np.where(upstream_hops.matrix != 0, zz, 0)
-        h = h + Operator(space, t + t.conj().T)
-        jumps.append((2.0 * rate, z))
-    return LindbladModel(h, tuple(jumps), space)
+            weight = complex(np.exp(-1j * spec.k_z * abs(sites[j].position_z - head)))
+            z += _embedded(_spin_ladders(sites[j].s)[1], j, dims) * weight
+        zz = z.conj().T @ z  # the same product LindbladModel.generator forms
+        t = (1j * rate) * np.where(_upstream_hops(dims, order), zz, 0)
+        h += t + t.conj().T
+        jumps.append((2.0 * rate, Operator(space, z)))
+    return LindbladModel(Operator(space, h), tuple(jumps), space)
+
+
+def _upstream_hops(dims: tuple[int, ...], order) -> np.ndarray:
+    """The entries (a, b) where S_j^+ S_l^- is nonzero for a site j before a site l in ``order``.
+
+    Such an entry moves one quantum from l to j: in the descending-m basis, b has a
+    digit above 0 at j and below the top at l, and a is b with the digit at j lowered
+    by one and the digit at l raised by one. Every ladder coefficient is at least 1,
+    so no such entry is zero, and no two site pairs share one.
+    """
+    index = np.arange(prod(dims))
+    strides = [prod(dims[i + 1:]) for i in range(len(dims))]
+    raisable = [index // stride % d > 0 for stride, d in zip(strides, dims)]
+    lowerable = [index // stride % d < d - 1 for stride, d in zip(strides, dims)]
+    mask = np.zeros((index.size, index.size), dtype=bool)
+    for at, j in enumerate(order):
+        for l in order[at + 1:]:
+            b = np.flatnonzero(raisable[j] & lowerable[l])
+            mask[b - strides[j] + strides[l], b] = True
+    return mask
 
 
 def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operator:
@@ -313,20 +327,18 @@ def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operato
     phi = _pair_geometry(spec)
     rate, up, down = _direction_roles(spec, direction)
     space = _spin_space(spec.sites)
-    sp_up, sm_up, _ = _site_ops(space, spec.sites, up)
-    sp_down, sm_down, _ = _site_ops(space, spec.sites, down)
-    n_up = sp_up @ sm_up
-    n_down = sp_down @ sm_down
-    transfer = (2.0 * np.exp(1j * phi)) * (sm_up @ sp_down)
-    return (-1j * rate) * (n_up + n_down + transfer)
+    sp_up, sm_up, sp_down, sm_down = (_embedded(_spin_ladders(spec.sites[j].s)[k], j, space.dims)
+                                      for j in (up, down) for k in (0, 1))
+    transfer = (sm_up @ sp_down) * complex(2.0 * np.exp(1j * phi))
+    return Operator(space, (sp_up @ sm_up + sp_down @ sm_down + transfer) * complex(-1j * rate))
 
 
 def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:
     """Per-site excitation number operators S_j^+ S_j^- embedded in ``space``."""
     ops = []
     for j, site in enumerate(sites):
-        sp, sm, _ = spin_operators(site.s)
-        ops.append(embed(sp @ sm, j, space))
+        sp, sm, _ = _spin_ladders(site.s)
+        ops.append(Operator(space, _embedded(sp @ sm, j, space.dims)))
     return ops
 
 
@@ -336,13 +348,11 @@ def total_excitation(space: HilbertSpace) -> Operator:
     Commutes with every rotating-class coupling; counter-rotating couplings
     violate it, which is exactly what makes them strongly detuned.
     """
-    out = zero(space)
+    out = _zeros(space)
     for i, f in enumerate(space.factors):
         if f.kind == "spin":
-            _, _, sz = spin_operators((f.dim - 1) / 2.0)
-            out = out + embed(sz, i, space)
+            out += _embedded(_spin_ladders((f.dim - 1) / 2.0)[2], i, space.dims)
         else:
             a, adag = boson_operators(f.dim - 1)
-            num = adag @ a
-            out = out + embed(num, i, space)
-    return out
+            out += _embedded(adag.matrix @ a.matrix, i, space.dims)
+    return Operator(space, out)

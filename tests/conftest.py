@@ -1,9 +1,39 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from chiralspin import CascadeSpec, DensityMatrix, SpinSite
+from chiralspin import CascadeSpec, DensityMatrix, LindbladModel, Operator, SpinSite
 from chiralspin.core import HilbertSpace, spin_factor
 from chiralspin.validation import random_density
+
+
+def model_digest(*items) -> str:
+    """SHA-256 over the bits of every matrix and number in ``items``, in order.
+
+    Takes arrays, numbers, :class:`Operator` values, :class:`LindbladModel` values (the
+    Hamiltonian, each jump's rate and operator, then K of ``generator()``) and lists or
+    tuples of these. Each array adds its dtype, its shape and ``tobytes()``, which keeps
+    the sign of every zero, so two digests agree only when the values agree bit for bit.
+    """
+    digest = hashlib.sha256()
+
+    def add(item):
+        if isinstance(item, LindbladModel):
+            add((item.hamiltonian, item.jumps, item.generator().k))
+        elif isinstance(item, Operator):
+            add(item.matrix)
+        elif isinstance(item, (list, tuple)):
+            for part in item:
+                add(part)
+        else:
+            array = np.asarray(item)
+            digest.update(repr((array.dtype.str, array.shape)).encode())
+            digest.update(array.tobytes())
+
+    for item in items:
+        add(item)
+    return digest.hexdigest()
 
 
 @pytest.fixture

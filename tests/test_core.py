@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
+import inspect
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from chiralspin import (
     spin_operators,
     tensor_product,
 )
-from chiralspin.core import HilbertSpace, boson_factor, identity, spin_factor
+from chiralspin.core import HilbertSpace, _spin_ladders, boson_factor, identity, spin_factor
 from chiralspin.validation import (
     boson_truncation,
     dagger_involution,
@@ -61,6 +65,25 @@ class TestSpinOperators:
     def test_non_half_integer_rejected(self, bad):
         with pytest.raises(DomainError):
             spin_operators(bad)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_memoised_ladders_are_read_only(self, s):
+        # the ladders are built once per s and shared; no caller can write into them
+        assert _spin_ladders(s) is _spin_ladders(s)
+        for ladder, op in zip(_spin_ladders(s), spin_operators(s)):
+            assert np.array_equal(ladder, op.matrix)
+            with pytest.raises(ValueError):
+                ladder[0, 0] = 7.0
+
+    def test_exported_functions_stay_plain_functions(self):
+        # a caching wrapper on an exported name would hide it from function-level tracing
+        for module_name in ("cli", "core", "dynamics", "experiments", "g17", "materials", "models",
+                            "validation"):
+            module = importlib.import_module(f"chiralspin.{module_name}")
+            for name in module.__all__:
+                value = getattr(module, name)
+                if callable(value) and not inspect.isclass(value):
+                    assert inspect.isfunction(value), f"{module.__name__}.{name}"
 
 
 class TestBosonOperators:
@@ -125,7 +148,8 @@ class TestEmbed:
         (spin_factor(0.5), spin_factor(0.5), boson_factor(2)),
         (spin_factor(1.0), spin_factor(0.5), spin_factor(0.5), boson_factor(3)),
         (spin_factor(0.5),) * 5,
-    ], ids=["2,2", "2,2,3", "3,2,2,4", "2^5"])
+        (boson_factor(2), spin_factor(1.0), boson_factor(1), spin_factor(0.5)),
+    ], ids=["2,2", "2,2,3", "3,2,2,4", "2^5", "3,3,2,2"])
     def test_equals_kron_chain(self, rng, factors):
         # bit for bit, except that the chain writes -0.0 where 0 * op[a, b] has a negative
         # part; adding +0.0 maps -0.0 to +0.0 and leaves every other entry's bits alone
@@ -415,6 +439,19 @@ class TestHilbertSpace:
     def test_dimension_product(self):
         space = HilbertSpace((spin_factor(1.0), boson_factor(4), spin_factor(0.5)))
         assert space.dim == 3 * 5 * 2
+
+    def test_value_semantics_unchanged_after_dim_is_read(self):
+        factors = (spin_factor(1.0), boson_factor(4), spin_factor(0.5))
+        space, fresh = HilbertSpace(factors), HilbertSpace(factors)
+        pickled, hashed = pickle.dumps(space), hash(space)
+        assert (space.dim, space.dims) == (30, (3, 5, 2))
+        assert space == fresh and hash(space) == hash(fresh) == hashed
+        assert pickle.dumps(space) == pickled == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(space))
+        assert restored == space and (restored.dim, restored.dims) == (30, (3, 5, 2))
+        assert space != HilbertSpace(factors[:2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.factors = factors[:2]
 
     def test_boson_factor_minimum(self):
         with pytest.raises(DomainError):

@@ -14,6 +14,7 @@ from chiralspin import (
     IntegrationError,
     IntegratorConfig,
     ModeSpec,
+    Operator,
     Trajectory,
     SpinSite,
     basis_vector,
@@ -542,6 +543,26 @@ class TestRecordedObservables:
         exact = np.array([expectation(coherence, state) for state in traj.states])
         assert np.max(np.abs(series[at_states] - exact)) <= 1e-12
         assert np.max(np.abs(series.imag)) > 1e-2
+
+    def test_hermitian_on_the_support_records_exact_zero(self, pair_spec, rng):
+        # a head-excited forward pair runs on the support S = {|ud>, |du>, |dd>}; the watch
+        # breaks Hermiticity only in row |uu>, outside S, where tr(O rho) never reads it
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.9))
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        hermitian = m + m.conj().T
+        off_support = hermitian.copy()
+        off_support[0, 1] += 3.0
+        watch = [("hermitian", Operator(model.space, hermitian)),
+                 ("off_support", Operator(model.space, off_support))]
+        cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, record_states_stride=25)
+        traj = evolve(model, pure(model.space, UD), cfg, watch)
+        assert not watch[1][1].is_hermitian()
+        series = traj.observables["off_support"]
+        assert np.all(series.imag == 0.0)
+        assert np.max(np.abs(series.real - traj.observables["hermitian"].real)) <= 1e-12
+        at_states = np.isin(traj.times, traj.state_times)
+        exact = np.array([expectation(watch[1][1], state).real for state in traj.states])
+        assert np.max(np.abs(series.real[at_states] - exact)) <= 1e-12
 
 
 class TestNoBackAction:

@@ -15,6 +15,7 @@ from chiralspin import (
     embed,
     site_number_operators,
     spin_operators,
+    total_excitation,
 )
 import chiralspin.models as models_module
 from chiralspin.core import spin_factor
@@ -27,6 +28,7 @@ from chiralspin.validation import (
     random_density,
     upstream_frozen,
 )
+from conftest import model_digest
 
 # one-excitation basis bookkeeping for two spins-1/2: |uu>, |ud>, |du>, |dd>
 UU, UD, DU, DD = 0, 1, 2, 3
@@ -54,6 +56,42 @@ def lindblad_rhs(h, rate_ops, rho):
         zd = z.conj().T
         out += rate * (z @ rho @ zd - 0.5 * (zd @ z @ rho + rho @ zd @ z))
     return out
+
+
+def builder_grid():
+    """The output of every model builder over a fixed grid of spins, channels and modes."""
+    spins = (0.5, 1.0, 0.5, 1.5, 0.5, 0.5)
+    rates = ((1.3, 0.0), (0.0, 0.7), (1.3, 0.7), (0.9, 0.9), (0.0, 0.0), (2.0e3, 1.0e-3))
+    out = []
+    for n in range(2, 7):
+        chain = spins[:n] if n % 2 else spins[:n][::-1]
+        sites = tuple(SpinSite(s, 2.5e-7 * j * (1.0 + 0.1 * j)) for j, s in enumerate(chain))
+        for gamma, gamma_prime in rates:
+            model = build_cascade_model(CascadeSpec(gamma, gamma_prime, 0.7 / 2.5e-7, sites))
+            out += [model, site_number_operators(model.space, sites), total_excitation(model.space)]
+    for pair in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.5)):
+        sites = (SpinSite(pair[0], 0.0), SpinSite(pair[1], 3.1e-7))
+        for gamma, gamma_prime in rates[:4]:
+            for kd in (0.0, 0.7, 2.9):
+                spec = CascadeSpec(gamma, gamma_prime, kd / 3.1e-7, sites)
+                out += [build_nonhermitian_hamiltonian(spec, d) for d in ("forward", "backward")]
+    for pair in ((0.5, 0.5), (0.5, 1.0)):
+        sites = (SpinSite(pair[0], 0.0), SpinSite(pair[1], 2.5e-7))
+        for cutoff in (1, 2, 3):
+            for modes in ((ModeSpec(+1, +1, 5.0, 0.3, cutoff),),
+                          (ModeSpec(-1, -1, 80.0, 0.2, cutoff),),
+                          (ModeSpec(+1, +1, 5.0, 0.3, cutoff), ModeSpec(-1, -1, 80.0, 0.2, 1)),
+                          (ModeSpec(-1, -1, 40.0, 0.4, cutoff), ModeSpec(+1, +1, 7.5, 0.1, 2))):
+                model = build_full_model(sites, modes)
+                out += [model, total_excitation(model.space)]
+    return out
+
+
+class TestBuilderDigest:
+    def test_builders_unchanged_bit_for_bit(self):
+        # pinned to the array-by-array builders as they stood before they moved to raw arrays;
+        # any change of an entry, a zero's sign, a shape or a rate changes the digest
+        assert model_digest(builder_grid()) == "41e559c4c02673254999fe135d8ef4bec8e1a6edaf81db1f3f4833d6cb6e5b2c"
 
 
 class TestModeSpec:
