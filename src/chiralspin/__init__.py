@@ -21,6 +21,7 @@ from .core import (
     partial_trace,
     partial_trace_stack,
     spin_operators,
+    spin_state,
     tensor_product,
 )
 from .dynamics import IntegratorConfig, Trajectory, evolve, evolve_nonhermitian, fit_exchange_rate

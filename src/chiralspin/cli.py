@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import g17
-from .core import DensityMatrix, basis_vector
+from .core import DensityMatrix, spin_state
 from .dynamics import IntegratorConfig, evolve
 from .errors import DomainError, FitError, IntegrationError
 from .experiments import (
@@ -346,19 +346,18 @@ def _config_modes(config: RunConfig) -> tuple[ModeSpec, ...]:
 
 
 def _read_simulate(config: RunConfig):
-    """Integrate one basis state of a configured model and report every spin population.
+    """Integrate one start state of a configured model and report every spin population.
 
     Without ``modes`` the model is the cascade over ``spin.positions_m`` with the
-    channels of ``cascade.direction``; with ``modes`` it is the closed spin-pair/mode
-    model, started in |up, down, vacuum>.
+    channels of ``cascade.direction``, started as ``spin.initial`` names; with ``modes``
+    it is the spin-pair/mode model of ``build_full_model``, started in |up, down, vacuum>.
+    Up is m = +s and down m = -s, the rule of :func:`~chiralspin.core.spin_state`.
     """
     sites = config.spin_sites()
     if "modes" in config.data:
         modes = _config_modes(config)
-        if len(sites) != 2:
-            raise DomainError("mode-based simulation takes exactly two spin positions")
         model = build_full_model(sites, modes)
-        pattern = [0, 1] + [0] * len(modes)  # first spin excited, vacuum modes
+        up = (0,)
         default_scale = abs(modes[0].detuning)
         parameters = {"modes": [{"momentum_sign": m.momentum_sign, "pam": m.pam,
                                  "detuning_hz": m.detuning / TWO_PI, "g_hz": m.g / TWO_PI,
@@ -379,20 +378,15 @@ def _read_simulate(config: RunConfig):
                        gamma_prime=spec.gamma_prime if backward else 0.0)  # the channels that run
         model = build_cascade_model(spec)
         initial = config.value("spin", "initial", "head_excited")
-        if initial == "head_excited":
-            pattern = [0] + [1] * (len(sites) - 1)
-        elif initial == "tail_excited":
-            pattern = [1] * (len(sites) - 1) + [0]
-        elif initial == "all_ground":
-            pattern = [1] * len(sites)
-        elif isinstance(initial, list):
-            mapping = {"up": 0, "down": 1}
-            try:
-                pattern = [mapping[token] for token in initial]
-            except (KeyError, TypeError) as exc:
-                raise DomainError(f"spin.initial entries must be 'up' or 'down', got {initial}") from exc
-            if len(pattern) != len(sites):
+        named = {"head_excited": (0,), "tail_excited": (len(sites) - 1,), "all_ground": ()}
+        if isinstance(initial, list):
+            if not all(token in ("up", "down") for token in initial):
+                raise DomainError(f"spin.initial entries must be 'up' or 'down', got {initial}")
+            if len(initial) != len(sites):
                 raise DomainError("spin.initial length must match the number of positions")
+            up = [i for i, token in enumerate(initial) if token == "up"]
+        elif isinstance(initial, str) and initial in named:
+            up = named[initial]
         else:
             raise DomainError(f"unknown spin.initial {initial!r}")
         default_scale = max(spec.gamma, spec.gamma_prime)
@@ -406,7 +400,7 @@ def _read_simulate(config: RunConfig):
     parameters.update(positions_m=[site.position_z for site in sites],
                       integrator={"dt": cfg.dt, "t_final": cfg.t_final,
                                   "rate_scale_rad_s": cfg.rate_scale})
-    rho0 = DensityMatrix.from_pure(model.space, basis_vector(model.space, pattern))
+    rho0 = DensityMatrix.from_pure(model.space, spin_state(model.space, up))
     populations = [(f"pop_{site.label}", op)
                    for site, op in zip(sites, site_number_operators(model.space, sites))]
 
@@ -424,9 +418,8 @@ def _read_simulate(config: RunConfig):
     return simulate
 
 
-def _couplings(material, geom, kind, params) -> ExperimentReport:
-    budget = coupling_table(material, geom, kind, params.get("delta_hz", 1e4),
-                            drive_u=params.get("drive_u"), n=params.get("n", 1))
+def _couplings(material, geom, kind, delta_hz, drive_u, n) -> ExperimentReport:
+    budget = coupling_table(material, geom, kind, delta_hz, drive_u=drive_u, n=n)
     metrics = {}
     for row in budget.rows:
         tag = f"{'p' if row.momentum_sign > 0 else 'm'}k_{'p' if row.pam > 0 else 'm'}L"
@@ -456,7 +449,7 @@ _EXPERIMENTS = {
     "simulate": ({}, _read_simulate),
     "couplings": ({"delta_hz": "number", "drive_u": "number", "n": "count"}, lambda config: partial(
         _couplings, config.material(), config.geometry(), config.value("spin", "kind", "electron"),
-        config.experiment_parameters)),
+        config.parameter("delta_hz", 1e4), config.parameter("drive_u"), config.parameter("n", 1))),
     "transfer_asymmetry": ({}, lambda config: partial(transfer_asymmetry, config.cascade_spec())),
     "reciprocity_sweep": ({"ratios": "numbers"}, lambda config: partial(
         reciprocity_sweep, config.cascade_spec(), config.parameter("ratios", (0.0, 0.25, 0.5, 1.0)))),
@@ -576,7 +569,6 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
             digests[name], grid = _write_trajectory_csv(outdir / name, traj, grid, keep_grid)
             refs.append(name)
             written.append(outdir / name)
-    report.trajectory_refs = refs
 
     if "json" in formats:
         payload = {
@@ -687,14 +679,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_coup = sub.add_parser("couplings", help="four-mode coupling budget for a material/resonator")
-    p_coup.add_argument("--material", default="alpha-SiO2")
-    p_coup.add_argument("--l", type=float, default=1e-6, help="beam length along the chiral axis, m")
-    p_coup.add_argument("--w", type=float, default=1e-7, help="beam width, m")
-    p_coup.add_argument("--h", type=float, default=1e-7, help="beam height, m")
-    p_coup.add_argument("--delta", type=float, default=1e4, help="detuning from the co-rotating branch, Hz")
-    p_coup.add_argument("--spin", choices=("electron", "nuclear"), default="electron")
-    p_coup.add_argument("--drive-u", type=float, default=None, help="driven strain amplitude (replaces vacuum)")
-    p_coup.add_argument("--n", type=int, default=1, help="standing-mode index")
+    # a flag left out is left out of the config too, so the config accessors' defaults apply
+    p_coup.add_argument("--material")
+    p_coup.add_argument("--l", type=float, help="beam length along the chiral axis, m")
+    p_coup.add_argument("--w", type=float, help="beam width, m")
+    p_coup.add_argument("--h", type=float, help="beam height, m")
+    p_coup.add_argument("--delta", type=float, help="detuning from the co-rotating branch, Hz")
+    p_coup.add_argument("--spin", choices=("electron", "nuclear"))
+    p_coup.add_argument("--drive-u", type=float, help="driven strain amplitude (replaces vacuum)")
+    p_coup.add_argument("--n", type=int, help="standing-mode index")
     p_coup.add_argument("--output", default=None, help="emit report files into this directory")
 
     p_sim = sub.add_parser("simulate", help="integrate a configured model and emit trajectories")
@@ -716,14 +709,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "couplings":
+        def given(**flags) -> dict:
+            return {key: value for key, value in flags.items() if value is not None}
+
         config_dict = {
             "schema_version": SCHEMA_VERSION,
-            "material": args.material,
-            "geometry": {"l_m": args.l, "w_m": args.w, "h_m": args.h},
-            "spin": {"kind": args.spin},
+            **given(material=args.material, geometry=given(l_m=args.l, w_m=args.w, h_m=args.h) or None,
+                    spin=given(kind=args.spin) or None),
             "experiment": {"name": "couplings",
-                           "parameters": {"delta_hz": args.delta, "n": args.n,
-                                          **({"drive_u": args.drive_u} if args.drive_u is not None else {})}},
+                           "parameters": given(delta_hz=args.delta, drive_u=args.drive_u, n=args.n)},
         }
         return _execute(lambda: RunConfig.from_dict(config_dict), args.output,
                         write=bool(args.output),

@@ -5,7 +5,9 @@ Conventions fixed package-wide:
 - spin bases are ordered by descending magnetic quantum number (|m=+s> first),
 - boson (Fock) bases are ordered by ascending occupation number,
 - a composite space enumerates its basis row-major over the factor list, so
-  the first factor varies slowest (same ordering as chained ``numpy.kron``).
+  the first factor varies slowest (same ordering as chained ``numpy.kron``),
+- a spin is "up" at m = +s (index 0) and "down", its ground state, at m = -s
+  (its last index); :func:`spin_state` applies this to every run's start state.
 
 These orderings are global so that emitted matrices are reproducible
 bit-for-bit. Everything here is value-semantic: instances are immutable
@@ -48,6 +50,7 @@ __all__ = [
     "partial_trace_stack",
     "expectation",
     "basis_vector",
+    "spin_state",
 ]
 
 
@@ -160,8 +163,8 @@ class Operator:
         scale = float(np.max(np.abs(self.matrix)))
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale if scale else 0.0
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        return self.antihermiticity() <= rtol
+    def is_hermitian(self) -> bool:
+        return self.antihermiticity() <= 1e-12
 
     def _check_same_space(self, other: "Operator"):
         if self.space != other.space:
@@ -200,10 +203,10 @@ class DensityMatrix:
     """A density matrix over a composite space.
 
     Construction only checks shape; physical invariants (unit trace,
-    hermiticity, positivity) are asserted by :meth:`validate`, which callers
-    use at evolution boundaries. Trace-decaying states produced by
-    non-trace-preserving evolutions are represented with the same type and
-    simply skip the trace check.
+    hermiticity, positivity) are asserted by :meth:`validate`, which
+    ``dynamics.evolve`` applies to its start state. Trace-decaying
+    states produced by non-trace-preserving evolutions are represented with the
+    same type and are never validated.
     """
 
     space: HilbertSpace
@@ -237,16 +240,15 @@ class DensityMatrix:
         low = float(np.linalg.eigvalsh(herm[np.ix_(inside, inside)])[0]) if inside.size else 0.0
         return low if inside.size == herm.shape[0] else min(low, 0.0)
 
-    def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-10,
-                 eig_tol: float = 1e-8, check_trace: bool = True) -> "DensityMatrix":
-        if check_trace and abs(self.trace() - 1.0) > trace_tol:
-            raise DomainError(f"density matrix trace {self.trace():.3e} deviates from 1 beyond {trace_tol}")
+    def validate(self) -> "DensityMatrix":
+        if abs(self.trace() - 1.0) > 1e-9:
+            raise DomainError(f"density matrix trace {self.trace():.3e} deviates from 1 beyond 1e-09")
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if dev > herm_tol:
-            raise DomainError(f"density matrix hermiticity deviation {dev:.3e} exceeds {herm_tol}")
+        if dev > 1e-10:
+            raise DomainError(f"density matrix hermiticity deviation {dev:.3e} exceeds 1e-10")
         lo = self.min_eigenvalue()
-        if lo < -eig_tol:
-            raise DomainError(f"density matrix minimum eigenvalue {lo:.3e} below -{eig_tol}")
+        if lo < -1e-8:
+            raise DomainError(f"density matrix minimum eigenvalue {lo:.3e} below -1e-08")
         return self
 
     def __repr__(self):  # pragma: no cover - cosmetic
@@ -470,3 +472,14 @@ def basis_vector(space: HilbertSpace, occupations) -> np.ndarray:
     v = np.zeros(space.dim, dtype=complex)
     v[idx] = 1.0
     return v
+
+
+def spin_state(space: HilbertSpace, up=()) -> np.ndarray:
+    """Product basis vector with the spin factors in ``up`` at m = +s, every other spin at m = -s.
+
+    Every boson factor is in its vacuum. This is the one rule for which basis digit
+    is "up" and which is "down" (the ground state) when a run's start state is made.
+    """
+    up = set(up)
+    return basis_vector(space, [(0 if i in up else f.dim - 1) if f.kind == "spin" else 0
+                                for i, f in enumerate(space.factors)])

@@ -3,7 +3,7 @@
 Every experiment is a pure function of its inputs: no randomness enters the
 pipeline, configs are owned by the experiment and recorded in its report, and
 identical inputs reproduce bit-identical reports. Points of a sweep run in
-parameter order.
+parameter order. Every run starts from :func:`~chiralspin.core.spin_state`.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import numpy as np
 from .core import (
     DensityMatrix,
     HilbertSpace,
-    basis_vector,
     boson_operators,
     embed,
     partial_trace_stack,
     spin_factor,
     spin_operators,
+    spin_state,
     zero,
 )
-from .dynamics import IntegratorConfig, Trajectory, evolve, evolve_nonhermitian, fit_exchange_rate
+from .dynamics import IntegratorConfig, evolve, evolve_nonhermitian, fit_exchange_rate
 from .errors import DomainError, FitError
 from .materials import effective_gamma
 from .models import (
@@ -63,15 +63,14 @@ class ExperimentReport:
 
     Flag keys follow ``<metric>__<condition>`` so every flag names the metric
     it judges; :meth:`validate` enforces that the metric exists.
-    ``trajectories`` holds the in-memory time series; the CLI serializes them
-    and fills ``trajectory_refs`` with the written paths.
+    ``trajectories`` holds the in-memory time series, which the CLI writes
+    one CSV each.
     """
 
     name: str
     parameters: dict
     metrics: dict
     pass_flags: dict
-    trajectory_refs: list = field(default_factory=list)
     trajectories: dict = field(default_factory=dict)
 
     def validate(self) -> "ExperimentReport":
@@ -85,15 +84,9 @@ class ExperimentReport:
         return all(bool(v) for v in self.pass_flags.values())
 
 
-def one_excited_state(space: HilbertSpace, excited_index: int, n_boson: int = 0) -> DensityMatrix:
-    """Pure product state with one spin excited, the rest ground, bosons at ``n_boson``."""
-    occ = []
-    for i, f in enumerate(space.factors):
-        if f.kind == "spin":
-            occ.append(0 if i == excited_index else f.dim - 1)
-        else:
-            occ.append(n_boson)
-    return DensityMatrix.from_pure(space, basis_vector(space, occ))
+def one_excited_state(space: HilbertSpace, excited_index: int) -> DensityMatrix:
+    """:func:`~chiralspin.core.spin_state` with only factor ``excited_index`` up, as a density matrix."""
+    return DensityMatrix.from_pure(space, spin_state(space, (excited_index,)))
 
 
 def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
@@ -182,17 +175,17 @@ def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
 
 
 def _cascade_peaks(spec: CascadeSpec, cfg: IntegratorConfig):
-    """Forward- and backward-excited runs of the two-channel cascade model."""
+    """The head- and tail-excited runs of a two-site cascade, their watch list and the two transfer peaks."""
+    if len(spec.sites) != 2:
+        raise DomainError(f"a pair-transfer measure takes exactly two sites, got {len(spec.sites)}")
     model = build_cascade_model(spec)
     space = model.space
     n_ops = site_number_operators(space, spec.sites)
     watch = [(f"pop_{site.label or i}", op) for (i, site), op in zip(enumerate(spec.sites), n_ops)]
-
-    def run(excited: int) -> Trajectory:
-        return evolve(model, one_excited_state(space, excited), cfg, watch)
-
-    fwd, bwd = run(0), run(len(spec.sites) - 1)
-    return fwd, bwd, watch
+    fwd, bwd = (evolve(model, one_excited_state(space, excited), cfg, watch) for excited in (0, 1))
+    peak_forward = float(np.max(np.real(fwd.observables[watch[1][0]])))
+    peak_backward = float(np.max(np.real(bwd.observables[watch[0][0]])))
+    return fwd, bwd, watch, peak_forward, peak_backward
 
 
 def _asymmetry(peak_forward: float, peak_backward: float) -> float:
@@ -205,28 +198,24 @@ def _asymmetry(peak_forward: float, peak_backward: float) -> float:
 def transfer_asymmetry(spec: CascadeSpec) -> ExperimentReport:
     """Peak transferred population for both propagation senses of a spin pair.
 
-    The forward run starts with the upstream spin excited and watches the
+    The spec must hold exactly two sites. The forward run starts with the
+    upstream spin up and the downstream one down and watches the
     downstream population; the backward run mirrors it. The ratio of the two
     peaks is the asymmetry metric (infinity sentinel above 1e12). A
     jump-free non-Hermitian run of the forward channel is included for
     comparison with the semi-classical limit; it is reported, not judged.
     """
-    if len(spec.sites) != 2:
-        raise DomainError("transfer_asymmetry takes a two-site spec")
     rate_scale = max(spec.gamma, spec.gamma_prime)
     if rate_scale <= 0:
         raise DomainError("at least one channel rate must be positive")
     cfg = IntegratorConfig(t_final=8.0, rate_scale=rate_scale, dt=1e-3)
-    fwd, bwd, watch = _cascade_peaks(spec, cfg)
-    label_a, label_b = watch[0][0], watch[1][0]
-    peak_forward = float(np.max(np.real(fwd.observables[label_b])))
-    peak_backward = float(np.max(np.real(bwd.observables[label_a])))
+    fwd, bwd, watch, peak_forward, peak_backward = _cascade_peaks(spec, cfg)
+    (label_a, _), (label_b, n_b) = watch
     asym = _asymmetry(peak_forward, peak_backward)
     mirror = float(np.max(np.abs(np.real(fwd.observables[label_b]) - np.real(bwd.observables[label_a]))))
 
     h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-    psi0 = basis_vector(h_nh.space, (0, 1))
-    nh = evolve_nonhermitian(h_nh, psi0, cfg, watch=[(label_b, watch[1][1])])
+    nh = evolve_nonhermitian(h_nh, spin_state(h_nh.space, (0,)), cfg, watch=[(label_b, n_b)])
     peak_semiclassical = float(np.max(np.real(nh.observables[label_b])))
 
     metrics = {
@@ -256,7 +245,7 @@ def transfer_asymmetry(spec: CascadeSpec) -> ExperimentReport:
 
 
 def reciprocity_sweep(spec: CascadeSpec, ratios) -> ExperimentReport:
-    """Transfer asymmetry against the backward-to-forward rate ratio.
+    """Transfer asymmetry of a two-site spec against the backward-to-forward rate ratio.
 
     The asymmetry must fall monotonically with the ratio and reach ~1 at
     ratio 1, where the two channels balance and the interaction is reciprocal.
@@ -269,12 +258,8 @@ def reciprocity_sweep(spec: CascadeSpec, ratios) -> ExperimentReport:
     cfg = IntegratorConfig(t_final=8.0, rate_scale=spec.gamma, dt=1e-3)
 
     def run_point(q: float) -> float:
-        spec_q = replace(spec, gamma_prime=q * spec.gamma)
-        fwd, bwd, watch = _cascade_peaks(spec_q, cfg)
-        label_a, label_b = watch[0][0], watch[1][0]
-        pf = float(np.max(np.real(fwd.observables[label_b])))
-        pb = float(np.max(np.real(bwd.observables[label_a])))
-        return _asymmetry(pf, pb)
+        *_, peak_forward, peak_backward = _cascade_peaks(replace(spec, gamma_prime=q * spec.gamma), cfg)
+        return _asymmetry(peak_forward, peak_backward)
 
     values = [run_point(q) for q in ratios]
     order = np.argsort(ratios)

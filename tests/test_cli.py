@@ -13,7 +13,7 @@ import pytest
 
 import chiralspin
 import chiralspin.cli as cli_module
-from chiralspin import DomainError, Trajectory
+from chiralspin import DensityMatrix, DomainError, Trajectory, one_excited_state, spin_state
 from chiralspin import validation
 from chiralspin.cli import RunConfig, emit_report, main, run
 from chiralspin.experiments import ExperimentReport, transfer_asymmetry
@@ -55,6 +55,8 @@ MALFORMED = [
     pytest.param(["simulate", "{config}"], ['integrator.sample_stride="x"'],
                  id="simulate:integrator.sample_stride"),
     pytest.param(["simulate", "{config}"], ["modes=[5]"], id="simulate:modes=[5]"),
+    *(pytest.param(["simulate", "{config}"], [f"spin.initial={initial}"], id=f"simulate:initial={initial}")
+      for initial in ('["up",1]', '["up","sideways"]', '["up"]', '"sideways"', '{"up":0}')),
     pytest.param(["experiment", "cascade_chain"],
                  ["experiment.parameters.n_sites=2.5", "spin.positions_m=[0,2.5e-7,5e-7]"],
                  id="cascade_chain:n_sites=2.5"),
@@ -663,6 +665,64 @@ class TestMainSubcommands:
         mode = data["parameters"]["modes"][0]
         assert mode["detuning_hz"] == pytest.approx(1e4, rel=1e-3)
         assert mode["g_hz"] == pytest.approx(385.79, rel=1e-3)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("overrides, up", [
+        (["spin.initial=head_excited"], (0,)),
+        (["spin.initial=tail_excited"], (2,)),
+        (["spin.initial=all_ground"], ()),
+        (['spin.initial=["up","down","up"]'], (0, 2)),
+        (['modes=[{"detuning_hz": 50, "g_hz": 1}]', "spin.positions_m=[0, 2.5e-7]"], (0,)),
+    ], ids=["head_excited", "tail_excited", "all_ground", "tokens", "modes"])
+    def test_simulate_start_state(self, monkeypatch, s, overrides, up):
+        # every start puts the named spins at m = +s and the rest at m = -s, modes in vacuum
+        class Started(Exception):
+            pass
+
+        def start(model, rho0, cfg, watch):
+            raise Started(model.space, rho0)
+
+        monkeypatch.setattr(cli_module, "evolve", start)
+        config = RunConfig.load(None, ["experiment.name=simulate", f"spin.s={s}",
+                                       "spin.positions_m=[0, 2.5e-7, 5e-7]", *overrides])
+        with pytest.raises(Started) as caught:
+            cli_module._read_simulate(config)()
+        space, rho0 = caught.value.args
+        expected = (one_excited_state(space, up[0]) if len(up) == 1
+                    else DensityMatrix.from_pure(space, spin_state(space, up)))
+        assert np.array_equal(rho0.matrix, expected.matrix)
+
+    def test_spin_one_ground_start_is_stationary(self, tmp_path):
+        # every spin at m = -s: there is nothing to transfer or to decay
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "spin.s=1", "--set", "spin.initial=all_ground",
+                     "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["trajectory_diagnostics"]["simulation"]["stationary"] == 1.0
+        assert set(report["metrics"].values()) == {0.0}
+
+    @pytest.mark.parametrize("name, overrides, invariant", [
+        ("transfer_asymmetry", [], "domain"),
+        ("reciprocity_sweep", [], "domain"),
+        ("simulate", ['modes=[{"detuning_hz": 50, "g_hz": 1}]'], "config_schema"),
+    ], ids=["transfer_asymmetry", "reciprocity_sweep", "simulate_modes"])
+    def test_pair_run_rejects_three_sites(self, tmp_path, capsys, name, overrides, invariant):
+        # the pair-transfer measure and the spin-pair/mode model each take exactly two spins
+        argv = ["experiment", name, "--set", "spin.positions_m=[0, 2.5e-7, 5e-7]"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv + ["--output", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR invariant={invariant} ") and "exactly two" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_couplings_defaults_match_explicit_flags(self, capsys):
+        # a flag left out takes the value the config accessors default to
+        assert main(["couplings"]) == 0
+        bare = capsys.readouterr().out
+        assert main(["couplings", "--material", "alpha-SiO2", "--l", "1e-6", "--w", "1e-7", "--h", "1e-7",
+                     "--delta", "1e4", "--spin", "electron", "--n", "1"]) == 0
+        assert capsys.readouterr().out == bare
 
     def test_chain_experiment_via_config(self, tmp_path):
         path, _ = write_config(

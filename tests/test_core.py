@@ -20,6 +20,7 @@ from chiralspin import (
     partial_trace,
     partial_trace_stack,
     spin_operators,
+    spin_state,
     tensor_product,
 )
 from chiralspin.core import HilbertSpace, _spin_ladders, boson_factor, identity, spin_factor
@@ -467,3 +468,9 @@ class TestHilbertSpace:
         space = HilbertSpace((spin_factor(0.5),))
         with pytest.raises(DomainError):
             basis_vector(space, (2,))
+
+    def test_spin_state_digits(self):
+        # an up spin at m = +s (digit 0), every other spin at m = -s (its last digit), bosons empty
+        space = HilbertSpace((spin_factor(1.0), boson_factor(2), spin_factor(0.5), spin_factor(1.5)))
+        assert np.array_equal(spin_state(space), basis_vector(space, (2, 0, 1, 3)))
+        assert np.array_equal(spin_state(space, (0, 3)), basis_vector(space, (0, 0, 1, 0)))

@@ -99,6 +99,13 @@ class TestTransferAsymmetry:
         assert report.metrics["peak_forward_semiclassical"] == pytest.approx(
             report.metrics["peak_forward"], rel=1e-6)
 
+    def test_spin_one_runs_start_with_the_downstream_spin_down(self):
+        # the Lindblad and the semiclassical forward run both start at m = -s downstream
+        sites = (SpinSite(1.0, 0.0, "A"), SpinSite(1.0, 2.5e-7, "B"))
+        report = transfer_asymmetry(CascadeSpec(1.0, 0.0, 0.7 / 2.5e-7, sites))
+        for label in ("transfer_forward", "transfer_forward_semiclassical"):
+            assert report.trajectories[label].observables["pop_B"][0] == 0.0
+
 
 class TestReciprocitySweep:
     def test_monotone_to_unity(self):
@@ -111,6 +118,11 @@ class TestReciprocitySweep:
     def test_negative_ratio_rejected(self):
         with pytest.raises(DomainError):
             reciprocity_sweep(chain_spec(2), (-0.1, 1.0))
+
+    def test_three_sites_rejected(self):
+        # head -> tail and tail -> head span the same distance only for a pair
+        with pytest.raises(DomainError, match="exactly two sites"):
+            reciprocity_sweep(chain_spec(3), (0.0, 1.0))
 
 
 class TestCascadeChain:
