@@ -38,9 +38,10 @@ them all. K follows from the sample and state strides, the diagnostics
 stride and a cap on the stack's memory. For larger supports a block is one
 step, with the stages evaluated directly.
 
-The loop runs over chunks of blocks. Each iteration first steps a chunk
-through its block boundaries, one small product per block, which is the only
-sequential work. It then checks and records the whole chunk with array
+The loop runs over chunks of blocks. Each iteration first forms a chunk's
+block-end states by doubling, x[m:2m] = x[:m] Q^m: the stride marks with
+Q = P^stride, the other ends with Q = P^K, in O(log) products (the row
+stack too). It then checks and records the whole chunk with array
 operations: the per-step traces and interior samples of every block come
 from one product of the boundary states with the row stack, and the
 end-of-block samples, states and diagnostics from slices of the same
@@ -200,25 +201,39 @@ def _block_length(limit: int, sample_stride: int, state_stride: int, n_watch: in
     Blocks also end at every recorded state, so they start at multiples of
     g = gcd(K, state_stride). The stack holds one trace row per offset 1..K and
     ``n_watch`` rows per interior offset that is a multiple of
-    gcd(g, sample_stride), which covers every sample step of every block. With
-    recorded states K is then evened out over each state stride, so a stride
-    splits into equal blocks and at most one shorter one.
+    gcd(g, sample_stride), which covers every sample step of every block. K is a
+    multiple of the sample stride where one fits, so those rows sit at sample steps
+    only. With recorded states K is then evened out over each state stride (keeping
+    that multiple), so a stride splits into equal blocks and at most one shorter one.
     """
     def fits(k: int) -> bool:
         rows = k + n_watch * (k // gcd(k, state_stride, sample_stride) - 1)
         return rows * row_bytes <= _STACK_MAX_BYTES
 
     top = min(limit, _STACK_MAX_BYTES // row_bytes)
-    k = next((k for k in range(top, 1, -1) if fits(k)), 1)
+    k = (next((k for k in range(top - top % sample_stride, 1, -sample_stride) if fits(k)), 0)
+         or next((k for k in range(top, 1, -1) if fits(k)), 1))
     if state_stride:
-        even = -(-state_stride // -(-state_stride // k))
+        unit = sample_stride if k % sample_stride == 0 else 1
+        even = -(-state_stride // (-(-state_stride // k) * unit)) * unit
         k = even if fits(even) else k
     return k
 
 
 def _chunk_blocks(rows: int, d: int) -> int:
-    """Blocks per chunk: each block's records (``rows`` values) and state fit _STACK_MAX_BYTES."""
+    """Blocks per chunk: each block's ``rows`` values and its state fit _STACK_MAX_BYTES."""
     return max(1, _STACK_MAX_BYTES // ((rows + d * d) * np.dtype(complex).itemsize))
+
+
+def _fill_powers(out: np.ndarray, squares: list) -> None:
+    """Fill out[i] = out[0] @ q^i in place by doubling, out[m:2m] = out[:m] @ q^m, in O(log)
+    products; ``squares`` holds q, q^2, q^4, ... and gains those it lacks, for later fills."""
+    m = 1
+    while m < len(out):
+        if len(squares) < m.bit_length():
+            squares.append(squares[-1] @ squares[-1])
+        np.matmul(out[:min(m, len(out) - m)], squares[m.bit_length() - 1], out=out[m:2 * m])
+        m *= 2
 
 
 class _PropagatorBlocks:
@@ -227,10 +242,10 @@ class _PropagatorBlocks:
     P is the squared degree-4 Taylor polynomial of exp(dt/2 * L), i.e. two classical
     4th-order half steps. Every per-step trace and watched value inside a block is a
     linear functional of the block's start state v, so one product with the row stack
-    [vec(I)^T P^j for j = 1..K; F P^j at the interior sample offsets j] gives them all,
-    and P^K v is the block's end state. A shorter block of m < K steps (before a
-    recorded state, or at the end of the run) reads the first m trace rows of the same
-    stack and ends with P^m v.
+    [vec(I)^T P^j for j = 1..K; F P^j at the interior sample offsets j] gives them all.
+    A shorter block of m < K steps (before a recorded state, or at the end of the run)
+    reads the first m trace rows of the same stack. The stack and the block ends
+    (:meth:`ends`) are built by doubling, in O(log) products.
     """
 
     def __init__(self, gen: Generator, dt: float, functionals: np.ndarray, k: int,
@@ -241,28 +256,41 @@ class _PropagatorBlocks:
         self.k = k
         self.p = p_half @ p_half
         self.p_err = _taylor4(f, dt) - self.p
+        # a stride of `stride` steps holds `per` blocks of K steps, the last one shorter
+        self.stride = state_stride if state_stride % k else k
+        self.per = -(-self.stride // k)
         step = gcd(k, state_stride, sample_stride)
         self.offsets = np.arange(step, k, step)
         self.n_watch = n_watch = functionals.shape[0]
         self.rows = k + n_watch * self.offsets.size
         self.stack = np.empty((self.rows, d * d), dtype=complex)
-        rows = np.vstack([np.eye(d, dtype=complex).reshape(1, -1), functionals])
+        watched = self.stack[k:].reshape(self.offsets.size, n_watch, d * d)
         # An unstable step overflows the high powers; the per-step guard reports the
-        # first non-finite or drifting trace, which comes from the low powers.
+        # first non-finite or drifting trace, which comes from the low powers. The
+        # transposed powers advance states held as rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, k + 1):
-                rows = rows @ self.p
-                self.stack[j - 1] = rows[0]
-                if j % step == 0 and j < k:
-                    first = k + n_watch * (j // step - 1)
-                    self.stack[first:first + n_watch] = rows[1:]
-            self.powers = {k: np.linalg.matrix_power(self.p, k)}
+            self.squares = {m: [np.linalg.matrix_power(self.p, m).T] for m in {k, self.stride}}
+            self.stack[0] = np.eye(d, dtype=complex).reshape(-1) @ self.p
+            _fill_powers(self.stack[:k], [self.p])
+            if watched.size:
+                p_step = np.linalg.matrix_power(self.p, step)
+                watched[0] = functionals @ p_step
+                _fill_powers(watched, [p_step])
 
-    def step(self, v: np.ndarray, m: int) -> np.ndarray:
-        """The state m steps after ``v``."""
-        if m not in self.powers:
-            self.powers[m] = np.linalg.matrix_power(self.p, m)
-        return self.powers[m] @ v
+    def ends(self, out: np.ndarray, lengths: np.ndarray) -> None:
+        """Set out[1:] to the state after each block of ``lengths`` steps, from out[0].
+
+        A chunk starts on a stride mark or lies inside one stride, so out[a * per + j]
+        is P^(a * stride + j * K) out[0]; a last block shorter than K takes one more product.
+        """
+        b, per = lengths.size, self.per
+        grid = b + 1 if lengths[-1] == self.k else b
+        full = grid // per * per
+        _fill_powers(out[:grid:per], self.squares[self.stride])
+        _fill_powers(out[:full].reshape(-1, per, out.shape[1]).swapaxes(0, 1), self.squares[self.k])
+        _fill_powers(out[full:grid], self.squares[self.k])
+        if grid == b:
+            out[b] = np.linalg.matrix_power(self.p, lengths[-1]) @ out[b - 1]
 
     def records(self, states: np.ndarray):
         """Per-step traces (blocks x K) and interior values (blocks x offsets x watched).
@@ -281,17 +309,18 @@ class _PropagatorBlocks:
 class _StageSteps:
     """One step per block, two classical 4th-order half steps on the d x d state."""
 
-    k = 1
-    rows = 1
+    k = per = stride = rows = 1
     offsets = np.empty(0, dtype=int)
 
     def __init__(self, gen: Generator, dt: float):
         self.gen, self.dt = gen, dt
         self.d = gen.k.shape[0]
 
-    def step(self, v: np.ndarray, m: int) -> np.ndarray:
-        half = _rk4_step(self.gen.apply, v.reshape(self.d, self.d), 0.5 * self.dt)
-        return _rk4_step(self.gen.apply, half, 0.5 * self.dt).reshape(-1)
+    def ends(self, out: np.ndarray, lengths: np.ndarray) -> None:
+        """Set out[1:] to the state after each one-step block, each from the one before."""
+        for i in range(lengths.size):
+            half = _rk4_step(self.gen.apply, out[i].reshape(self.d, self.d), 0.5 * self.dt)
+            out[i + 1] = _rk4_step(self.gen.apply, half, 0.5 * self.dt).reshape(-1)
 
     def records(self, states: np.ndarray):
         """Each block's one trace, read from its end state; no interior values."""
@@ -337,9 +366,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
     so one stacked product records them all. Where the block O[S,S] is
     Hermitian the recorded imaginary part is set to exactly 0, which leaves
-    Re tr(O rho) = tr(O (rho + rho^dag)/2). Each iteration steps a chunk of
-    blocks of K steps (K = 1 on the stage path), one product per block, and
-    then handles the chunk with array operations: it checks the trace drift
+    Re tr(O rho) = tr(O (rho + rho^dag)/2). Each iteration forms the block-end
+    states of a chunk of blocks of K steps (K = 1 on the stage path, one step
+    at a time) and then handles the chunk with array operations: it checks the trace drift
     of every step, records the samples and states, and runs the diagnostics on
     the blocks that reach each multiple of ``n // 256`` steps.
     """
@@ -403,26 +432,23 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
             stepper = _PropagatorBlocks(gen, dt, functionals, k, sample_stride, state_stride)
         else:
             stepper = _StageSteps(gen, dt)
-        offsets = stepper.offsets
-        chunk = _chunk_blocks(stepper.rows, d)
+        offsets, k, per, stride = stepper.offsets, stepper.k, stepper.per, stepper.stride
+        chunk = _chunk_blocks(stepper.rows + stepper.k, d)  # K per-step traces are copied out
         boundary = np.empty((chunk + 1, d * d), dtype=complex)  # states at one chunk's block ends
         boundary[0] = rho.reshape(-1)
 
-        sample, start, recorded = 1, 0, 1
+        sample, start, recorded, block = 1, 0, 1, 0
         while start < n:
-            bounds = [start]
+            # the chunk's blocks by number: whole strides, or blocks inside one stride
+            g = np.arange(block, min(block + chunk, (block // per + max(1, chunk // per)) * per))
+            ends = np.minimum(g // per * stride + np.minimum((g % per + 1) * k, stride), n)
+            ends = ends[:np.searchsorted(ends, n) + 1]
+            starts = np.concatenate(([start], ends[:-1]))
+            block += ends.size
+            vs = boundary[:ends.size + 1]
             # A chunk may run past an unstable step; the guard below reports the first one.
             with np.errstate(over="ignore", invalid="ignore"):
-                while start < n and len(bounds) <= chunk:
-                    end = min(start + stepper.k, n)
-                    if state_stride:
-                        end = min(end, (start // state_stride + 1) * state_stride)
-                    boundary[len(bounds)] = stepper.step(boundary[len(bounds) - 1], end - start)
-                    bounds.append(end)
-                    start = end
-                bounds = np.array(bounds)
-                starts, ends = bounds[:-1], bounds[1:]
-                vs = boundary[:bounds.size]
+                stepper.ends(vs, ends - starts)
                 traces, values = stepper.records(vs)
                 # the chunk's steps in order: block b holds its first ends[b] - starts[b] traces
                 traces = traces[np.arange(traces.shape[1]) < (ends - starts)[:, None]]
@@ -432,7 +458,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                 # a non-finite trace makes its drift inf or nan, which fails "<=" as well
                 bad = np.flatnonzero(~(drifts <= cfg.tolerance))
                 if bad.size:
-                    step, drift = int(bounds[0]) + int(bad[0]) + 1, float(drifts[bad[0]])
+                    step, drift = start + int(bad[0]) + 1, float(drifts[bad[0]])
                     t = step * dt
                     raise IntegrationError(
                         f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
@@ -448,7 +474,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                                    float(np.max(np.abs(r - r.conj().transpose(0, 2, 1)))))
                 min_eig = min(min_eig, lowest_eigenvalue(r))
 
-            # samples in step order: each block's interior offsets, then its end
+            # samples in step order: each block's interior offsets, then its end; when all
+            # blocks are full and aligned to the sample stride, every entry is a sample
             picked = vs[1:] @ functionals.T
             keep = (ends % sample_stride == 0) | (ends == n)
             if offsets.size:
@@ -456,7 +483,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                     (starts[:, None] + offsets) % sample_stride == 0)
                 picked = np.concatenate((values, picked[:, None]), axis=1)
                 keep = np.column_stack((inner, keep))
-            picked = picked[keep]
+            picked = picked.reshape(keep.size, -1) if keep.all() else picked[keep]
             table[:, sample:sample + len(picked)] = picked.T
             sample += len(picked)
             if state_stride:
@@ -464,6 +491,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                 states[recorded:recorded + len(ended)] = ended.reshape(-1, d, d)
                 recorded += len(ended)
             boundary[0] = vs[-1]
+            start = int(ends[-1])
         rho = boundary[0].reshape(d, d)
 
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,

@@ -20,6 +20,7 @@ Sign and phase conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -179,12 +180,17 @@ class LindbladModel:
         -i(H rho - rho H^dag) + sum_k r_k (z_k rho z_k^dag - (1/2){z_k^dag z_k, rho})
         as K = H - (i/2) sum_k r_k z_k^dag z_k plus the sandwiches r_k z_k rho z_k^dag.
         """
+        with np.errstate(over="ignore", invalid="ignore"):  # the step driver rejects inf/nan
+            k = self._unscaled_k / rate_scale
+        return Generator(k, tuple((rate / rate_scale, op.matrix) for rate, op in self.jumps))
+
+    @cached_property
+    def _unscaled_k(self) -> np.ndarray:
+        """K at rate scale 1, formed once per model: every generator divides this array."""
         k = self.hamiltonian.matrix.astype(complex)
         for rate, op in self.jumps:
             k = k - (0.5j * rate) * (op.matrix.conj().T @ op.matrix)
-        with np.errstate(over="ignore", invalid="ignore"):  # the step driver rejects inf/nan
-            k = k / rate_scale
-        return Generator(k, tuple((rate / rate_scale, op.matrix) for rate, op in self.jumps))
+        return k
 
 
 def _dense_space(factors) -> HilbertSpace:
@@ -334,11 +340,15 @@ def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operato
 
 
 def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:
-    """Per-site excitation number operators S_j^+ S_j^- embedded in ``space``."""
+    """Per-site quanta above the ground state, m_j + s_j = S_j^z + s_j, embedded in ``space``.
+
+    Site j reads 0 at m = -s and 2s at m = +s, one per quantum in between. At
+    s = 1/2 this is S^+ S^- bit for bit; at s > 1/2 S^+ S^- = s(s+1) - m^2 + m is no count.
+    """
     ops = []
     for j, site in enumerate(sites):
-        sp, sm, _ = _spin_ladders(site.s)
-        ops.append(Operator(space, _embedded(sp @ sm, j, space.dims)))
+        sz = _spin_ladders(site.s)[2]
+        ops.append(Operator(space, _embedded(sz + site.s * np.eye(sz.shape[0]), j, space.dims)))
     return ops
 
 

@@ -405,6 +405,44 @@ class TestBlockStepping:
                 norm = np.sqrt(np.trace(exact).real)
                 assert abs(blocked.observables["norm"][i] - norm) <= 1e-8
 
+    @pytest.mark.parametrize("sample_stride, state_stride, k, cap", [
+        (1, 0, 4000, None),  # n < K: the run is one short block
+        (7, 0, 40, None),  # n not a multiple of K, K not a multiple of the sample stride
+        (16, 13, 40, None),  # a state stride smaller than K
+        (1, 29, 10, 1 << 13),  # strides of 10 + 10 + 9 steps, whole strides per chunk
+        (16, 29, 2, 1280),  # chunks of 3 or 4 blocks inside 15-block strides
+    ])
+    @pytest.mark.parametrize("watched", [True, False])
+    def test_block_patterns_match_stage_path_and_expm(self, two_spins, stepped_reference, monkeypatch,
+                                                       sample_stride, state_stride, k, cap, watched):
+        if cap:
+            monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", cap)
+        monkeypatch.setattr(dynamics_module, "_block_length", lambda *args: k)
+        chunks = chunk_spy(monkeypatch)
+        model, rho0, watch = blocked_pair(two_spins)
+        cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3,
+                               sample_stride=sample_stride, record_states_stride=state_stride)
+        blocked = evolve(model, rho0, cfg, watch if watched else [])
+        assert {chunk_k for chunk_k, _, _ in chunks} == {k}
+        assert len(chunks) > 1 or not cap
+
+        stepped, exact = stepped_reference
+        reference = subsampled(stepped, sample_stride, state_stride)
+        self.assert_agree(blocked, reference if watched else replace(reference, observables={}))
+        keep = dynamics_module._steps(N_BLOCKED, sample_stride)
+        for label, series in blocked.observables.items():
+            assert np.max(np.abs(series - exact[label][keep])) <= 1e-8
+
+    def test_block_length_is_a_multiple_of_the_sample_stride(self):
+        # elimination's three runs (3 watches on a d = 3 support, every 16th step sampled):
+        # K = 95, 383, 1532 carried watched rows at every 1st, 1st and 4th offset
+        ks = [dynamics_module._block_length(limit, 16, 0, 3, 9 * 16) for limit in (95, 383, 1532)]
+        assert ks == [80, 368, 1520]
+        # evened out over a state stride of 200 as 80 + 80 + 40 rather than 67 + 67 + 66
+        assert dynamics_module._block_length(100, 16, 200, 2, 256) == 80
+        # a sample stride above the limit leaves K free
+        assert dynamics_module._block_length(13, 16, 0, 2, 256) == 13
+
     def test_mid_block_drift_reports_the_sequential_step(self, pair_spec, monkeypatch):
         # A 1e-90 admixture of |up,down> on the stationary ground state grows about 1e4-fold per
         # step at this unstable dt. Its rounding drift crosses the tolerance at one step on both
@@ -486,6 +524,58 @@ class TestChunkedDriver:
         stepped = failure()
         assert blocked.step == stepped.step
         assert f"at step {blocked.step} (t={8.0 * blocked.step:.6g})" in str(blocked)
+
+    def test_block_ends_and_row_stack_take_logarithmically_many_products(self, two_spins,
+                                                                          monkeypatch):
+        # every product with P or an array made from it is counted: 400 blocks (the
+        # cascade_chain grid) take about 2 log2(400) of them, and a 400-row stack about
+        # 2 log2(400) more per doubling, where one product per block or row took 400
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                def plain(arrays):
+                    return tuple(a.view(np.ndarray) if isinstance(a, Counted) else a for a in arrays)
+
+                products.append(ufunc is np.matmul)
+                if out is not None:
+                    kwargs["out"] = plain(out)
+                result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+                if out is not None:
+                    return out[0]
+                return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+        taylor4 = dynamics_module._taylor4
+        monkeypatch.setattr(dynamics_module, "_taylor4", lambda f, h: taylor4(f, h).view(Counted))
+        stepper = dynamics_module._PropagatorBlocks
+        calls = {"__init__": [], "ends": []}
+
+        def counting(name):
+            method = getattr(stepper, name)
+
+            def counted(self, *args):
+                before = sum(products)
+                method(self, *args)
+                calls[name].append((self.k, args[1].size if name == "ends" else None,
+                                    sum(products) - before))
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(stepper, name, counting(name))
+        model, rho0, watch = blocked_pair(two_spins)
+        traj = evolve(model, rho0, IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3,
+                                                    record_states_stride=20), watch)
+        (k, blocks, count), = calls["ends"]
+        assert (k, blocks) == (10, 400) and len(traj.states) == 201
+        assert count <= 2 * np.ceil(np.log2(blocks + 1)) == 18
+
+        evolve(model, rho0, IntegratorConfig(t_final=102.4, rate_scale=1.0, dt=1e-3, sample_stride=16),
+               watch)
+        k, _, count = calls["__init__"][-1]
+        assert k == 400 and count <= 6 * np.log2(k)
+        # 256 blocks in chunks of at most 38: each chunk takes about 2 log2 of its blocks
+        assert len(calls["ends"]) == 1 + 7
+        assert all(count <= 2 * np.ceil(np.log2(blocks + 1)) for _, blocks, count in calls["ends"])
 
     @pytest.mark.parametrize("stepper, max_dim, step", [
         (dynamics_module._PropagatorBlocks, 16, 2),

@@ -6,13 +6,17 @@ from dataclasses import replace
 from chiralspin import (
     CascadeSpec,
     DomainError,
+    DensityMatrix,
+    IntegratorConfig,
     ModeSpec,
+    Operator,
     SpinSite,
     basis_vector,
     build_cascade_model,
     build_full_model,
     build_nonhermitian_hamiltonian,
     embed,
+    evolve,
     site_number_operators,
     spin_operators,
     total_excitation,
@@ -89,9 +93,10 @@ def builder_grid():
 
 class TestBuilderDigest:
     def test_builders_unchanged_bit_for_bit(self):
-        # pinned to the array-by-array builders as they stood before they moved to raw arrays;
+        # pinned to the array-by-array builders as they stood before they moved to raw arrays,
+        # with the number operators counting m + s (the earlier S^+ S^- differs at s > 1/2 only);
         # any change of an entry, a zero's sign, a shape or a rate changes the digest
-        assert model_digest(builder_grid()) == "41e559c4c02673254999fe135d8ef4bec8e1a6edaf81db1f3f4833d6cb6e5b2c"
+        assert model_digest(builder_grid()) == "06076d65d5c8dd209fe036cecd7854a5205a187c7d44b29dc9b929321441fcf3"
 
 
 class TestModeSpec:
@@ -132,13 +137,36 @@ class TestSiteNumberOperators:
     @pytest.mark.parametrize("spins", [(0.5,) * 9, (0.5, 1.0, 1.5, 0.5), (1.0,) * 5, (2.5, 0.5, 1.0)],
                              ids=["9x1/2", "1/2,1,3/2,1/2", "5x1", "5/2,1/2,1"])
     def test_equal_product_of_embedded_ladders_bit_for_bit(self, spins):
+        # each site counts m + s = S^z + s, the embedded ladder; at s = 1/2 that is S^+ S^- bit for bit
         sites = [SpinSite(s, 1e-7 * j) for j, s in enumerate(spins)]
         space = build_cascade_model(CascadeSpec(0.0, 0.0, 0.0, sites)).space
         for j, (site, op) in enumerate(zip(sites, site_number_operators(space, sites))):
-            sp, sm, _ = spin_operators(site.s)
-            product = (embed(sp, j, space) @ embed(sm, j, space)).matrix
-            assert np.array_equal(op.matrix, product)
-            assert np.array_equal(np.signbit(op.matrix.view(float)), np.signbit(product.view(float)))
+            sp, sm, sz = spin_operators(site.s)
+            count = embed(Operator(sz.space, sz.matrix + site.s * np.eye(sz.space.dim)), j, space).matrix
+            assert np.array_equal(op.matrix, count)
+            assert np.array_equal(np.diag(op.matrix).real, np.diag(embed(sz, j, space).matrix).real + site.s)
+            if site.s == 0.5:
+                product = (embed(sp, j, space) @ embed(sm, j, space)).matrix
+                assert op.matrix.tobytes() == product.tobytes()
+            assert np.array_equal(np.signbit(op.matrix.view(float)), np.signbit(count.view(float)))
+
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    def test_one_quantum_on_a_spin_s_pair_matches_the_spin_half_pair(self, s):
+        # one quantum above ground: S^- from m = -s + 1 has |<m - 1|S^-|m>|^2 = 2s, so a spin-s
+        # pair at forward rate gamma/(2s) is the spin-1/2 pair at gamma, counted as m + s
+        def run(spin, gamma):
+            sites = (SpinSite(spin, 0.0), SpinSite(spin, 2.5e-7))
+            model = build_cascade_model(CascadeSpec(gamma, 0.0, 0.7 / 2.5e-7, sites))
+            dim = int(round(2 * spin)) + 1
+            rho0 = DensityMatrix.from_pure(model.space, basis_vector(model.space, (dim - 2, dim - 1)))
+            watch = list(zip(("A", "B"), site_number_operators(model.space, sites)))
+            return evolve(model, rho0, IntegratorConfig(t_final=4.0, rate_scale=1.0, dt=1e-3), watch)
+
+        spin_s, spin_half = run(s, 1.0 / (2 * s)), run(0.5, 1.0)
+        assert np.max(spin_half.observables["B"].real) > 0.5
+        for label in ("A", "B"):
+            assert np.max(np.abs(spin_s.observables[label] - spin_half.observables[label])) <= 1e-12
 
 
 class TestCascadeSpec:
