@@ -60,7 +60,6 @@ from .experiments import (
     ExperimentReport,
     cascade_chain,
     one_excited_state,
-    single_spin_decay_model,
     decoherence_budget,
     elimination_validation,
     reciprocity_sweep,

@@ -300,13 +300,14 @@ class RunConfig:
         return CascadeSpec(gamma, gamma_prime, k_z, sites)
 
     def integrator_config(self, default_rate_scale: float) -> IntegratorConfig:
+        """The ``integrator`` section; ``dt``, ``tolerance`` and ``sample_stride`` left out keep
+        :class:`IntegratorConfig`'s defaults."""
         rate_scale_hz = self.value("integrator", "rate_scale_hz")
+        given = {key: self.value("integrator", key) for key in ("dt", "tolerance", "sample_stride")}
         return IntegratorConfig(
             t_final=self.value("integrator", "t_final", 8.0),
             rate_scale=default_rate_scale if rate_scale_hz is None else TWO_PI * rate_scale_hz,
-            dt=self.value("integrator", "dt"),
-            tolerance=self.value("integrator", "tolerance", 1e-10),
-            sample_stride=self.value("integrator", "sample_stride", 1),
+            **{key: value for key, value in given.items() if value is not None},
         )
 
     def output_directory(self) -> Path:

@@ -3,7 +3,10 @@
 Every experiment is a pure function of its inputs: no randomness enters the
 pipeline, configs are owned by the experiment and recorded in its report, and
 identical inputs reproduce bit-identical reports. Points of a sweep run in
-parameter order. Every run starts from :func:`~chiralspin.core.spin_state`.
+parameter order. Every run starts from :func:`~chiralspin.core.spin_state`
+and goes through :func:`~chiralspin.dynamics.evolve`; every directional model,
+the lone decaying spin of a one-site prefix included, comes from
+:func:`~chiralspin.models.build_cascade_model`.
 """
 
 from __future__ import annotations
@@ -20,22 +23,17 @@ from .core import (
     boson_operators,
     embed,
     partial_trace_stack,
-    spin_factor,
-    spin_operators,
     spin_state,
-    zero,
 )
-from .dynamics import IntegratorConfig, evolve, evolve_nonhermitian, fit_exchange_rate
+from .dynamics import IntegratorConfig, evolve, fit_exchange_rate
 from .errors import DomainError, FitError
 from .materials import effective_gamma
 from .models import (
     CascadeSpec,
-    LindbladModel,
     ModeSpec,
     SpinSite,
     build_cascade_model,
     build_full_model,
-    build_nonhermitian_hamiltonian,
     site_number_operators,
     total_excitation,
 )
@@ -43,7 +41,6 @@ from .models import (
 __all__ = [
     "ExperimentReport",
     "one_excited_state",
-    "single_spin_decay_model",
     "elimination_validation",
     "transfer_asymmetry",
     "reciprocity_sweep",
@@ -201,29 +198,22 @@ def transfer_asymmetry(spec: CascadeSpec) -> ExperimentReport:
     The spec must hold exactly two sites. The forward run starts with the
     upstream spin up and the downstream one down and watches the
     downstream population; the backward run mirrors it. The ratio of the two
-    peaks is the asymmetry metric (infinity sentinel above 1e12). A
-    jump-free non-Hermitian run of the forward channel is included for
-    comparison with the semi-classical limit; it is reported, not judged.
+    peaks is the asymmetry metric (infinity sentinel above 1e12).
     """
     rate_scale = max(spec.gamma, spec.gamma_prime)
     if rate_scale <= 0:
         raise DomainError("at least one channel rate must be positive")
     cfg = IntegratorConfig(t_final=8.0, rate_scale=rate_scale, dt=1e-3)
     fwd, bwd, watch, peak_forward, peak_backward = _cascade_peaks(spec, cfg)
-    (label_a, _), (label_b, n_b) = watch
+    (label_a, _), (label_b, _) = watch
     asym = _asymmetry(peak_forward, peak_backward)
     mirror = float(np.max(np.abs(np.real(fwd.observables[label_b]) - np.real(bwd.observables[label_a]))))
-
-    h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-    nh = evolve_nonhermitian(h_nh, spin_state(h_nh.space, (0,)), cfg, watch=[(label_b, n_b)])
-    peak_semiclassical = float(np.max(np.real(nh.observables[label_b])))
 
     metrics = {
         "peak_forward": peak_forward,
         "peak_backward": peak_backward,
         "asymmetry_ratio": asym,
         "mirror_supnorm": mirror,
-        "peak_forward_semiclassical": peak_semiclassical,
     }
     flags = {}
     if spec.gamma_prime == 0.0:
@@ -239,8 +229,7 @@ def transfer_asymmetry(spec: CascadeSpec) -> ExperimentReport:
          "positions_m": [s.position_z for s in spec.sites],
          "integrator": {"dt": cfg.dt, "t_final": cfg.t_final}},
         metrics, flags,
-        trajectories={"transfer_forward": fwd, "transfer_backward": bwd,
-                      "transfer_forward_semiclassical": nh})
+        trajectories={"transfer_forward": fwd, "transfer_backward": bwd})
     return report.validate()
 
 
@@ -281,13 +270,6 @@ def reciprocity_sweep(spec: CascadeSpec, ratios) -> ExperimentReport:
     return report.validate()
 
 
-def single_spin_decay_model(site: SpinSite, gamma: float) -> LindbladModel:
-    """Lone spin with zero Hamiltonian and decay channel (2*gamma, S^-)."""
-    space = HilbertSpace((spin_factor(site.s),))
-    _, sm, _ = spin_operators(site.s)
-    return LindbladModel(zero(space), ((2.0 * gamma, embed(sm, 0, space)),), space)
-
-
 def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
     """No-back-action and excitation ordering down a forward chain.
 
@@ -319,10 +301,7 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
     trajectories = {f"chain_head_excited_n{n_sites}": head}
 
     for j in range(1, n_sites):
-        if j == 1:
-            sub_model = single_spin_decay_model(sites[0], chain_spec.gamma)
-        else:
-            sub_model = build_cascade_model(replace(chain_spec, sites=sites[:j]))
+        sub_model = build_cascade_model(replace(chain_spec, sites=sites[:j]))
         sub = evolve(sub_model, one_excited_state(sub_model.space, 0), cfg, [])
         worst = partial_trace_stack(head.states, range(j)).max_deviation(sub.states)
         metrics[f"prefix_supnorm_{j}"] = worst

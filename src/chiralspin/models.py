@@ -1,9 +1,10 @@
 """Builders for every Hamiltonian and master-equation generator in scope.
 
 Covers the closed two-spin/one-mode model with rotating or counter-rotating
-coupling, the directional (cascaded) spin model over N ordered sites, and the
-explicit non-Hermitian rewrite of one directional pair channel. Every model is
-dense, on a space made by :func:`_dense_space`, the one size guard.
+coupling, the directional (cascaded) spin model over N >= 1 ordered sites
+(at N = 1 the lone spin decaying through (2 gamma, S^-)), and the explicit
+non-Hermitian rewrite of one directional pair channel. Every model is dense,
+on a space made by :func:`_dense_space`, the one size guard.
 
 Sign and phase conventions:
 
@@ -104,7 +105,8 @@ class CascadeSpec:
     ``gamma`` is the forward channel rate and ``gamma_prime`` the backward one,
     both in rad/s; ``k_z`` (rad/m) sets the propagation phases together with
     the absolute site positions. Positions are stored rather than premultiplied
-    phases so distance sweeps can reuse one spec.
+    phases so distance sweeps can reuse one spec. Any non-empty site list is a
+    spec; what needs two sites checks that where it uses them.
     """
 
     gamma: float
@@ -118,8 +120,8 @@ class CascadeSpec:
             raise DomainError(f"rates must be finite and non-negative, got {self.gamma}, {self.gamma_prime}")
         if not np.isfinite(self.k_z):
             raise DomainError(f"k_z must be finite, got {self.k_z}")
-        if len(self.sites) < 2:
-            raise DomainError("a cascade needs at least two sites")
+        if not self.sites:
+            raise DomainError("a cascade needs at least one site")
         positions = [s.position_z for s in self.sites]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise DomainError(f"site positions must be strictly increasing, got {positions}")
@@ -275,6 +277,8 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     channel is dropped, so gamma_prime = 0 is the forward cascade exactly and
     gamma = 0 the backward one. On two sites with gamma = gamma_prime the
     coherent part is the reciprocal exchange 2 gamma sin(k d)(S_A^+ S_B^- + h.c.).
+    On one site H = 0 and each channel is the jump (2r, S^-): the lone
+    decaying spin.
 
     The hopping coefficient e^{-i k |z_l - z_j|} is read from the entries of
     z^dag z itself (the product conj(c_j) c_l of the jump weights), so in

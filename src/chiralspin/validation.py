@@ -20,7 +20,6 @@ import numpy as np
 from .core import (DensityMatrix, HilbertSpace, Operator, basis_vector, boson_operators, commutator,
                    embed, partial_trace, partial_trace_stack, spin_factor, spin_operators)
 from .dynamics import IntegratorConfig, evolve, evolve_nonhermitian
-from .experiments import single_spin_decay_model
 from .materials import ResonatorGeometry, builtin_material, coupling_table, effective_gamma
 from .models import (CascadeSpec, ModeSpec, SpinSite, build_cascade_model, build_full_model,
                      build_nonhermitian_hamiltonian, site_number_operators, total_excitation)
@@ -206,9 +205,9 @@ def upstream_frozen() -> dict:
 
 
 def amplitude_damping() -> dict:
-    """Lone spin-1/2 decaying at rate 2: excited population at t = 1 against exp(-2)."""
+    """Lone spin-1/2, the one-site cascade at gamma = 1: excited population at t = 1 against exp(-2)."""
     site = SpinSite(0.5, 0.0)
-    model = single_spin_decay_model(site, 1.0)
+    model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, (site,)))
     rho0 = DensityMatrix.from_pure(model.space, basis_vector(model.space, (0,)))
     n_op = site_number_operators(model.space, (site,))[0]
     traj = evolve(model, rho0, IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-3), [("pop", n_op)])
@@ -229,7 +228,7 @@ def jump_rewrite(spec=_pair_spec(1.0, kd=0.4), t_final=4.0) -> dict:
 
 
 def no_back_action(spec=_pair_spec(1.0, kd=0.9), downstream=None) -> dict:
-    """Upstream reduced state against the upstream spin alone, sup-norm over recorded states.
+    """Upstream reduced state against the upstream spin's one-site forward cascade, sup-norm over states.
 
     The upstream spin starts excited, the downstream one in ``downstream`` (default: ground).
     """
@@ -238,7 +237,7 @@ def no_back_action(spec=_pair_spec(1.0, kd=0.9), downstream=None) -> dict:
     downstream = np.diag([0.0, 1.0]).astype(complex) if downstream is None else downstream
     cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=2e-3, record_states_stride=50)
     full = evolve(model, DensityMatrix(model.space, np.kron(up, downstream)), cfg)
-    single = single_spin_decay_model(spec.sites[0], spec.gamma)
+    single = build_cascade_model(replace(spec, gamma_prime=0.0, sites=spec.sites[:1]))
     alone = evolve(single, DensityMatrix(single.space, up), cfg)
     return {"reduced_deviation": partial_trace_stack(full.states, {0}).max_deviation(alone.states)}
 

@@ -245,7 +245,7 @@ class TestRunAndEmit:
                 path = directory / (cli_module._csv_label(label) + ".csv")
                 assert path.read_bytes() == per_value_csv(traj), path
                 checked += 1
-        assert checked == 3 + 2 + 18  # elimination, chain5, pair_mix
+        assert checked == 3 + 2 + 12  # elimination, chain5, pair_mix
 
     def test_shared_time_grid_encoded_once(self, tmp_path, monkeypatch):
         # a report's trajectories on one time grid encode it once; another grid is encoded anew
@@ -402,7 +402,7 @@ class TestMainSubcommands:
         data = json.loads((tmp_path / "t" / "report.json").read_text())
         assert data["pass_flags"]["peak_backward__le_1e-10"] is True
         err = capsys.readouterr().err.splitlines()
-        assert err[0] == f"INFO experiment=transfer_asymmetry outputs=5 directory={tmp_path / 't'}"
+        assert err[0] == f"INFO experiment=transfer_asymmetry outputs=4 directory={tmp_path / 't'}"
 
     @pytest.mark.parametrize("command, overrides", MALFORMED)
     def test_malformed_number_exits_2_without_traceback(self, tmp_path, command, overrides):
@@ -546,6 +546,14 @@ class TestMainSubcommands:
             assert max(metrics["peak_pop_B"], metrics["peak_pop_C"]) <= 1e-10
         else:
             assert metrics["peak_pop_C"] > 1e-3
+
+    def test_simulate_one_site_is_the_lone_decaying_spin(self, tmp_path):
+        # the one-site cascade decays through (2 gamma, S^-): e^{-16} at t_final = 8 / gamma
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "spin.positions_m=[0]",
+                     "--set", "cascade.k_z_rad_m=0", "--output", str(out)]) == 0
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert metrics["final_pop_A"] == pytest.approx(math.exp(-16.0), rel=1e-10)
 
     def test_inline_default_rate_is_not_user_input(self, tmp_path):
         # the program's inline gamma_hz = 1 is not the user's, so a backward run may leave it

@@ -28,9 +28,9 @@ from chiralspin import (
     fit_exchange_rate,
     site_number_operators,
     spin_operators,
+    spin_state,
 )
 from chiralspin.core import zero
-from chiralspin.experiments import single_spin_decay_model
 from chiralspin.models import LindbladModel
 from chiralspin.validation import amplitude_damping, jump_rewrite, no_back_action, random_density
 
@@ -75,7 +75,7 @@ class TestEvolveBasics:
         assert amplitude_damping()["deviation"] <= 1e-6
 
     def test_space_mismatch_rejected(self, two_spin_space, two_spins):
-        model = single_spin_decay_model(two_spins[0], 1.0)
+        model = build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, two_spins[:1]))
         rho0 = DensityMatrix.maximally_mixed(two_spin_space)
         with pytest.raises(DomainError):
             evolve(model, rho0, IntegratorConfig(t_final=1.0, rate_scale=1.0))
@@ -142,7 +142,7 @@ class TestEvolveBasics:
                 return evolve(model, pure(model.space, UD), cfg, watch)
             return evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD), cfg, jump=jump, watch=watch)
 
-        one_spin = single_spin_decay_model(SpinSite(0.5, 0.0), 1.0).jumps[0][1]
+        one_spin = build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, (SpinSite(0.5, 0.0),))).jumps[0][1]
         with pytest.raises(DomainError, match="watched operator 'far' acts on a different space"):
             run(IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2), [("far", one_spin)])
         with pytest.raises(DomainError, match="rate_scale 1.000e-310 leaves the scaled generator"):
@@ -214,14 +214,18 @@ class TestAgainstExponentialOracle:
             assert np.max(np.abs(state.matrix - exact)) <= 1e-9
 
     def test_total_excitation_never_increases(self, pair_spec, two_spins):
-        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.9))
-        n_a, n_b = site_number_operators(model.space, two_spins)
-        n_tot = n_a + n_b
-        traj = evolve(model, pure(model.space, UD),
-                      IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3),
-                      [("n", n_tot)])
-        series = np.real(traj.observables["n"])
-        assert np.max(np.diff(series)) <= 1e-12
+        # sum_j <m_j + s_j> from the upstream spin up and the downstream one down, at s = 1/2, 1, 3/2
+        for s in (0.5, 1.0, 1.5):
+            sites = tuple(replace(site, s=s) for site in two_spins)
+            model = build_cascade_model(replace(pair_spec(gamma=1.0, kd=0.9), sites=sites))
+            n_a, n_b = site_number_operators(model.space, sites)
+            n_tot = n_a + n_b
+            traj = evolve(model, DensityMatrix.from_pure(model.space, spin_state(model.space, (0,))),
+                          IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3),
+                          [("n", n_tot)])
+            series = np.real(traj.observables["n"])
+            assert series[0] == 2 * s
+            assert np.max(np.diff(series)) <= 1e-12
 
     def test_full_model_matches_expm(self, two_spins):
         mode = ModeSpec(+1, +1, detuning=6.0, g=0.9, fock_cutoff=2)

@@ -93,18 +93,11 @@ class TestTransferAsymmetry:
         report = transfer_asymmetry(chain_spec(2, gamma=200.0, gamma_prime=2e-3))
         assert report.metrics["asymmetry_ratio"] >= 1e3
 
-    def test_semiclassical_comparison_recorded(self):
-        report = transfer_asymmetry(chain_spec(2, gamma=1.0, gamma_prime=0.0))
-        assert "peak_forward_semiclassical" in report.metrics
-        assert report.metrics["peak_forward_semiclassical"] == pytest.approx(
-            report.metrics["peak_forward"], rel=1e-6)
-
     def test_spin_one_runs_start_with_the_downstream_spin_down(self):
-        # the Lindblad and the semiclassical forward run both start at m = -s downstream
+        # the forward run starts at m = -s downstream
         sites = (SpinSite(1.0, 0.0, "A"), SpinSite(1.0, 2.5e-7, "B"))
         report = transfer_asymmetry(CascadeSpec(1.0, 0.0, 0.7 / 2.5e-7, sites))
-        for label in ("transfer_forward", "transfer_forward_semiclassical"):
-            assert report.trajectories[label].observables["pop_B"][0] == 0.0
+        assert report.trajectories["transfer_forward"].observables["pop_B"][0] == 0.0
 
 
 class TestReciprocitySweep:

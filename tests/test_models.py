@@ -174,13 +174,41 @@ class TestCascadeSpec:
         with pytest.raises(DomainError):
             CascadeSpec(1.0, 0.0, 1.0, tuple(reversed(two_spins)))
 
-    def test_needs_two_sites(self, two_spins):
-        with pytest.raises(DomainError):
-            CascadeSpec(1.0, 0.0, 1.0, two_spins[:1])
+    def test_needs_a_site(self):
+        with pytest.raises(DomainError, match="at least one site"):
+            CascadeSpec(1.0, 0.0, 1.0, ())
 
     def test_negative_rate_rejected(self, two_spins):
         with pytest.raises(DomainError):
             CascadeSpec(-1.0, 0.0, 1.0, two_spins)
+
+
+class TestOneSiteCascade:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_lone_decaying_spin(self, s):
+        # one site: no Hamiltonian and the one jump (2 gamma, S^-), whatever the position and k_z
+        model = build_cascade_model(CascadeSpec(1.3, 0.0, 0.7 / 2.5e-7, (SpinSite(s, 4e-7),)))
+        assert np.array_equal(model.hamiltonian.matrix, np.zeros((model.space.dim,) * 2))
+        ((rate, z),) = model.jumps
+        assert rate == 2.0 * 1.3
+        assert np.array_equal(z.matrix, spin_operators(s)[1].matrix)
+
+
+class TestExcitationNumber:
+    @pytest.mark.parametrize("spins", [(0.5, 1.0), (1.5, 0.5), (1.0, 1.5, 0.5), (1.5, 0.5, 1.0, 0.5)])
+    @pytest.mark.parametrize("rates", [(1.3, 0.0), (0.0, 0.7), (1.3, 0.7)],
+                             ids=["forward", "backward", "both"])
+    def test_hamiltonian_conserves_and_each_jump_removes_one(self, spins, rates):
+        # N = sum_j (m_j + s_j): [H, N] = 0 exactly, and [N, z] = -z for every jump z
+        sites = tuple(SpinSite(s, 2.5e-7 * j * (1.0 + 0.1 * j)) for j, s in enumerate(spins))
+        model = build_cascade_model(CascadeSpec(*rates, 0.7 / 2.5e-7, sites))
+        n = sum(op.matrix for op in site_number_operators(model.space, sites))
+        h = model.hamiltonian.matrix
+        assert np.max(np.abs(h)) > 0.0
+        assert np.max(np.abs(h @ n - n @ h)) == 0.0
+        assert len(model.jumps) == sum(rate > 0 for rate in rates)
+        for _, z in model.jumps:
+            assert np.max(np.abs(n @ z.matrix - z.matrix @ n + z.matrix)) <= 1e-12
 
 
 class TestFullModel:
