@@ -17,7 +17,7 @@ import math
 import sys
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -290,7 +290,9 @@ class RunConfig:
         gamma_prime = TWO_PI * self.value("cascade", "gamma_prime_hz", 0.0)
         k_z = self.value("cascade", "k_z_rad_m")
         if k_z is None:
-            k_z_d = self.value("cascade", "k_z_d")
+            # the program's default k_z_d applies to two or more spins; a lone spin has no phase
+            given = "k_z_d" in self.data.get("cascade", {})
+            k_z_d = self.value("cascade", "k_z_d") if given or len(sites) >= 2 else None
             if k_z_d is None:
                 k_z = 0.0
             elif len(sites) < 2 or sites[0].position_z == sites[1].position_z:
@@ -673,7 +675,9 @@ def _budget_table_text(budget_dict: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chiralspin",
         description="Directional phonon-mediated spin-spin coupling: budgets, simulations, experiments.")
@@ -706,7 +710,11 @@ def main(argv=None) -> int:
     p_exp.add_argument("--output", default=None)
 
     sub.add_parser("validate", help="run the built-in invariant suite")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "couplings":

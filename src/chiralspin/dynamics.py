@@ -4,7 +4,7 @@ Every evolution integrates one encoding of the generator,
 :class:`~chiralspin.models.Generator`: L(rho) = -i(K rho - rho K^dag) plus
 sandwich terms r z rho z^dag. A Lindblad model enters with
 K = H - (i/2) sum r z^dag z; a non-Hermitian Hamiltonian enters with K = H_nh,
-with or without its jump, and a pure state as rho = |psi><psi|. One step loop
+with or without its jump, and a pure state as rho = |psi><psi|. One step driver
 serves them all.
 
 All evolutions are nondimensionalized by ``rate_scale`` so step sizes stay
@@ -52,6 +52,26 @@ has already stepped past it, and the Hermiticity, positivity and
 step-doubling diagnostics run at about 256 block ends per run. Both paths
 implement the same method, and the choice depends only on |S|, the step
 count and the strides, so results stay deterministic run to run.
+
+One kind of :func:`evolve` run takes neither path: a single excitation
+decaying into one dark state. When rho0 = |i><i| for a basis state i, every
+jump maps A (the closure of {i} under K alone) into one common state g
+outside A, and g is dark (K and every z vanish on its row and column), the
+state is exactly rho(t) = |c><c| + (1 - |c|^2)|g><g| (Gardiner; Carmichael
+1993): c evolves under -iK between jumps, and every jump lands in g. The
+rule reads only nonzero patterns, like the closed support, and every
+one-excitation basis start of a cascade model meets it. This amplitude path
+advances the |A| amplitudes with the same two degree-4 Taylor half steps,
+every step's amplitudes formed by doubling in chunks under the same memory
+cap, and it builds no superoperator and runs no eigensolver: watched values
+are c^dag O[A,A] c + O[g,g] (1 - |c|^2), the states are recorded as the same
+stack on S, and the diagnostics come from the exact spectrum
+{|c|^2, 0, 1 - |c|^2}. Its per-step guard reports the first step where |c|^2 rises by more
+than the tolerance, which a trace-preserving generator never does. The two
+paths truncate the same exponential differently, so their results agree to
+about 1e-11, not bit for bit. Mixed, multi-excitation and spin-s > 1/2
+top-state starts, jump-free models and every :func:`evolve_nonhermitian` run
+take the density path.
 """
 
 from __future__ import annotations
@@ -92,15 +112,17 @@ class IntegratorConfig:
     ``rate_scale`` itself is the physical normalization frequency in rad/s.
     ``dt=None`` resolves to 1e-3 divided by the scaled generator magnitude.
     ``tolerance`` bounds the per-step trace drift of trace-preserving
-    evolutions; violating it raises :class:`IntegrationError` with the
-    offending step. ``sample_stride`` controls how often watched expectation
-    values are recorded (1 = every step) and ``record_states_stride``
-    optionally stores density-matrix snapshots. The loop steps a chunk
-    of blocks at a time, K steps per block on small supports and one step on
-    larger ones, and then checks and records the chunk (see the module
-    docstring); the trace guard still checks every step, and the more
-    expensive hermiticity/positivity/step-doubling diagnostics run at the
-    ends of ~256 evenly spaced blocks per run.
+    evolutions (on the amplitude path of a decaying excitation, the
+    per-step rise of the excitation norm |c|^2, see the module docstring);
+    violating it raises :class:`IntegrationError` with the offending step.
+    ``sample_stride`` controls how often watched expectation values are
+    recorded (1 = every step) and ``record_states_stride`` optionally stores
+    density-matrix snapshots. The loop steps a chunk of blocks at a time, K
+    steps per block on small supports and one step on larger ones, and then
+    checks and records the chunk (see the module docstring); the guard still
+    checks every step, and the more expensive hermiticity/positivity/
+    step-doubling diagnostics run at the ends of ~256 evenly spaced blocks
+    (on the amplitude path, steps) per run.
     """
 
     t_final: float
@@ -333,6 +355,15 @@ class _StageSteps:
         return float(np.max(np.abs(np.array(full) - ends)))
 
 
+def _closure(links: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The mask ``inside`` grown by the rows ``links`` reaches from its columns, until nothing is added."""
+    while True:
+        grown = inside | np.any(links[:, inside], axis=1)
+        if np.array_equal(grown, inside):
+            return inside
+        inside = grown
+
+
 def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
     """Sorted indices of the smallest set holding rho0's support that K and every z map into itself.
 
@@ -343,12 +374,138 @@ def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
     links = gen.k != 0
     for _, z in gen.sandwiches:
         links = links | (z != 0)
-    inside = np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)
-    while True:
-        grown = inside | np.any(links[:, inside], axis=1)
-        if np.array_equal(grown, inside):
-            return np.flatnonzero(inside)
-        inside = grown
+    return np.flatnonzero(_closure(links, np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)))
+
+
+def _cascade_amplitudes(gen: Generator, rho: np.ndarray):
+    """(A, g) when ``rho`` is one excitation that decays into one dark state g, else None.
+
+    The rule reads only nonzero patterns: rho = |i><i| for one basis state i; A is
+    the closure of {i} under K alone; every jump z has z[A, A] = 0 and maps A into
+    one common state g outside A, which at least one jump reaches; and g is dark,
+    K[g, :] = K[:, g] = 0 and z[:, g] = 0. Then between jumps the state is the
+    amplitude vector c on A under -iK, and every jump lands in g, so
+    rho(t) = |c><c| + p_G |g><g|.
+    """
+    diagonal = rho.diagonal()
+    if np.count_nonzero(rho) != 1 or np.count_nonzero(diagonal == 1) != 1:
+        return None
+    inside = _closure(gen.k != 0, diagonal != 0)
+    reached = np.zeros_like(inside)
+    for _, z in gen.sandwiches:
+        hit = np.any(z[:, inside] != 0, axis=1)
+        if np.any(hit & inside):
+            return None
+        reached |= hit
+    ground = np.flatnonzero(reached)
+    if ground.size != 1:
+        return None
+    g = int(ground[0])
+    if gen.k[g].any() or gen.k[:, g].any() or any(z[:, g].any() for _, z in gen.sandwiches):
+        return None
+    return np.flatnonzero(inside), g
+
+
+def _drift_error(what: str, step: int, drift: float, dt: float, tolerance: float) -> IntegrationError:
+    t = step * dt
+    return IntegrationError(f"per-step {what} {drift:.3e} exceeded tolerance {tolerance:.1e} "
+                            f"at step {step} (t={t:.6g})", step=step, time=t, drift=drift)
+
+
+def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, n: int, dt: float,
+                     cfg: IntegratorConfig, blocks, table: np.ndarray, states: np.ndarray,
+                     diag_stride: int):
+    """Step one decaying excitation (see :func:`_cascade_amplitudes`) as its amplitudes c on A.
+
+    Each step is T = (the degree-4 Taylor polynomial of exp(-iK[A, A] dt/2))^2, the
+    density path's two half steps on the amplitudes. p_G = 1 - |c|^2 is exact for a
+    trace-preserving generator, so the guard checks that |c|^2 never rises by more
+    than the tolerance (K - K^dag = -i sum r z^dag z only lowers it). A chunk holds
+    the amplitudes of up to _STACK_MAX_BYTES' worth of steps, one column per step,
+    formed by doubling. A watched value is
+    tr(O rho) = O_gg + sum_a (O_aa - O_gg) |c_a|^2 + sum_(a != b) O_ab conj(c_a) c_b,
+    read from the populations |c_a|^2 of every step and the products at the
+    watches' nonzero off-diagonal (a, b). Returns the final state on the run's
+    support and (max_trace_drift, min_eigenvalue, max_step_doubling_error).
+    """
+    size, d = amps.size, rho.shape[0]
+    cut = np.ix_(amps, amps)
+    f = -1j * gen.k[cut]
+    half = _taylor4(f, 0.5 * dt)
+    step = half @ half
+    step_err = _taylor4(f, dt) - step
+    on_a = np.array([block[cut] for block in blocks], dtype=complex).reshape(-1, size, size)
+    on_g = np.array([block[g, g] for block in blocks], dtype=complex)[:, None]
+    weights = on_a.diagonal(axis1=1, axis2=2) - on_g
+    rows, cols = np.nonzero(np.any(on_a != 0, axis=0) & ~np.eye(size, dtype=bool))
+    coherences = on_a[:, rows, cols]
+    # where |c><c| and p_G sit in a row-major state on S
+    flat = (amps[:, None] * d + amps).reshape(-1)
+
+    def place(c: np.ndarray, ground: np.ndarray, out: np.ndarray) -> None:
+        # one state per column of c
+        out[:] = 0.0
+        outer = c.T[:, :, None] * c.T.conj()[:, None, :]
+        out.reshape(-1, d * d)[:, flat] = outer.reshape(-1, size * size)
+        out[:, g, g] = ground
+
+    chunk = min(n, max(1, _STACK_MAX_BYTES // ((size + rows.size) * np.dtype(complex).itemsize) - 1))
+    c = np.empty((size, chunk + 1), dtype=complex)
+    c[:, 0] = rho.diagonal()[amps]  # rho = |i><i|, so c = e_i
+    squares = [step.T]  # the transposed powers advance the columns as rows
+    max_drift, low, max_err = 0.0, 0.0, 0.0
+    sample, recorded, start = 1, 1, 0
+    while start < n:
+        m = min(chunk, n - start)
+        block = c[:, :m + 1]  # column j holds step start + j
+        # A chunk may run past an unstable step; the guard below reports the first one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fill_powers(block.T, squares)
+            pops = np.square(block.real)
+            pops += np.square(block.imag)
+            norms = pops.sum(axis=0)
+            rises = np.diff(norms)
+        # a non-finite norm makes its rise inf or nan, which fails "<=" as well
+        bad = np.flatnonzero(~(rises <= cfg.tolerance))
+        if bad.size:
+            raise _drift_error("rise of the excitation norm |c|^2", start + int(bad[0]) + 1,
+                               float(rises[bad[0]]), dt, cfg.tolerance)
+
+        def columns(stride: int) -> np.ndarray:
+            # the chunk's columns at the multiples of stride, and at step n
+            at = np.arange(stride - start % stride, m + 1, stride)
+            return np.append(at, m) if start + m == n and n % stride else at
+
+        diag = columns(diag_stride)
+        if diag.size:
+            norm, ground = norms[diag], 1.0 - norms[diag]
+            max_drift = max(max_drift, float(np.max(np.abs(norm + ground - 1.0))))
+            low = min(low, float(norm.min()), float(ground.min()))
+            # one full step against the two half steps, from each diagnosed step's start
+            halves = np.take(block, diag, axis=1)
+            fulls = halves + step_err @ np.take(block, diag - 1, axis=1)
+            outer = fulls[:, None] * fulls.conj() - halves[:, None] * halves.conj()
+            full_norms = np.square(np.abs(fulls)).sum(axis=0)
+            max_err = max(max_err, float(np.max(np.abs(outer))), float(np.max(np.abs(full_norms - norm))))
+
+        keep = columns(cfg.sample_stride)
+        kept = np.take(pops, keep, axis=1)
+        values = table[:, sample:sample + keep.size]
+        values.real = weights.real @ kept + on_g.real
+        values.imag = weights.imag @ kept + on_g.imag
+        if rows.size:
+            sampled = np.take(block, keep, axis=1)
+            values += coherences @ (sampled[rows].conj() * sampled[cols])
+        sample += keep.size
+        if cfg.record_states_stride:
+            at = columns(cfg.record_states_stride)
+            place(block[:, at], 1.0 - norms[at], states[recorded:recorded + at.size])
+            recorded += at.size
+        c[:, 0] = block[:, m]
+        start += m
+    final = np.empty((1, d, d), dtype=complex)
+    place(c[:, :1], 1.0 - norms[m:], final)
+    return final[0], (max_drift, low, max_err)
 
 
 def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_ops, *,
@@ -370,7 +527,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     states of a chunk of blocks of K steps (K = 1 on the stage path, one step
     at a time) and then handles the chunk with array operations: it checks the trace drift
     of every step, records the samples and states, and runs the diagnostics on
-    the blocks that reach each multiple of ``n // 256`` steps.
+    the blocks that reach each multiple of ``n // 256`` steps. A trace-preserving
+    run of one decaying excitation (:func:`_cascade_amplitudes`) is stepped as
+    amplitudes instead (:func:`_step_amplitudes`), with the same records.
     """
     space = rho0.space
     for label, op in watch_ops:
@@ -415,17 +574,24 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
 
     max_trace_drift = 0.0
     max_herm_dev = 0.0
-    min_eig = lowest_eigenvalue(rho)
     max_double_err = 0.0
     trace_prev = float(np.trace(rho).real)
 
     stationary = not np.count_nonzero(gen.apply(rho))
-    if stationary:
+    # the amplitude path needs p_G = 1 - |c|^2, which holds for a trace-preserving generator
+    cascade = None if stationary or not check_trace else _cascade_amplitudes(gen, rho)
+    if cascade is not None:
+        # |i><i| on |S| >= 2 states has the lowest eigenvalue 0, where the amplitudes' minimum starts
+        rho, (max_trace_drift, min_eig, max_double_err) = _step_amplitudes(
+            gen, *cascade, rho, n, dt, cfg, blocks, table, states, diag_stride)
+    elif stationary:
         # Stationary input (dark state or trivial generator): the exact
         # solution is constant, so every sample repeats the first.
+        min_eig = lowest_eigenvalue(rho)
         table[:, 1:] = table[:, :1]
         states[1:] = rho
     else:
+        min_eig = lowest_eigenvalue(rho)
         if d <= _PROPAGATOR_MAX_DIM:
             k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
                               d * d * np.dtype(complex).itemsize)
@@ -458,11 +624,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                 # a non-finite trace makes its drift inf or nan, which fails "<=" as well
                 bad = np.flatnonzero(~(drifts <= cfg.tolerance))
                 if bad.size:
-                    step, drift = start + int(bad[0]) + 1, float(drifts[bad[0]])
-                    t = step * dt
-                    raise IntegrationError(
-                        f"per-step trace drift {drift:.3e} exceeded tolerance {cfg.tolerance:.1e} "
-                        f"at step {step} (t={t:.6g})", step=step, time=t, drift=drift)
+                    raise _drift_error("trace drift", start + int(bad[0]) + 1, float(drifts[bad[0]]), dt,
+                                       cfg.tolerance)
                 max_trace_drift = max(max_trace_drift, float(abs(traces - 1.0).max()))
             trace_prev = float(traces[-1])
 
@@ -518,7 +681,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
     ``watch`` is a sequence of (label, Operator) pairs sampled along the way.
     The initial state must satisfy the density-matrix invariants; the run
     aborts with :class:`IntegrationError` if the per-step trace drift ever
-    exceeds ``cfg.tolerance``.
+    exceeds ``cfg.tolerance``, or, for one excitation decaying into a dark
+    state (stepped as amplitudes, see the module docstring), if the
+    excitation norm |c|^2 ever rises by more than it in one step.
     """
     if model.space != rho0.space:
         raise DomainError("initial state space does not match model space")

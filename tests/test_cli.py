@@ -13,6 +13,7 @@ import pytest
 
 import chiralspin
 import chiralspin.cli as cli_module
+import chiralspin.dynamics as dynamics_module
 from chiralspin import DensityMatrix, DomainError, Trajectory, one_excited_state, spin_state
 from chiralspin import validation
 from chiralspin.cli import RunConfig, emit_report, main, run
@@ -91,6 +92,15 @@ def per_value_csv(traj) -> bytes:
         names += [f"Re<{name}>[dimensionless]", f"Im<{name}>[dimensionless]"]
     lines = [",".join(names)] + [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's invocation plans."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestRunConfig:
@@ -225,10 +235,7 @@ class TestRunAndEmit:
     def test_benchmark_csvs_match_per_value_format(self, tmp_path, monkeypatch, capsys):
         # every CSV of every benchmark invocation (seed 1) against a writer that formats
         # one value at a time
-        spec = importlib.util.spec_from_file_location(
-            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads()
         reports = []
 
         def emit(report, directory, formats=("json", "csv")):
@@ -246,6 +253,45 @@ class TestRunAndEmit:
                 assert path.read_bytes() == per_value_csv(traj), path
                 checked += 1
         assert checked == 3 + 2 + 12  # elimination, chain5, pair_mix
+
+    def test_benchmark_reports_match_the_density_path(self, tmp_path, monkeypatch, capsys):
+        # every benchmark invocation (seed 1) with the amplitude path and with it forced off:
+        # identical pass flags, metrics within 1e-9 relative; rounding-level metrics such as
+        # prefix_supnorm (1e-16 against 1e-13) within 1e-12
+        workloads = benchmark_workloads()
+        runs = {"amplitude": [], "evolutions": []}
+        step, integrate = dynamics_module._step_amplitudes, dynamics_module._integrate_density
+        monkeypatch.setattr(dynamics_module, "_step_amplitudes",
+                            lambda *args: runs["amplitude"].append(1) or step(*args))
+        monkeypatch.setattr(dynamics_module, "_integrate_density", lambda *args, **kwargs: (
+            runs["evolutions"].append(1) or integrate(*args, **kwargs)))
+        emit = cli_module.emit_report
+
+        def reports(workload):
+            emitted = []
+            monkeypatch.setattr(cli_module, "emit_report", lambda report, directory, formats: (
+                emitted.append(report), emit(report, directory, formats))[1])
+            for item in workloads.plan(workload, 1, str(tmp_path / workload)):
+                assert main(item["argv"]) == 0
+            return emitted
+
+        # (amplitude runs, evolutions) per pass, validate's five included
+        traffic = {"elimination": (4, 8), "chain5": (10, 11), "pair_mix": (40, 41)}
+        for workload in workloads.WORKLOADS:
+            for counted in runs.values():
+                counted.clear()
+            amplitudes = reports(workload)
+            assert (len(runs["amplitude"]), len(runs["evolutions"])) == traffic[workload]
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics_module, "_cascade_amplitudes", lambda gen, rho: None)
+                densities = reports(workload)
+            assert len(runs["amplitude"]) == traffic[workload][0]
+            assert len(amplitudes) == len(densities) > 0
+            for mine, theirs in zip(amplitudes, densities):
+                assert mine.pass_flags == theirs.pass_flags and all(mine.pass_flags.values())
+                assert mine.metrics.keys() == theirs.metrics.keys()
+                for key, value in theirs.metrics.items():
+                    assert mine.metrics[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
 
     def test_shared_time_grid_encoded_once(self, tmp_path, monkeypatch):
         # a report's trajectories on one time grid encode it once; another grid is encoded anew
@@ -296,6 +342,25 @@ class TestRunAndEmit:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(path) == 2
+
+    def test_parser_built_once_and_calls_share_no_lists(self, monkeypatch):
+        # the cached parser hands each call its own --set list, which a later call leaves
+        # as it was; the parser's defaults stay empty
+        seen = []
+        monkeypatch.setattr(cli_module, "run", lambda config, overrides, **kwargs: seen.append(
+            (config, overrides, kwargs)) or 0)
+        assert main(["experiment", "simulate", "--set", "spin.s=1", "--set", "cascade.k_z_d=0.3"]) == 0
+        assert main(["experiment", "cascade_chain"]) == 0
+        assert main(["simulate", "c.json", "--set", "spin.s=1.5", "--output", "o"]) == 0
+        assert seen == [
+            (None, ["spin.s=1", "cascade.k_z_d=0.3"], {"experiment_name": "simulate", "output_dir": None}),
+            (None, [], {"experiment_name": "cascade_chain", "output_dir": None}),
+            ("c.json", ["spin.s=1.5"], {"experiment_name": "simulate", "output_dir": "o"})]
+        parser = cli_module._parser()
+        assert parser is cli_module._parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        for name in ("simulate", "experiment"):
+            assert subparsers[name].get_default("overrides") == []
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run(tmp_path / "nope.json") == 2
@@ -554,6 +619,20 @@ class TestMainSubcommands:
                      "--set", "cascade.k_z_rad_m=0", "--output", str(out)]) == 0
         metrics = json.loads((out / "report.json").read_text())["metrics"]
         assert metrics["final_pop_A"] == pytest.approx(math.exp(-16.0), rel=1e-10)
+
+    def test_one_site_takes_no_default_phase(self, tmp_path):
+        # the program's k_z_d = 0.7 needs a pair; a lone spin runs without any k_z given
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "spin.positions_m=[0]", "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["final_pop_A"] == pytest.approx(math.exp(-16.0), rel=1e-10)
+
+    def test_one_site_with_user_k_z_d_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["experiment", "simulate", "--set", "spin.positions_m=[0]",
+                     "--set", "cascade.k_z_d=0.7", "--output", str(out)]) == 2
+        assert 'detail="k_z_d needs two distinct first spin positions"' in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inline_default_rate_is_not_user_input(self, tmp_path):
         # the program's inline gamma_hz = 1 is not the user's, so a backward run may leave it

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre
 
 import chiralspin.dynamics as dynamics_module
 from chiralspin import (
@@ -40,6 +41,16 @@ DU = (1, 0)
 
 def pure(space, occ):
     return DensityMatrix.from_pure(space, basis_vector(space, occ))
+
+
+def force_density_path(patch):
+    """Route every evolution to the density path: the seam that selects the amplitude path finds none."""
+    patch.setattr(dynamics_module, "_cascade_amplitudes", lambda gen, rho: None)
+
+
+@pytest.fixture
+def density_path(monkeypatch):
+    force_density_path(monkeypatch)
 
 
 def reference_liouvillian(h, rate_ops, dim):
@@ -86,7 +97,7 @@ class TestEvolveBasics:
         with pytest.raises(DomainError):
             evolve(model, bad, IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
-    def test_trace_blowup_raises_with_step(self, pair_spec):
+    def test_trace_blowup_raises_with_step(self, pair_spec, density_path):
         model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
         rho0 = pure(model.space, UD)
         cfg = IntegratorConfig(t_final=400.0, rate_scale=1.0, dt=8.0)  # far beyond stability
@@ -276,7 +287,7 @@ class TestPhysicalityDiagnostics:
         shared = np.real(fine.observables["pop_B"][::2]) - np.real(coarse.observables["pop_B"])
         assert np.max(np.abs(shared)) <= 16.0 * 1e-10
 
-    def test_loop_and_matrix_paths_agree(self, pair_spec, monkeypatch, two_spins):
+    def test_loop_and_matrix_paths_agree(self, pair_spec, monkeypatch, two_spins, density_path):
         model = build_cascade_model(pair_spec(gamma=1.0, kd=1.2))
         watch = [("pop_B", site_number_operators(model.space, two_spins)[1])]
         rho0 = pure(model.space, UD)
@@ -305,6 +316,7 @@ def stepped_reference():
     model, rho0, watch = blocked_pair(two_spins)
     cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3, record_states_stride=1)
     with pytest.MonkeyPatch.context() as patch:
+        force_density_path(patch)
         patch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
         stepped = evolve(model, rho0, cfg, watch)
     rate_ops = [(r, op.matrix) for r, op in model.jumps]
@@ -331,6 +343,7 @@ def subsampled(stepped, sample_stride, state_stride):
 DIAGNOSTICS = ("max_trace_drift", "max_hermiticity_dev", "min_eigenvalue", "max_step_doubling_error")
 
 
+@pytest.mark.usefixtures("density_path")
 class TestBlockStepping:
     """The blocked propagator path against the per-step stage path and the expm oracle."""
 
@@ -483,6 +496,7 @@ def chunk_spy(monkeypatch, stepper=dynamics_module._PropagatorBlocks):
     return chunks
 
 
+@pytest.mark.usefixtures("density_path")
 class TestChunkedDriver:
     """Runs whose blocks span several chunks against the per-step stage path."""
 
@@ -941,3 +955,152 @@ class TestClosedSupport:
             assert np.array_equal(other.times, runs[0].times)
             for label, series in runs[0].observables.items():
                 assert np.max(np.abs(other.observables[label] - series)) <= 1e-14
+
+
+@pytest.fixture
+def amplitude_runs(monkeypatch):
+    """Count the evolutions that take the amplitude path."""
+    runs = []
+    step = dynamics_module._step_amplitudes
+
+    def spy(*args):
+        runs.append(args[1].size)  # |A|
+        return step(*args)
+
+    monkeypatch.setattr(dynamics_module, "_step_amplitudes", spy)
+    return runs
+
+
+def cascade_run(direction, n, site, t_final=8.0, dt=2e-3):
+    """A one-excitation cascade chain with its populations watched and a state every 20 steps."""
+    sites = chain_sites(n)
+    model = build_cascade_model(CascadeSpec(*RATES[direction], 0.7 / 2.5e-7, sites))
+    watch = list(zip((f"pop_{j}" for j in range(n)), site_number_operators(model.space, sites)))
+    cfg = IntegratorConfig(t_final=t_final, rate_scale=1.0, dt=dt, record_states_stride=20)
+    return model, pure(model.space, excited(n, {site})), cfg, watch
+
+
+# (direction, N, excited site): head and tail starts of N = 1..6 in every direction
+ONE_EXCITATION = [pytest.param(direction, n, site, id=f"{direction}-n{n}-{name}")
+                  for direction in sorted(RATES) for n in range(1, 7)
+                  for name, site in (("head", 0), ("tail", n - 1)) if n > 1 or name == "head"]
+
+
+class TestAmplitudePath:
+    """One decaying excitation stepped as amplitudes, against the density path, expm and the closed form."""
+
+    @pytest.mark.parametrize("direction, n, site", ONE_EXCITATION)
+    def test_selected_and_matches_density_path(self, monkeypatch, amplitude_runs, direction, n, site):
+        model, rho0, cfg, watch = cascade_run(direction, n, site)
+        amplitudes = evolve(model, rho0, cfg, watch)
+        assert len(amplitude_runs) == 1
+        force_density_path(monkeypatch)
+        density = evolve(model, rho0, cfg, watch)
+        assert len(amplitude_runs) == 1
+
+        assert amplitudes.diagnostics.keys() == density.diagnostics.keys()
+        for key in ("n_steps", "dt", "stationary"):
+            assert amplitudes.diagnostics[key] == density.diagnostics[key]
+        assert amplitudes.diagnostics["max_hermiticity_dev"] == 0.0
+        assert amplitudes.diagnostics["max_step_doubling_error"] <= 1e-10
+        assert np.array_equal(amplitudes.times, density.times)
+        for label, series in density.observables.items():
+            assert np.max(np.abs(amplitudes.observables[label] - series)) <= 1e-10
+            assert np.all(amplitudes.observables[label].imag == 0.0)
+        assert np.array_equal(amplitudes.state_times, density.state_times)
+        assert np.array_equal(amplitudes.states.support, density.states.support)
+        assert amplitudes.states.max_deviation(density.states) <= 1e-10
+        assert np.max(np.abs(amplitudes.final_state.matrix - density.final_state.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("direction", sorted(RATES))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_expm(self, amplitude_runs, direction, n):
+        # rho(t) = |psi><psi| + (1 - |psi|^2)|G><G| with psi(t) = exp(-iKt) psi(0) on the full space;
+        # at dt = 1e-3 the fourth-order truncation error stays below 1e-13 up to N = 7
+        model, rho0, cfg, watch = cascade_run(direction, n, 0, dt=1e-3)
+        cfg = replace(cfg, record_states_stride=800)
+        traj = evolve(model, rho0, cfg, watch)
+        assert amplitude_runs == [n if direction != "backward" else 1]
+        k = model.generator().k
+        psi0 = spin_state(model.space, (0,))
+        for t, state in zip(traj.state_times, traj.states):
+            psi = expm(-1j * k * t) @ psi0
+            exact = np.outer(psi, psi.conj())
+            exact[-1, -1] += 1.0 - np.vdot(psi, psi).real
+            assert np.max(np.abs(state.matrix - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_forward_chain_matches_closed_form(self, amplitude_runs, n):
+        # from the head: |c_1| = e^{-t}, |c_j| = e^{-t} (2t) |L^(1)_{j-2}(2t)| / (j - 1) at gamma = 1
+        model, rho0, cfg, watch = cascade_run("forward", n, 0)
+        traj = evolve(model, rho0, replace(cfg, sample_stride=10, record_states_stride=0), watch)
+        assert amplitude_runs == [n]
+        t = traj.times
+        for j in range(1, n + 1):
+            amplitude = np.exp(-t) if j == 1 else (
+                np.exp(-t) * 2 * t * np.abs(eval_genlaguerre(j - 2, 1, 2 * t)) / (j - 1))
+            assert np.max(np.abs(traj.observables[f"pop_{j - 1}"].real - amplitude ** 2)) <= 1e-10
+
+    def test_density_path_for_other_starts(self, pair_spec, two_spins, rng, amplitude_runs):
+        n = 3
+        model, _, cfg, watch = cascade_run("forward", n, 0)
+        cfg = replace(cfg, t_final=1.0)
+        evolve(model, pure(model.space, excited(n, {0, n - 1})), cfg, watch)  # two excitations
+        evolve(model, DensityMatrix(model.space, random_density(rng, model.space.dim)), cfg, watch)
+        evolve(model, DensityMatrix.maximally_mixed(model.space), cfg, watch)
+        # spin 1 at m = +1: the first jump lands in m = 0, which is not dark
+        sites = tuple(replace(site, s=1.0) for site in two_spins)
+        spin_one = build_cascade_model(replace(pair_spec(gamma=1.0, kd=0.9), sites=sites))
+        evolve(spin_one, DensityMatrix.from_pure(spin_one.space, spin_state(spin_one.space, (0,))), cfg)
+        # elimination's jump-free full model
+        full = build_full_model(two_spins, (ModeSpec(+1, +1, 25.0, 1.0, 2),))
+        evolve(full, pure(full.space, (0, 1, 0)), replace(cfg, rate_scale=25.0))
+        # evolve_nonhermitian, with and without the jump
+        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.4), "forward")
+        jump = build_cascade_model(pair_spec(gamma=1.0, kd=0.4)).jumps[0]
+        for given in (None, jump):
+            evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD), cfg, jump=given)
+        assert amplitude_runs == []
+        # the same one-excitation pair under evolve takes the amplitude path
+        pair = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
+        evolve(pair, pure(pair.space, UD), cfg)
+        assert amplitude_runs == [2]
+
+    def test_unstable_step_raises(self, pair_spec, amplitude_runs):
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError) as err:
+                evolve(model, pure(model.space, UD),
+                       IntegratorConfig(t_final=400.0, rate_scale=1.0, dt=8.0))
+        assert amplitude_runs == [2]
+        assert err.value.step == 1
+        assert "at step 1 (t=8)" in str(err.value)
+
+    def test_rise_in_a_later_chunk_reports_the_same_step(self, monkeypatch, amplitude_runs):
+        # the middle-excited bidirectional 3-chain at dt = 1.5 first loses norm, then a barely
+        # unstable mode takes over; the rise crosses 1e-10 between two steps about 3.4x apart
+        model = build_cascade_model(CascadeSpec(1.0, 1.0, 1.5 / 2.5e-7, chain_sites(3)))
+        rho0 = pure(model.space, excited(3, {1}))
+        cfg = IntegratorConfig(t_final=1.5 * 3000, rate_scale=1.0, dt=1.5)
+        fills = []
+        fill = dynamics_module._fill_powers
+        monkeypatch.setattr(dynamics_module, "_fill_powers", lambda out, squares: (
+            fills.append(len(out) - 1), fill(out, squares)))
+
+        def failure():
+            fills.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(IntegrationError) as err:
+                    evolve(model, rho0, cfg)
+            return err.value
+
+        whole = failure()
+        assert fills == [3000]
+        monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", 512)
+        chunked = failure()
+        assert len(fills) >= 3 and chunked.step > fills[0]
+        assert chunked.step == whole.step > 40
+        assert f"at step {whole.step} (t={1.5 * whole.step:.6g})" in str(chunked)
+        assert amplitude_runs == [3, 3]

@@ -145,6 +145,20 @@ class TestCascadeChain:
         report = cascade_chain(4, chain_spec(4))
         assert report.all_passed()
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_arrivals_inside_a_window_that_grows_with_the_chain(self, n):
+        # the last spin peaks at t = 7.98, 9.84 and 11.71 against windows of 10, 12 and 14
+        report = cascade_chain(n, chain_spec(n))
+        t_final = report.parameters["integrator"]["t_final"]
+        assert t_final == 2.0 * (n - 1)
+        assert report.all_passed() and report.pass_flags["arrival_ordered__monotone"]
+        for j in range(2, n + 1):
+            assert report.metrics[f"arrival_time_spin{j}"] <= t_final - 1.0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_short_chains_keep_the_fixed_window(self, n):
+        assert cascade_chain(n, chain_spec(n)).parameters["integrator"]["t_final"] == 8.0
+
     def test_too_many_sites_rejected(self):
         with pytest.raises(DomainError):
             cascade_chain(5, chain_spec(3))
