@@ -493,20 +493,23 @@ def _csv_label(label: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
 
 
-_CSV_PIECE_ROWS = 512  # CSV rows encoded and written per call
+_CSV_PIECE_BYTES = 192 << 10  # g17.join row-buffer bytes of the CSV rows encoded and written per call
 
 
 def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
     """Time plus the real and imaginary part of each observable, one row per sample.
 
     Every value is written as format(x, ".17g"), encoded by :mod:`.g17` a
-    piece of rows at a time and written as one buffer. A column after the
+    piece of rows at a time and written as one buffer. A piece holds as many
+    rows as fit _CSV_PIECE_BYTES of :func:`.g17.join`'s row buffer, so the
+    memory a call takes does not grow with its rows. A column after the
     first that is +0.0 throughout, such as the imaginary part of a Hermitian
     observable, is never encoded: its literal "0" is part of the separator
     after the column before it. With ``keep_grid`` this returns the time
-    column's fields, which a call for a trajectory on an equal time grid
-    takes as ``grid`` instead of encoding its own. Returns the SHA-256 hex digest
-    of the written bytes, hashed as they are written, and the grid to pass on.
+    column's records, which a call for a trajectory on an equal time grid
+    takes as ``grid`` instead of encoding its own. Returns the SHA-256 hex
+    digest of the written bytes, hashed as they are written, and the grid to
+    pass on.
     """
     times = np.asarray(traj.times, dtype=float)
     header = ["t[1/rate_scale]"]
@@ -523,21 +526,22 @@ def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
     reuse = grid is not None and np.array_equal(grid[0], times)
     fresh = kept[1:] if reuse else kept
     if keep_grid and not reuse:
-        grid = (times, np.empty((6, len(times)), dtype=np.uint32), np.empty(len(times), dtype=np.int16))
+        grid = (times, np.empty((4, len(times)), dtype=np.uint64))
 
-    def fields(piece: slice) -> list:
-        """The (text, layout) fields of every kept column on the rows ``piece``."""
+    def records(piece: slice) -> list:
+        """The records of every kept column on the rows ``piece``."""
         rows = len(times[piece])
         encoded = []
         if fresh:
-            text, layout = g17.encode(np.concatenate([columns[i][piece] for i in fresh]))
-            encoded = [(text[:, j:j + rows], layout[j:j + rows]) for j in range(0, len(layout), rows)]
+            words = g17.encode(np.concatenate([columns[i][piece] for i in fresh]))
+            encoded = [words[:, j:j + rows] for j in range(0, words.shape[1], rows)]
         if reuse:
-            encoded.insert(0, (grid[1][:, piece], grid[2][piece]))
+            encoded.insert(0, grid[1][:, piece])
         elif keep_grid:
-            grid[1][:, piece], grid[2][piece] = encoded[0]
+            grid[1][:, piece] = encoded[0]
         return encoded
 
+    step = max(1, _CSV_PIECE_BYTES // g17.row_bytes(separators))
     digest = hashlib.sha256()
     with path.open("wb") as out:
         def write(data: bytes):
@@ -545,8 +549,8 @@ def _write_trajectory_csv(path: Path, traj, grid=None, keep_grid=False):
             digest.update(data)
 
         write((",".join(header) + "\n").encode("utf-8"))
-        for first in range(0, len(times), _CSV_PIECE_ROWS):
-            write(g17.join(fields(slice(first, first + _CSV_PIECE_ROWS)), separators))
+        for first in range(0, len(times), step):
+            write(g17.join(records(slice(first, first + step)), separators))
     return digest.hexdigest(), grid if keep_grid else None
 
 
@@ -555,7 +559,9 @@ def emit_report(report: ExperimentReport, directory, formats=("json", "csv")) ->
 
     Outputs contain no timestamps or environment data, so re-running an
     identical config reproduces byte-identical files. Each file is hashed from the
-    bytes written to it, never read back.
+    bytes written to it, never read back. A CSV is written in pieces of
+    _CSV_PIECE_BYTES of row buffer. A time grid that the next trajectory shares
+    is kept as its records and encoded once.
     """
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)

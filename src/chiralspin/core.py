@@ -234,8 +234,13 @@ class DensityMatrix:
         """Lowest eigenvalue of the Hermitian part, diagonalised on its nonzero rows and columns.
 
         Outside that block the Hermitian part is exactly zero, which adds the eigenvalue 0.
+        A diagonal Hermitian part, such as that of a basis state, is its own spectrum: its
+        smallest diagonal entry, zeros included, is returned without a diagonalisation.
         """
         herm = 0.5 * (self.matrix + self.matrix.conj().T)
+        diagonal = herm.diagonal().real
+        if np.count_nonzero(herm) == np.count_nonzero(diagonal):
+            return float(diagonal.min())
         inside = np.flatnonzero(np.any(herm != 0, axis=0))
         low = float(np.linalg.eigvalsh(herm[np.ix_(inside, inside)])[0]) if inside.size else 0.0
         return low if inside.size == herm.shape[0] else min(low, 0.0)

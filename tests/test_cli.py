@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,9 +200,11 @@ class TestRunAndEmit:
         n_steps = round(config["integrator"]["t_final"] / config["integrator"]["dt"])
         assert len(lines) == n_steps + 2  # header + t=0 + every step
 
-    def test_csv_bytes_match_per_value_format(self, tmp_path):
+    def test_csv_bytes_match_per_value_format(self, tmp_path, monkeypatch):
         special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1 / 3, 2.0 ** 60]
-        n = 2 * cli_module._CSV_PIECE_ROWS + 3  # the rows are written in three pieces
+        # eight encoded columns (Re<zero> is part of a separator), each separator one word
+        step = cli_module._CSV_PIECE_BYTES // cli_module.g17.row_bytes([b","] * 8)
+        n = 2 * step + 3  # the rows are written in three pieces
         rng = np.random.default_rng(11)
         times = np.resize(special, n)
         observables = {"pop_A": np.empty(n, dtype=complex), "x<y>": np.empty(n, dtype=complex)}
@@ -215,7 +218,11 @@ class TestRunAndEmit:
         observables["signed"].imag = rng.standard_normal(n)
         traj = Trajectory(times, observables, None, rate_scale=1.0)
         path = tmp_path / "values.csv"
+        join, pieces = cli_module.g17.join, []
+        monkeypatch.setattr(cli_module.g17, "join",
+                            lambda records, seps: pieces.append(len(seps)) or join(records, seps))
         cli_module._write_trajectory_csv(path, traj)
+        assert pieces == [8, 8, 8]
 
         names = [f"{part}<{label}>[dimensionless]" for label in observables for part in ("Re", "Im")]
         lines = [",".join(["t[1/rate_scale]"] + names)]
@@ -379,7 +386,8 @@ class TestRunAndEmit:
 
     def test_manifest_hashes_bytes_as_written(self, tmp_path, monkeypatch):
         # no output file is read back to be hashed; the digests are those of the files on disk
-        times = np.linspace(0.0, 3.0, 1300)  # three CSV pieces
+        step = cli_module._CSV_PIECE_BYTES // cli_module.g17.row_bytes([b",", b",0\n"])
+        times = np.linspace(0.0, 3.0, 2 * step + 3)  # three CSV pieces
         report = ExperimentReport("hashes", {"p": 1.0}, {"m": 2.0}, {}, trajectories={
             label: Trajectory(times, {"pop": np.cos(times * k).astype(complex)}, None, rate_scale=1.0)
             for k, label in enumerate(("b", "a"))})
@@ -394,6 +402,24 @@ class TestRunAndEmit:
         expected = [f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
                     for path in sorted(files[:-1])]
         assert (tmp_path / "MANIFEST").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_emission_memory_does_not_grow_with_rows(self, tmp_path):
+        # the CSV pieces bound what emit_report allocates: four times the rows, the same peak
+        step = cli_module._CSV_PIECE_BYTES // cli_module.g17.row_bytes([b",", b",0\n"])
+        peaks = []
+        for rows in (2 * step + 3, 8 * step + 12):
+            times = np.linspace(0.0, 3.0, rows)
+            report = ExperimentReport("memory", {}, {}, {}, trajectories={
+                "only": Trajectory(times, {"pop": np.cos(times).astype(complex)}, None, rate_scale=1.0)})
+            emit_report(report, tmp_path / "warm")  # the encoder's tables are built on first use
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                emit_report(report, tmp_path / "measured")
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
 
     def test_unknown_output_format_exit_code(self, tmp_path, capsys, monkeypatch):
         evolved = []

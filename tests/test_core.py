@@ -436,6 +436,28 @@ class TestDensityMatrixInvariants:
             assert str(err.value) == expected
 
 
+    @pytest.mark.parametrize("shape", ["diagonal", "partly_zero_diagonal", "dense", "partly_zero_dense"])
+    def test_min_eigenvalue_matches_eigvalsh(self, rng, shape):
+        # a diagonal Hermitian part is its own spectrum, returned exactly; others are diagonalised
+        space = HilbertSpace((spin_factor(0.5),) * 3)
+        for draw in range(20):
+            if shape.endswith("diagonal"):
+                values = rng.random(8) if draw % 2 else rng.standard_normal(8)
+                m = np.diag(values).astype(complex)
+            else:
+                noise = rng.standard_normal((2, 8, 8))
+                m = random_density(rng, 8) + 0.1 * (noise[0] + 1j * noise[1])
+            if shape.startswith("partly_zero"):
+                zero = rng.choice(8, 3, replace=False)
+                m[zero, :] = 0.0
+                m[:, zero] = 0.0
+            full = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+            if shape.endswith("diagonal"):
+                assert DensityMatrix(space, m).min_eigenvalue() == full
+            else:
+                assert DensityMatrix(space, m).min_eigenvalue() == pytest.approx(full, abs=1e-15)
+
+
 class TestHilbertSpace:
     def test_dimension_product(self):
         space = HilbertSpace((spin_factor(1.0), boson_factor(4), spin_factor(0.5)))

@@ -97,6 +97,13 @@ class TestEvolveBasics:
         with pytest.raises(DomainError):
             evolve(model, bad, IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
+    def test_diagonal_start_with_negative_entry_rejected(self, two_spin_space):
+        model = LindbladModel(zero(two_spin_space), (), two_spin_space)
+        bad = DensityMatrix(two_spin_space, np.diag([0.7, 0.5, 0.0, -0.2]).astype(complex))
+        with pytest.raises(DomainError) as err:
+            evolve(model, bad, IntegratorConfig(t_final=1.0, rate_scale=1.0))
+        assert str(err.value) == "density matrix minimum eigenvalue -2.000e-01 below -1e-08"
+
     def test_trace_blowup_raises_with_step(self, pair_spec, density_path):
         model = build_cascade_model(pair_spec(gamma=1.0, kd=0.3))
         rho0 = pure(model.space, UD)
