@@ -24,7 +24,7 @@ from .core import (
     spin_state,
     tensor_product,
 )
-from .dynamics import IntegratorConfig, Trajectory, evolve, evolve_nonhermitian, fit_exchange_rate
+from .dynamics import IntegratorConfig, Trajectory, evolve, fit_exchange_rate
 from .errors import (
     DispersiveLimitWarning,
     DomainError,
@@ -52,7 +52,6 @@ from .models import (
     SpinSite,
     build_cascade_model,
     build_full_model,
-    build_nonhermitian_hamiltonian,
     site_number_operators,
     total_excitation,
 )

@@ -202,11 +202,9 @@ class Operator:
 class DensityMatrix:
     """A density matrix over a composite space.
 
-    Construction only checks shape; physical invariants (unit trace,
-    hermiticity, positivity) are asserted by :meth:`validate`, which
-    ``dynamics.evolve`` applies to its start state. Trace-decaying
-    states produced by non-trace-preserving evolutions are represented with the
-    same type and are never validated.
+    Construction only checks shape; physical invariants (finite entries, unit
+    trace, hermiticity, positivity) are asserted by :meth:`validate`, which
+    ``dynamics.evolve`` applies to its start state.
     """
 
     space: HilbertSpace
@@ -246,6 +244,9 @@ class DensityMatrix:
         return low if inside.size == herm.shape[0] else min(low, 0.0)
 
     def validate(self) -> "DensityMatrix":
+        # first: every check below is written "value > bound", which NaN passes
+        if not np.isfinite(self.matrix).all():
+            raise DomainError("density matrix has non-finite entries")
         if abs(self.trace() - 1.0) > 1e-9:
             raise DomainError(f"density matrix trace {self.trace():.3e} deviates from 1 beyond 1e-09")
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))

@@ -1,11 +1,10 @@
-"""Time evolution of Lindblad models and non-Hermitian Hamiltonians.
+"""Time evolution of Lindblad models.
 
 Every evolution integrates one encoding of the generator,
 :class:`~chiralspin.models.Generator`: L(rho) = -i(K rho - rho K^dag) plus
-sandwich terms r z rho z^dag. A Lindblad model enters with
-K = H - (i/2) sum r z^dag z; a non-Hermitian Hamiltonian enters with K = H_nh,
-with or without its jump, and a pure state as rho = |psi><psi|. One step driver
-serves them all.
+sandwich terms r z rho z^dag, with K = H - (i/2) sum r z^dag z (for a cascade
+channel, the paper's non-Hermitian H_nh). One step driver serves every run,
+and every run preserves the trace.
 
 All evolutions are nondimensionalized by ``rate_scale`` so step sizes stay
 O(1) across many orders of magnitude of physical rates. The stepper is a
@@ -58,9 +57,11 @@ decaying into one dark state. When rho0 = |i><i| for a basis state i, every
 jump maps A (the closure of {i} under K alone) into one common state g
 outside A, and g is dark (K and every z vanish on its row and column), the
 state is exactly rho(t) = |c><c| + (1 - |c|^2)|g><g| (Gardiner; Carmichael
-1993): c evolves under -iK between jumps, and every jump lands in g. The
-rule reads only nonzero patterns, like the closed support, and every
-one-excitation basis start of a cascade model meets it. This amplitude path
+1993): c evolves under -iK between jumps, and every jump lands in g. This is
+the master equation rewritten as H_nh plus jumps (Dalibard, Castin & Molmer
+1992), with the jumped population recycled into g. The rule reads only
+nonzero patterns, like the closed support, and every one-excitation basis
+start of a cascade model meets it. This amplitude path
 advances the |A| amplitudes with the same two degree-4 Taylor half steps,
 every step's amplitudes formed by doubling in chunks under the same memory
 cap, and it builds no superoperator and runs no eigensolver: watched values
@@ -70,8 +71,7 @@ stack on S, and the diagnostics come from the exact spectrum
 than the tolerance, which a trace-preserving generator never does. The two
 paths truncate the same exponential differently, so their results agree to
 about 1e-11, not bit for bit. Mixed, multi-excitation and spin-s > 1/2
-top-state starts, jump-free models and every :func:`evolve_nonhermitian` run
-take the density path.
+top-state starts and jump-free models take the density path.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, StateStack, identity
+from .core import DensityMatrix, StateStack
 from .errors import DomainError, FitError, IntegrationError
 from .models import Generator, LindbladModel
 
@@ -90,7 +90,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "evolve",
-    "evolve_nonhermitian",
     "fit_exchange_rate",
 ]
 
@@ -111,9 +110,9 @@ class IntegratorConfig:
     ``t_final`` and ``dt`` are measured in units of 1/``rate_scale``;
     ``rate_scale`` itself is the physical normalization frequency in rad/s.
     ``dt=None`` resolves to 1e-3 divided by the scaled generator magnitude.
-    ``tolerance`` bounds the per-step trace drift of trace-preserving
-    evolutions (on the amplitude path of a decaying excitation, the
-    per-step rise of the excitation norm |c|^2, see the module docstring);
+    ``tolerance`` bounds the per-step trace drift (on the amplitude path of a
+    decaying excitation, the per-step rise of the excitation norm |c|^2, see
+    the module docstring);
     violating it raises :class:`IntegrationError` with the offending step.
     ``sample_stride`` controls how often watched expectation values are
     recorded (1 = every step) and ``record_states_stride`` optionally stores
@@ -508,8 +507,7 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     return final[0], (max_drift, low, max_err)
 
 
-def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_ops, *,
-                       check_trace: bool) -> Trajectory:
+def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_ops) -> Trajectory:
     """The fixed-step driver behind every evolution.
 
     It first checks that every watched operator acts on the state's space, that
@@ -527,9 +525,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     states of a chunk of blocks of K steps (K = 1 on the stage path, one step
     at a time) and then handles the chunk with array operations: it checks the trace drift
     of every step, records the samples and states, and runs the diagnostics on
-    the blocks that reach each multiple of ``n // 256`` steps. A trace-preserving
-    run of one decaying excitation (:func:`_cascade_amplitudes`) is stepped as
-    amplitudes instead (:func:`_step_amplitudes`), with the same records.
+    the blocks that reach each multiple of ``n // 256`` steps. A run of one
+    decaying excitation (:func:`_cascade_amplitudes`) is stepped as amplitudes
+    instead (:func:`_step_amplitudes`), with the same records.
     """
     space = rho0.space
     for label, op in watch_ops:
@@ -578,8 +576,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     trace_prev = float(np.trace(rho).real)
 
     stationary = not np.count_nonzero(gen.apply(rho))
-    # the amplitude path needs p_G = 1 - |c|^2, which holds for a trace-preserving generator
-    cascade = None if stationary or not check_trace else _cascade_amplitudes(gen, rho)
+    cascade = None if stationary else _cascade_amplitudes(gen, rho)
     if cascade is not None:
         # |i><i| on |S| >= 2 states has the lowest eigenvalue 0, where the amplitudes' minimum starts
         rho, (max_trace_drift, min_eig, max_double_err) = _step_amplitudes(
@@ -620,13 +617,12 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                 traces = traces[np.arange(traces.shape[1]) < (ends - starts)[:, None]]
                 drifts = abs(np.diff(traces, prepend=trace_prev))
 
-            if check_trace:
-                # a non-finite trace makes its drift inf or nan, which fails "<=" as well
-                bad = np.flatnonzero(~(drifts <= cfg.tolerance))
-                if bad.size:
-                    raise _drift_error("trace drift", start + int(bad[0]) + 1, float(drifts[bad[0]]), dt,
-                                       cfg.tolerance)
-                max_trace_drift = max(max_trace_drift, float(abs(traces - 1.0).max()))
+            # a non-finite trace makes its drift inf or nan, which fails "<=" as well
+            bad = np.flatnonzero(~(drifts <= cfg.tolerance))
+            if bad.size:
+                raise _drift_error("trace drift", start + int(bad[0]) + 1, float(drifts[bad[0]]), dt,
+                                   cfg.tolerance)
+            max_trace_drift = max(max_trace_drift, float(abs(traces - 1.0).max()))
             trace_prev = float(traces[-1])
 
             diag = np.flatnonzero((ends // diag_stride > starts // diag_stride) | (ends == n))
@@ -659,11 +655,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
 
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
                    "max_step_doubling_error": max_double_err, "n_steps": float(n),
-                   "dt": dt, "stationary": float(stationary)}
-    if check_trace:
-        diagnostics["max_trace_drift"] = max_trace_drift
-    else:
-        diagnostics["final_trace"] = trace_prev
+                   "dt": dt, "stationary": float(stationary), "max_trace_drift": max_trace_drift}
     hermitian = [np.array_equal(block, block.conj().T) for block in blocks]
     table.imag[hermitian] = 0.0
     traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
@@ -691,46 +683,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
     gen = model.generator(cfg.rate_scale)
     return _integrate_density(
         gen, lambda: _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches),
-        rho0, cfg, list(watch), check_trace=True)
-
-
-def evolve_nonhermitian(h_nh: Operator, psi0: np.ndarray, cfg: IntegratorConfig,
-                        jump=None, watch=()) -> Trajectory:
-    """Evolve under a non-Hermitian Hamiltonian.
-
-    The density matrix |psi><psi| evolves under -i(H rho - rho H^dag), plus,
-    when ``jump = (rate, Operator)`` is given, the sandwich term
-    rate * z rho z^dag, which reproduces the corresponding Lindblad
-    evolution identically. Without a jump the state stays the pure
-    psi(t) psi(t)^dag with dpsi/dt = -i H psi, unrenormalized: the decaying
-    norm sqrt(tr rho) is recorded as the automatic observable ``"norm"`` and
-    watched values are bare matrix elements <psi|O|psi>. Both run as one Generator.
-    """
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi.size != h_nh.space.dim:
-        raise DomainError("initial state length does not match Hamiltonian space")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"initial state must be normalized, got norm {norm:.6g}")
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the step driver rejects inf/nan
-        h_scaled = h_nh.matrix / cfg.rate_scale
-    rho0 = DensityMatrix.from_pure(h_nh.space, psi)
-    sandwiches, watch = (), list(watch)
-    if jump is None:
-        watch.insert(0, ("norm", identity(h_nh.space)))
-    else:
-        rate, op = jump
-        if op.space != h_nh.space:
-            raise DomainError("jump operator acts on a different space")
-        sandwiches = ((rate / cfg.rate_scale, op.matrix),)
-    traj = _integrate_density(Generator(h_scaled, sandwiches),
-                              lambda: _generator_scale(h_scaled, sandwiches), rho0, cfg, watch,
-                              check_trace=False)
-    if jump is None:
-        traj.observables["norm"] = np.sqrt(traj.observables["norm"].real).astype(complex)
-        traj.diagnostics["final_norm"] = float(np.sqrt(traj.diagnostics.pop("final_trace")))
-    return traj
+        rho0, cfg, list(watch))
 
 
 def fit_exchange_rate(traj: Trajectory, observable_label: str) -> float:

@@ -1,10 +1,11 @@
 """Builders for every Hamiltonian and master-equation generator in scope.
 
 Covers the closed two-spin/one-mode model with rotating or counter-rotating
-coupling, the directional (cascaded) spin model over N >= 1 ordered sites
-(at N = 1 the lone spin decaying through (2 gamma, S^-)), and the explicit
-non-Hermitian rewrite of one directional pair channel. Every model is dense,
-on a space made by :func:`_dense_space`, the one size guard.
+coupling and the directional (cascaded) spin model over N >= 1 ordered sites
+(at N = 1 the lone spin decaying through (2 gamma, S^-)). The paper's
+non-Hermitian interaction H_nh = H - i gamma z^dag z of a directional channel
+is the ``k`` of the model's :class:`Generator`. Every model is dense, on a
+space made by :func:`_dense_space`, the one size guard.
 
 Sign and phase conventions:
 
@@ -45,14 +46,12 @@ __all__ = [
     "LindbladModel",
     "build_full_model",
     "build_cascade_model",
-    "build_nonhermitian_hamiltonian",
     "site_number_operators",
     "total_excitation",
 ]
 
 ROTATING = "rotating"
 COUNTER_ROTATING = "counter_rotating"
-_DIRECTIONS = ("forward", "backward")
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,15 @@ class Generator:
 
     ``k`` is the effective non-Hermitian Hamiltonian and ``sandwiches`` the
     (rate, z) pairs of the recycling term. A Lindblad model carries its
-    -(r/2){z^dag z, rho} terms inside ``k`` (see :meth:`LindbladModel.generator`);
-    a non-Hermitian Hamiltonian evolved without jumps has no sandwiches. This
-    is the one encoding every evolution and invariant check uses.
+    -(r/2){z^dag z, rho} terms inside ``k`` (see :meth:`LindbladModel.generator`),
+    so for a cascade channel of rate gamma and jump (2 gamma, z), ``k`` is the
+    paper's H_nh = H - i gamma z^dag z. This is the one encoding every evolution
+    and invariant check uses.
     """
 
     k: np.ndarray
-    sandwiches: tuple[tuple[float, np.ndarray], ...] = ()
+    sandwiches: tuple[tuple[float, np.ndarray], ...]
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) on a raw matrix, without integrating."""
         out = -1j * (self.k @ rho - rho @ self.k.conj().T)
@@ -203,10 +204,6 @@ def _dense_space(factors) -> HilbertSpace:
     return space
 
 
-def _spin_space(sites) -> HilbertSpace:
-    return _dense_space(spin_factor(s.s) for s in sites)
-
-
 def _zeros(space: HilbertSpace) -> np.ndarray:
     return np.zeros((space.dim, space.dim), dtype=complex)
 
@@ -252,21 +249,6 @@ def build_full_model(spins, modes) -> LindbladModel:
     return LindbladModel(Operator(space, h), (), space)
 
 
-def _pair_geometry(spec: CascadeSpec):
-    if len(spec.sites) != 2:
-        raise DomainError(f"the two-site builders take exactly two sites, got {len(spec.sites)}")
-    d = spec.sites[1].position_z - spec.sites[0].position_z
-    return spec.k_z * d
-
-
-def _direction_roles(spec: CascadeSpec, direction: str):
-    if direction == "forward":
-        return spec.gamma, 0, 1
-    if direction == "backward":
-        return spec.gamma_prime, 1, 0
-    raise DomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-
-
 def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     """Forward (rate gamma) plus backward (rate gamma_prime) channel over all sites.
 
@@ -287,7 +269,7 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     the channel. The builder holds one embedded ladder at a time.
     """
     sites = spec.sites
-    space = _spin_space(sites)
+    space = _dense_space(spin_factor(site.s) for site in sites)
     dims, n = space.dims, len(sites)
     h = _zeros(space)
     jumps = []
@@ -324,23 +306,6 @@ def _upstream_hops(dims: tuple[int, ...], order) -> np.ndarray:
             b = np.flatnonzero(raisable[j] & lowerable[l])
             mask[b - strides[j] + strides[l], b] = True
     return mask
-
-
-def build_nonhermitian_hamiltonian(spec: CascadeSpec, direction: str) -> Operator:
-    """Effective non-Hermitian Hamiltonian of the directional channel.
-
-    Forward: -i*gamma (S_A^+ S_A^- + S_B^+ S_B^- + 2 e^{+i k d} S_A^- S_B^+),
-    identically equal to H_exchange - i*gamma z^dag z. Note the reversed-order
-    exchange term is absent entirely: the upstream site drives the downstream
-    one, never the other way around.
-    """
-    phi = _pair_geometry(spec)
-    rate, up, down = _direction_roles(spec, direction)
-    space = _spin_space(spec.sites)
-    sp_up, sm_up, sp_down, sm_down = (_embedded(_spin_ladders(spec.sites[j].s)[k], j, space.dims)
-                                      for j in (up, down) for k in (0, 1))
-    transfer = (sm_up @ sp_down) * complex(2.0 * np.exp(1j * phi))
-    return Operator(space, (sp_up @ sm_up + sp_down @ sm_down + transfer) * complex(-1j * rate))
 
 
 def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:

@@ -19,10 +19,10 @@ import numpy as np
 
 from .core import (DensityMatrix, HilbertSpace, Operator, basis_vector, boson_operators, commutator,
                    embed, partial_trace, partial_trace_stack, spin_factor, spin_operators)
-from .dynamics import IntegratorConfig, evolve, evolve_nonhermitian
+from .dynamics import IntegratorConfig, evolve
 from .materials import ResonatorGeometry, builtin_material, coupling_table, effective_gamma
 from .models import (CascadeSpec, ModeSpec, SpinSite, build_cascade_model, build_full_model,
-                     build_nonhermitian_hamiltonian, site_number_operators, total_excitation)
+                     site_number_operators, total_excitation)
 
 __all__ = [
     "INVARIANTS", "run_invariant_suite", "random_density",
@@ -42,6 +42,18 @@ def _pair_spec(gamma=1.0, gamma_prime=0.0, kd=0.7):
 
 def _draw_pair(rng):
     return _pair_spec(gamma=float(rng.uniform(0.1, 3.0)), kd=float(rng.uniform(-math.pi, math.pi)))
+
+
+def _paper_h_nh(spec, backward=False) -> np.ndarray:
+    """The paper's spin-1/2 pair H_nh on |uu>, |ud>, |du>, |dd>, written out as a literal.
+
+    Forward (rate gamma): -i gamma (diag(2, 1, 1, 0) + 2 e^{ikd} |du><ud|). Backward (rate
+    gamma_prime) has the transfer at the mirrored entry |ud><du|. No upstream entry exists.
+    """
+    phase = spec.k_z * (spec.sites[1].position_z - spec.sites[0].position_z)
+    h = np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex)
+    h[(1, 2) if backward else (2, 1)] = 2.0 * np.exp(1j * phase)
+    return h * complex(-1j * (spec.gamma_prime if backward else spec.gamma))
 
 
 def _max_abs(m) -> float:
@@ -124,7 +136,7 @@ def generator_forms_agree(rng=_SEED + 3, specs=10, states=5, draw_spec=_draw_pai
         spec = draw_spec(rng)
         model = build_cascade_model(spec)
         generator = model.generator()
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
+        h_nh = _paper_h_nh(spec)
         z = model.jumps[0][1].matrix
         for _ in range(states):
             rho = random_density(rng, 4)
@@ -135,35 +147,35 @@ def generator_forms_agree(rng=_SEED + 3, specs=10, states=5, draw_spec=_draw_pai
 
 
 def nonhermitian_identity(rng=_SEED + 4, specs=10, draw_spec=_draw_pair) -> dict:
-    """H_nh = H - i gamma z^dag z with each drawn gamma run forward and backward, relative to gamma.
+    """K of each one-channel cascade against the paper's pair H_nh, forward and backward, relative to gamma.
 
-    H_nh is built from the drawn spec with both rates set to gamma, and H and z from the one
-    channel of that direction, so a direction that also reads the other rate fails. The reverse
-    coefficient <up,down|H_nh|down,up> (upstream gaining from downstream) is read from every
-    forward H_nh.
+    K is that of the cascade model of the one channel of each direction, with rate gamma, so a
+    channel that reads the other rate fails. The reverse coefficient <up,down|K|down,up>
+    (upstream gaining from downstream) is read from every forward K.
     """
     rng = np.random.default_rng(rng)
     worst, reverse = [], []
     for _ in range(specs):
         spec = draw_spec(rng)
-        both = replace(spec, gamma_prime=spec.gamma)
-        for direction, channel in (("forward", replace(spec, gamma_prime=0.0)),
-                                   ("backward", replace(spec, gamma=0.0, gamma_prime=spec.gamma))):
-            model = build_cascade_model(channel)
-            z = model.jumps[0][1].matrix
-            expected = model.hamiltonian.matrix - 1j * spec.gamma * (z.conj().T @ z)
-            built = build_nonhermitian_hamiltonian(both, direction).matrix
-            worst.append(_max_abs(built - expected) / spec.gamma)
-            if direction == "forward":
-                reverse.append(abs(built[1, 2]))
+        for backward, channel in ((False, replace(spec, gamma_prime=0.0)),
+                                  (True, replace(spec, gamma=0.0, gamma_prime=spec.gamma))):
+            k = build_cascade_model(channel).generator().k
+            worst.append(_max_abs(_paper_h_nh(channel, backward) - k) / spec.gamma)
+            if not backward:
+                reverse.append(abs(k[1, 2]))
     return {"relative_deviation": _worst(worst), "reverse_coefficient": _worst(reverse)}
 
 
+def _forward_k(spec) -> Operator:
+    model = build_cascade_model(replace(spec, gamma_prime=0.0))
+    return Operator(model.space, model.generator().k)
+
+
 def hermiticity_classes(specs=(_pair_spec(gamma=0.8, kd=1.1),)) -> dict:
-    """Relative anti-Hermiticity of H (worst), of the forward H_nh (least) and of H_nh at gamma = 0."""
+    """Relative anti-Hermiticity of H (worst), of the forward K = H_nh (least) and of K at gamma = 0."""
     exchange = [build_cascade_model(s).hamiltonian for s in specs]
-    effective = [build_nonhermitian_hamiltonian(s, "forward") for s in specs]
-    zero_rate = [build_nonhermitian_hamiltonian(replace(s, gamma=0.0), "forward") for s in specs]
+    effective = [_forward_k(s) for s in specs]
+    zero_rate = [_forward_k(replace(s, gamma=0.0)) for s in specs]
     return {"exchange_antihermiticity": _worst(h.antihermiticity() for h in exchange),
             "effective_antihermiticity": float(np.min([h.antihermiticity() for h in effective])),
             "zero_rate_antihermiticity": _worst(h.antihermiticity() for h in zero_rate)}
@@ -215,15 +227,21 @@ def amplitude_damping() -> dict:
 
 
 def jump_rewrite(spec=_pair_spec(1.0, kd=0.4), t_final=4.0) -> dict:
-    """Lindblad evolution against the H_nh-plus-jump rewrite, sup-norm over both populations."""
+    """The H_nh-plus-jump rewrite against the Lindblad integration, sup-norm over both populations.
+
+    From |ud> ``evolve`` takes its amplitude path: no-jump evolution under -iK with the jumped
+    population recycled into |dd>. From (|ud><ud| + |dd><dd|)/2 it integrates the master
+    equation on its density path; |dd> is stationary and counts no quanta, so twice those
+    populations are the same curves.
+    """
     model = build_cascade_model(spec)
-    psi0 = basis_vector(model.space, (0, 1))
+    ud, dd = (basis_vector(model.space, occ) for occ in ((0, 1), (1, 1)))
     cfg = IntegratorConfig(t_final=t_final, rate_scale=1.0, dt=1e-3)
     watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, spec.sites)))
-    lind = evolve(model, DensityMatrix.from_pure(model.space, psi0), cfg, watch)
-    rewritten = evolve_nonhermitian(build_nonhermitian_hamiltonian(spec, "forward"), psi0, cfg,
-                                    jump=model.jumps[0], watch=watch)
-    return {"deviation": _worst(_max_abs(lind.observables[label] - rewritten.observables[label])
+    rewritten = evolve(model, DensityMatrix.from_pure(model.space, ud), cfg, watch)
+    mixture = DensityMatrix(model.space, 0.5 * (np.outer(ud, ud) + np.outer(dd, dd)))
+    lind = evolve(model, mixture, cfg, watch)
+    return {"deviation": _worst(_max_abs(2.0 * lind.observables[label] - rewritten.observables[label])
                                 for label, _ in watch)}
 
 

@@ -391,6 +391,13 @@ class TestDensityMatrixInvariants:
         with pytest.raises(DomainError):
             DensityMatrix(two_spin_space, m).validate()
 
+    @pytest.mark.parametrize("entries", ["one_nan", "all_nan"])
+    def test_non_finite_rejected(self, two_spin_space, entries):
+        # one NaN passed every "> bound" check; NaN throughout escaped eigvalsh as LinAlgError
+        m = np.diag([np.nan, 1.0, 0.0, 0.0]) if entries == "one_nan" else np.full((4, 4), np.nan)
+        with pytest.raises(DomainError, match="non-finite entries"):
+            DensityMatrix(two_spin_space, m.astype(complex)).validate()
+
 
     @staticmethod
     def on_support(matrix, support, dim=8):

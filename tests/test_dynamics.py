@@ -21,10 +21,8 @@ from chiralspin import (
     basis_vector,
     build_cascade_model,
     build_full_model,
-    build_nonhermitian_hamiltonian,
     embed,
     evolve,
-    evolve_nonhermitian,
     expectation,
     fit_exchange_rate,
     site_number_operators,
@@ -130,12 +128,11 @@ class TestEvolveBasics:
             raise Computed
 
         model = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.4), "forward")
-        psi0 = basis_vector(h_nh.space, UD)
-        jump = (1.0, embed(spin_operators(0.5)[1], 0, h_nh.space))
-        runs = [lambda cfg: evolve(model, pure(model.space, UD), cfg),
-                lambda cfg: evolve_nonhermitian(h_nh, psi0, cfg),
-                lambda cfg: evolve_nonhermitian(h_nh, psi0, cfg, jump=jump)]
+        watch = [("pop_B", site_number_operators(model.space, pair_spec().sites)[1])]
+        # the amplitude path, and the density path from a mixed start
+        mixed = DensityMatrix(model.space, np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex))
+        runs = [lambda cfg: evolve(model, pure(model.space, UD), cfg, watch),
+                lambda cfg: evolve(model, mixed, cfg, watch)]
         given = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2)
         expected = [run(given).observables for run in runs]
         monkeypatch.setattr(dynamics_module, "_generator_scale", computed)
@@ -146,19 +143,19 @@ class TestEvolveBasics:
             with pytest.raises(Computed):
                 run(IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
-    @pytest.mark.parametrize("entry", ["evolve", "nonhermitian", "nonhermitian_jump"])
-    def test_driver_entry_checks_every_evolution(self, pair_spec, entry):
+    @pytest.mark.parametrize("path", ["amplitude", "propagator", "stage"])
+    def test_driver_entry_checks_every_evolution(self, pair_spec, monkeypatch, path):
         # a watch on another space, a generator that a tiny rate_scale makes non-finite, and
         # step grids numpy cannot size (ValueError at 1e33 steps, MemoryError at 1e15)
-        spec = pair_spec(gamma=1.0, kd=0.4)
-        model = build_cascade_model(spec)
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-        jump = (1.0, embed(spin_operators(0.5)[1], 0, h_nh.space)) if entry == "nonhermitian_jump" else None
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
+        rho0 = pure(model.space, UD)
+        if path != "amplitude":
+            force_density_path(monkeypatch)
+        if path == "stage":
+            monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
 
         def run(cfg, watch=()):
-            if entry == "evolve":
-                return evolve(model, pure(model.space, UD), cfg, watch)
-            return evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD), cfg, jump=jump, watch=watch)
+            return evolve(model, rho0, cfg, watch)
 
         one_spin = build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, (SpinSite(0.5, 0.0),))).jumps[0][1]
         with pytest.raises(DomainError, match="watched operator 'far' acts on a different space"):
@@ -205,15 +202,19 @@ class TestGeneratorEncoding:
         assert np.max(np.abs(direct - generator.superoperator() @ rho.reshape(-1))) <= 1e-12
 
     def test_jump_free_nonhermitian_matches_expm(self, pair_spec, two_spins):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.6), "forward")
-        space = h_nh.space
+        # from |ud> the excitation amplitudes are exp(-iKt)|ud> with K = H_nh, and the
+        # jumped weight 1 - |exp(-iKt)|ud>|^2 sits in |dd>
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.6))
+        space = model.space
+        k = model.generator().k
         psi0 = basis_vector(space, UD)
         n_b = site_number_operators(space, two_spins)[1]
+        ground = Operator(space, np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
         cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3, sample_stride=100)
-        traj = evolve_nonhermitian(h_nh, psi0, cfg, watch=[("pop_B", n_b)])
+        traj = evolve(model, pure(space, UD), cfg, [("pop_B", n_b), ("ground", ground)])
         for i, t in enumerate(traj.times):
-            psi = expm(-1j * h_nh.matrix * t) @ psi0
-            assert abs(traj.observables["norm"][i] - np.linalg.norm(psi)) <= 1e-9
+            psi = expm(-1j * k * t) @ psi0
+            assert abs(traj.observables["ground"][i] - (1.0 - np.linalg.norm(psi) ** 2)) <= 1e-9
             assert abs(traj.observables["pop_B"][i] - psi.conj() @ n_b.matrix @ psi) <= 1e-9
 
 
@@ -395,39 +396,27 @@ class TestBlockStepping:
         for label, series in blocked.observables.items():
             assert np.max(np.abs(series - exact[label][keep])) <= 1e-8
 
-    @pytest.mark.parametrize("include_jumps", [False, True])
-    def test_nonhermitian_matches_stage_path_and_expm(self, pair_spec, two_spins, monkeypatch,
-                                                       include_jumps):
-        spec = pair_spec(gamma=1.0, kd=0.6)
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-        jump = build_cascade_model(spec).jumps[0]
-        n_b = site_number_operators(h_nh.space, two_spins)[1]
-        psi0 = basis_vector(h_nh.space, UD)
+    @pytest.mark.parametrize("gamma_prime", [0.0, 0.4])
+    def test_one_excitation_matches_stage_path_and_expm(self, pair_spec, two_spins, monkeypatch,
+                                                         gamma_prime):
+        # the head-excited pair, which the amplitude path steps unless forced onto this one
+        model = build_cascade_model(pair_spec(gamma=1.0, gamma_prime=gamma_prime, kd=0.6))
+        watch = list(zip(("pop_A", "pop_B"), site_number_operators(model.space, two_spins)))
+        rho0 = pure(model.space, UD)
         n = 1031  # prime; K = 4 divides the state stride
-        cfg = IntegratorConfig(t_final=n * 4e-3, rate_scale=1.0, dt=4e-3, sample_stride=7,
+        cfg = IntegratorConfig(t_final=n * 1e-3, rate_scale=1.0, dt=1e-3, sample_stride=7,
                                record_states_stride=8)
         assert dynamics_module._block_length(n // 256, 7, 8, 2, 16 * 16) == 4
 
-        def run():
-            return evolve_nonhermitian(h_nh, psi0, cfg, jump=jump if include_jumps else None,
-                                       watch=[("pop_B", n_b)])
-
-        blocked = run()
+        blocked = evolve(model, rho0, cfg, watch)
         monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
-        self.assert_agree(blocked, run())
+        self.assert_agree(blocked, evolve(model, rho0, cfg, watch))
 
-        h, eye = h_nh.matrix, np.eye(4)
-        liou = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
-        if include_jumps:
-            rate, z = jump
-            liou = liou + rate * np.kron(z.matrix, z.matrix.conj())
-        rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
+        liou = model.generator().superoperator()
         for i, t in enumerate(blocked.times):
-            exact = (expm(liou * t) @ rho0).reshape(4, 4)
-            assert abs(blocked.observables["pop_B"][i] - np.trace(n_b.matrix @ exact)) <= 1e-8
-            if not include_jumps:
-                norm = np.sqrt(np.trace(exact).real)
-                assert abs(blocked.observables["norm"][i] - norm) <= 1e-8
+            exact = (expm(liou * t) @ rho0.matrix.reshape(-1)).reshape(4, 4)
+            for label, op in watch:
+                assert abs(blocked.observables[label][i] - np.trace(op.matrix @ exact)) <= 1e-8
 
     @pytest.mark.parametrize("sample_stride, state_stride, k, cap", [
         (1, 0, 4000, None),  # n < K: the run is one short block
@@ -625,9 +614,9 @@ class TestChunkedDriver:
 class TestRecordedObservables:
     """Hermitian watches record Re tr(O rho) and an exact 0; other watches keep tr(O rho)."""
 
-    @pytest.mark.parametrize("path", ["propagator", "stage", "nonhermitian", "nonhermitian_jump"])
+    @pytest.mark.parametrize("path", ["propagator", "stage", "amplitude"])
     def test_values_match_expectation_at_recorded_states(self, pair_spec, two_spins, monkeypatch,
-                                                         path):
+                                                         amplitude_runs, path):
         spec = pair_spec(gamma=1.0, gamma_prime=0.3, kd=0.9)
         model = build_cascade_model(spec)
         space = model.space
@@ -635,17 +624,15 @@ class TestRecordedObservables:
         coherence = embed(s_plus, 0, space) @ embed(s_minus, 1, space)
         hermitian = list(zip(("pop_A", "pop_B"), site_number_operators(space, two_spins)))
         watch = hermitian + [("coherence", coherence)]
+        # a superposition runs on the density path, one excited basis state on the amplitude path
         psi0 = (basis_vector(space, UD) + basis_vector(space, DU)) / np.sqrt(2.0)
+        if path == "amplitude":
+            psi0 = basis_vector(space, UD)
         cfg = IntegratorConfig(t_final=3.0, rate_scale=1.0, dt=2e-3, record_states_stride=25)
         if path == "stage":
             monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", 0)
-        if path.startswith("nonhermitian"):
-            h_nh = build_nonhermitian_hamiltonian(replace(spec, gamma_prime=0.0), "forward")
-            jump = build_cascade_model(replace(spec, gamma_prime=0.0)).jumps[0]
-            traj = evolve_nonhermitian(h_nh, psi0, cfg, watch=watch,
-                                       jump=jump if path == "nonhermitian_jump" else None)
-        else:
-            traj = evolve(model, DensityMatrix.from_pure(space, psi0), cfg, watch)
+        traj = evolve(model, DensityMatrix.from_pure(space, psi0), cfg, watch)
+        assert amplitude_runs == ([2] if path == "amplitude" else [])
 
         at_states = np.isin(traj.times, traj.state_times)
         assert np.count_nonzero(at_states) == len(traj.states) > 10
@@ -689,48 +676,65 @@ class TestNoBackAction:
 
 
 class TestNonHermitianEvolution:
+    @staticmethod
+    def excitation(spec, occ, cfg):
+        # pop_A + pop_B, the excitation norm |c|^2 of a one-excitation state
+        model = build_cascade_model(spec)
+        n_a, n_b = site_number_operators(model.space, spec.sites)
+        traj = evolve(model, pure(model.space, occ), cfg, [("n", n_a + n_b)])
+        return traj, traj.observables["n"]
+
     def test_zero_rate_keeps_norm(self, pair_spec):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=0.0), "forward")
-        psi0 = basis_vector(h_nh.space, UD)
-        traj = evolve_nonhermitian(h_nh, psi0, IntegratorConfig(t_final=5.0, rate_scale=1.0, dt=1e-2))
-        assert np.max(np.abs(np.real(traj.observables["norm"]) - 1.0)) <= 1e-12
+        cfg = IntegratorConfig(t_final=5.0, rate_scale=1.0, dt=1e-2)
+        _, n = self.excitation(pair_spec(gamma=0.0), UD, cfg)
+        assert np.max(np.abs(n - 1.0)) <= 1e-12
 
     def test_dark_state_stationary_norm(self, pair_spec):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.4), "forward")
-        psi0 = basis_vector(h_nh.space, (1, 1))
-        traj = evolve_nonhermitian(h_nh, psi0, IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=1e-2))
-        assert np.max(np.abs(np.real(traj.observables["norm"]) - 1.0)) == 0.0
+        # |dd> is dark: K and the jump vanish on it, so the run keeps it exactly
+        cfg = IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=1e-2)
+        traj, n = self.excitation(pair_spec(gamma=1.0, kd=0.4), (1, 1), cfg)
+        assert np.max(np.abs(n)) == 0.0
+        assert np.array_equal(traj.final_state.matrix, pure(traj.final_state.space, (1, 1)).matrix)
 
     def test_norm_decays_monotonically(self, pair_spec):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=1.1), "forward")
-        psi0 = basis_vector(h_nh.space, UD)
-        traj = evolve_nonhermitian(h_nh, psi0, IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3))
-        norms = np.real(traj.observables["norm"])
-        assert np.max(np.diff(norms)) <= 1e-12
+        # the excitation norm |c|^2 under -iK only falls
+        cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3)
+        _, n = self.excitation(pair_spec(gamma=1.0, kd=1.1), UD, cfg)
+        assert np.max(np.diff(np.real(n))) <= 1e-12
+        assert np.real(n[-1]) < 0.1
 
     def test_directional_transfer(self, pair_spec, two_spins):
-        spec = pair_spec(gamma=1.0, kd=0.6)
-        h_nh = build_nonhermitian_hamiltonian(spec, "forward")
-        space = h_nh.space
+        # the excitation amplitudes evolve under -iK = -iH_nh between jumps
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.6))
+        space = model.space
         cfg = IntegratorConfig(t_final=6.0, rate_scale=1.0, dt=1e-3)
-        fwd = evolve_nonhermitian(h_nh, basis_vector(space, UD), cfg,
-                                  watch=[("pop_B", site_number_operators(space, two_spins)[1])])
+        fwd = evolve(model, pure(space, UD), cfg, [("pop_B", site_number_operators(space, two_spins)[1])])
         pop_b = np.real(fwd.observables["pop_B"])
         k = int(np.argmax(pop_b))
         assert pop_b[k] > 0.1 and 0 < k < len(pop_b) - 1  # rises then decays
-        bwd = evolve_nonhermitian(h_nh, basis_vector(space, DU), cfg,
-                                  watch=[("pop_A", site_number_operators(space, two_spins)[0])])
+        bwd = evolve(model, pure(space, DU), cfg, [("pop_A", site_number_operators(space, two_spins)[0])])
         assert np.max(np.real(bwd.observables["pop_A"])) <= 1e-10
 
     def test_with_jump_matches_lindblad(self, pair_spec):
         # both populations, Lindblad form against the H_nh-plus-jump rewrite
         assert jump_rewrite(pair_spec(gamma=1.0, kd=0.4), t_final=5.0)["deviation"] <= 1e-9
 
+    def test_jump_rewrite_compares_the_two_paths(self, monkeypatch, amplitude_runs):
+        # one amplitude-path run (the rewrite) and one density-path run (the Lindblad form),
+        # so the measure never compares a path with itself
+        runs = []
+        integrate = dynamics_module._integrate_density
+        monkeypatch.setattr(dynamics_module, "_integrate_density",
+                            lambda *args: (runs.append(args), integrate(*args))[1])
+        jump_rewrite()
+        assert len(runs) == 2
+        assert amplitude_runs == [2]
+
     def test_unnormalized_initial_rejected(self, pair_spec):
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(), "forward")
-        with pytest.raises(DomainError):
-            evolve_nonhermitian(h_nh, 2.0 * basis_vector(h_nh.space, UD),
-                                IntegratorConfig(t_final=1.0, rate_scale=1.0))
+        model = build_cascade_model(pair_spec())
+        doubled = DensityMatrix(model.space, 2.0 * pure(model.space, UD).matrix)
+        with pytest.raises(DomainError, match="trace"):
+            evolve(model, doubled, IntegratorConfig(t_final=1.0, rate_scale=1.0))
 
 
 class TestFitExchangeRate:
@@ -1062,11 +1066,6 @@ class TestAmplitudePath:
         # elimination's jump-free full model
         full = build_full_model(two_spins, (ModeSpec(+1, +1, 25.0, 1.0, 2),))
         evolve(full, pure(full.space, (0, 1, 0)), replace(cfg, rate_scale=25.0))
-        # evolve_nonhermitian, with and without the jump
-        h_nh = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.4), "forward")
-        jump = build_cascade_model(pair_spec(gamma=1.0, kd=0.4)).jumps[0]
-        for given in (None, jump):
-            evolve_nonhermitian(h_nh, basis_vector(h_nh.space, UD), cfg, jump=given)
         assert amplitude_runs == []
         # the same one-excitation pair under evolve takes the amplitude path
         pair = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))

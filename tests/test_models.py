@@ -14,7 +14,6 @@ from chiralspin import (
     basis_vector,
     build_cascade_model,
     build_full_model,
-    build_nonhermitian_hamiltonian,
     embed,
     evolve,
     site_number_operators,
@@ -73,12 +72,6 @@ def builder_grid():
         for gamma, gamma_prime in rates:
             model = build_cascade_model(CascadeSpec(gamma, gamma_prime, 0.7 / 2.5e-7, sites))
             out += [model, site_number_operators(model.space, sites), total_excitation(model.space)]
-    for pair in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.5)):
-        sites = (SpinSite(pair[0], 0.0), SpinSite(pair[1], 3.1e-7))
-        for gamma, gamma_prime in rates[:4]:
-            for kd in (0.0, 0.7, 2.9):
-                spec = CascadeSpec(gamma, gamma_prime, kd / 3.1e-7, sites)
-                out += [build_nonhermitian_hamiltonian(spec, d) for d in ("forward", "backward")]
     for pair in ((0.5, 0.5), (0.5, 1.0)):
         sites = (SpinSite(pair[0], 0.0), SpinSite(pair[1], 2.5e-7))
         for cutoff in (1, 2, 3):
@@ -96,7 +89,7 @@ class TestBuilderDigest:
         # pinned to the array-by-array builders as they stood before they moved to raw arrays,
         # with the number operators counting m + s (the earlier S^+ S^- differs at s > 1/2 only);
         # any change of an entry, a zero's sign, a shape or a rate changes the digest
-        assert model_digest(builder_grid()) == "06076d65d5c8dd209fe036cecd7854a5205a187c7d44b29dc9b929321441fcf3"
+        assert model_digest(builder_grid()) == "53c3698f16debefb44eaf9719c5af4931753150867893f6bb039c43ec56580fa"
 
 
 class TestModeSpec:
@@ -117,10 +110,9 @@ class TestDenseGuard:
     @pytest.mark.parametrize("build", [
         lambda: build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, [SpinSite(0.5, 1e-7 * j) for j in range(40)])),
         lambda: build_cascade_model(CascadeSpec(1.0, 0.0, 0.0, [SpinSite(1e12, 0.0), SpinSite(0.5, 1.0)])),
-        lambda: build_nonhermitian_hamiltonian(
-            CascadeSpec(1.0, 0.0, 0.0, [SpinSite(1e12, 0.0), SpinSite(0.5, 1.0)]), "forward"),
+        lambda: build_full_model([SpinSite(1e12, 0.0), SpinSite(0.5, 1.0)], [ModeSpec(+1, +1, 1.0, 0.1, 2)]),
         lambda: build_full_model([SpinSite(0.5, 0.0), SpinSite(0.5, 1.0)], [ModeSpec(+1, +1, 1.0, 0.1, 10**8)]),
-    ], ids=["cascade_40_sites", "cascade_spin_1e12", "nonhermitian_spin_1e12", "full_cutoff_1e8"])
+    ], ids=["cascade_40_sites", "cascade_spin_1e12", "full_spin_1e12", "full_cutoff_1e8"])
     def test_oversized_space_rejected(self, build):
         # refused by the one guard, before numpy is asked for a matrix of that size
         with pytest.raises(DomainError, match="exceeds the dense limit 4096"):
@@ -277,10 +269,6 @@ class TestCascadeHamiltonian:
                                        kd=float(rng.uniform(-7, 7))), direction) for _ in range(10)]
         assert hermiticity_classes(specs)["exchange_antihermiticity"] <= 1e-12
 
-    def test_invalid_direction(self, pair_spec):
-        with pytest.raises(DomainError):
-            build_nonhermitian_hamiltonian(pair_spec(), "sideways")
-
 
 class TestCollectiveJump:
     def test_superradiant_combination_at_zero_phase(self, pair_spec):
@@ -343,8 +331,8 @@ class TestNonHermitianHamiltonian:
         assert nonhermitian_identity(rng, specs=10, draw_spec=draw)["relative_deviation"] <= 1e-12
 
     def test_frozen_zero_phase_matrix(self, pair_spec):
-        # expanded termwise: -i[diag(2,1,1,0) + 2|du><ud|]
-        built = build_nonhermitian_hamiltonian(pair_spec(gamma=1.0, kd=0.0), "forward").matrix
+        # the forward cascade's K, expanded termwise: -i[diag(2,1,1,0) + 2|du><ud|]
+        built = build_cascade_model(pair_spec(gamma=1.0, kd=0.0)).generator().k
         expected = np.zeros((4, 4), dtype=complex)
         expected[UU, UU] = -2j
         expected[UD, UD] = expected[DU, DU] = -1j
@@ -374,7 +362,7 @@ class TestGeneratorEquivalence:
             model = build_cascade_model(spec)
             h = model.hamiltonian.matrix
             z = model.jumps[0][1].matrix
-            h_nh = build_nonhermitian_hamiltonian(spec, "forward").matrix
+            h_nh = model.generator().k
             for _ in range(5):
                 rho = random_density(rng, 4)
                 lhs = lindblad_rhs(h, [(2.0 * gamma, z)], rho)
