@@ -57,7 +57,9 @@ TWO_PI = 2.0 * math.pi
 SCHEMA_VERSION = 1
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # exact comparisons: NaN, infinities and integers beyond the float range all fail
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _integer(value) -> bool:

@@ -21,7 +21,6 @@ where sparse machinery would cost more than it saves.
 from __future__ import annotations
 
 import operator
-import string
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -409,33 +408,23 @@ def _keep_indices(n: int, keep) -> list[int]:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every factor not listed in ``keep`` (kept factors keep their order)."""
-    n = len(rho.space.factors)
-    keep = _keep_indices(n, keep)
-    dims = rho.space.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    sym = string.ascii_lowercase + string.ascii_uppercase
-    if 2 * n > len(sym):
-        raise DomainError("too many factors for partial trace")
-    keep_set = set(keep)
-    row = [sym[i] for i in range(n)]
-    col = [sym[n + i] if i in keep_set else sym[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(sym[n + i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, tensor)
-    sub = rho.space.subspace(keep)
-    return DensityMatrix(sub, reduced.reshape(sub.dim, sub.dim))
+    """Trace out every factor not listed in ``keep`` (kept factors keep their order).
+
+    The one state as a :func:`partial_trace_stack` on every basis index.
+    """
+    space = rho.space
+    return partial_trace_stack(StateStack(space, np.arange(space.dim), rho.matrix[None]), keep)[0]
 
 
 def partial_trace_stack(states: StateStack, keep) -> StateStack:
-    """:func:`partial_trace` of every state of ``states`` at once, read on their support S.
+    """Trace out every factor not in ``keep`` from each state of ``states``, read on their support S.
 
     Entry (a, b) of S x S adds to entry (a', b') of the reduced state, where a' and b'
     keep only the digits of the factors in ``keep``, when a and b agree on every
     traced-out digit. The reduced states are stored on the a' that occur. The terms of
-    one entry are added in increasing order of their traced-out digits, the order in
-    which the ``einsum`` of :func:`partial_trace` adds them, so the entries agree with
-    it to the last bit on numpy 2.4. Besides the input and output stacks it allocates
-    one gather of the input per round and index masks of the space's dimension.
+    one entry are added in increasing order of their traced-out digits. Besides the
+    input and output stacks it allocates one gather of the input per round and index
+    masks of the space's dimension.
     """
     space = states.space
     keep = _keep_indices(len(space.factors), keep)

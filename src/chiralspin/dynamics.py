@@ -34,16 +34,17 @@ system), and a block of K steps is one product with P^K. Every per-step
 trace and every watched value inside a block is a linear functional of the
 block's start state, so one product with a precomputed row stack records
 them all. K follows from the sample and state strides, the diagnostics
-stride and a cap on the stack's memory. For larger supports a block is one
-step, with the stages evaluated directly.
+stride and a cap on the stack's memory; it divides the state stride, so
+every recorded state is a block end, and only the run's last block is
+shorter. For larger supports a block is one step, with the stages evaluated
+directly.
 
 The loop runs over chunks of blocks. Each iteration first forms a chunk's
-block-end states by doubling, x[m:2m] = x[:m] Q^m: the stride marks with
-Q = P^stride, the other ends with Q = P^K, in O(log) products (the row
-stack too). It then checks and records the whole chunk with array
-operations: the per-step traces and interior samples of every block come
-from one product of the boundary states with the row stack, and the
-end-of-block samples, states and diagnostics from slices of the same
+block-end states by doubling, x[m:2m] = x[:m] Q^m with Q = P^K, in O(log)
+products (the row stack too). It then checks and records the whole chunk
+with array operations: the per-step traces and interior samples of every
+block come from one product of the boundary states with the row stack, and
+the end-of-block samples, states and diagnostics from slices of the same
 boundary states. The chunk length comes from the same memory cap, so memory
 does not grow with the step count. On both paths the trace-drift guard
 checks every step and reports the first one that fails, even when the chunk
@@ -79,6 +80,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd
+from sys import float_info
 
 import numpy as np
 
@@ -116,12 +118,14 @@ class IntegratorConfig:
     violating it raises :class:`IntegrationError` with the offending step.
     ``sample_stride`` controls how often watched expectation values are
     recorded (1 = every step) and ``record_states_stride`` optionally stores
-    density-matrix snapshots. The loop steps a chunk of blocks at a time, K
-    steps per block on small supports and one step on larger ones, and then
-    checks and records the chunk (see the module docstring); the guard still
-    checks every step, and the more expensive hermiticity/positivity/
-    step-doubling diagnostics run at the ends of ~256 evenly spaced blocks
-    (on the amplitude path, steps) per run.
+    density-matrix snapshots; a stride of the step count or more records the
+    first and last step only. The loop steps a chunk of blocks at a time, K
+    steps per block on small supports (K divides the state stride) and one
+    step on larger ones, and then checks and records the chunk (see the
+    module docstring); the guard still checks every step, and the more
+    expensive hermiticity/positivity/step-doubling diagnostics run at the
+    ends of ~256 evenly spaced blocks (on the amplitude path, steps) per run.
+    ``t_final``, ``rate_scale`` and ``dt`` must be finite.
     """
 
     t_final: float
@@ -132,6 +136,10 @@ class IntegratorConfig:
     record_states_stride: int = 0
 
     def __post_init__(self):
+        for name in ("t_final", "rate_scale", "dt"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= float_info.max:
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.t_final < 0:
             raise DomainError(f"t_final must be non-negative, got {self.t_final}")
         if self.rate_scale <= 0:
@@ -190,7 +198,10 @@ def _resolve_grid(cfg: IntegratorConfig, scale) -> tuple[int, float]:
         dt = 1e-3 / magnitude if magnitude > 0 else cfg.t_final / 1000.0
     if dt <= 0:
         dt = cfg.t_final / 1000.0 if cfg.t_final > 0 else 1.0
-    n = max(1, int(round(cfg.t_final / dt)))
+    steps = cfg.t_final / dt
+    if steps > float_info.max:
+        raise DomainError(f"t_final {cfg.t_final:.3e} over dt {dt:.3e} is too many steps to count")
+    n = max(1, int(round(steps)))
     return n, cfg.t_final / n
 
 
@@ -210,8 +221,8 @@ def _rk4_step(rhs, y, h):
 
 
 def _steps(n: int, stride: int) -> np.ndarray:
-    """Step indices 0, stride, 2*stride, ... plus the last step ``n``."""
-    keep = np.arange(0, n + 1, stride)
+    """Step indices 0, stride, 2*stride, ... plus the last step ``n``; OverflowError past intp."""
+    keep = np.arange(0, n + 1, stride, dtype=np.intp)
     return keep if keep[-1] == n else np.append(keep, n)
 
 
@@ -219,26 +230,19 @@ def _block_length(limit: int, sample_stride: int, state_stride: int, n_watch: in
                   row_bytes: int) -> int:
     """Steps per block: the largest K <= ``limit`` whose row stack fits _STACK_MAX_BYTES.
 
-    Blocks also end at every recorded state, so they start at multiples of
-    g = gcd(K, state_stride). The stack holds one trace row per offset 1..K and
-    ``n_watch`` rows per interior offset that is a multiple of
-    gcd(g, sample_stride), which covers every sample step of every block. K is a
-    multiple of the sample stride where one fits, so those rows sit at sample steps
-    only. With recorded states K is then evened out over each state stride (keeping
-    that multiple), so a stride splits into equal blocks and at most one shorter one.
+    With recorded states K divides the state stride, so every recorded state is a
+    block end. The stack holds one trace row per offset 1..K and ``n_watch`` rows per
+    interior offset that is a multiple of gcd(K, sample_stride), which covers every
+    sample step of every block. K is a multiple of the sample stride where one fits,
+    so those rows sit at sample steps only.
     """
     def fits(k: int) -> bool:
-        rows = k + n_watch * (k // gcd(k, state_stride, sample_stride) - 1)
-        return rows * row_bytes <= _STACK_MAX_BYTES
+        rows = k + n_watch * (k // gcd(k, sample_stride) - 1)
+        return state_stride % k == 0 and rows * row_bytes <= _STACK_MAX_BYTES
 
     top = min(limit, _STACK_MAX_BYTES // row_bytes)
-    k = (next((k for k in range(top - top % sample_stride, 1, -sample_stride) if fits(k)), 0)
-         or next((k for k in range(top, 1, -1) if fits(k)), 1))
-    if state_stride:
-        unit = sample_stride if k % sample_stride == 0 else 1
-        even = -(-state_stride // (-(-state_stride // k) * unit)) * unit
-        k = even if fits(even) else k
-    return k
+    return (next((k for k in range(top - top % sample_stride, 1, -sample_stride) if fits(k)), 0)
+            or next((k for k in range(top, 1, -1) if fits(k)), 1))
 
 
 def _chunk_blocks(rows: int, d: int) -> int:
@@ -264,33 +268,30 @@ class _PropagatorBlocks:
     4th-order half steps. Every per-step trace and watched value inside a block is a
     linear functional of the block's start state v, so one product with the row stack
     [vec(I)^T P^j for j = 1..K; F P^j at the interior sample offsets j] gives them all.
-    A shorter block of m < K steps (before a recorded state, or at the end of the run)
-    reads the first m trace rows of the same stack. The stack and the block ends
-    (:meth:`ends`) are built by doubling, in O(log) products.
+    Only the run's last block may be shorter; it reads the first trace rows of the same
+    stack. The stack and the block ends (:meth:`ends`) are built by doubling, in O(log)
+    products.
     """
 
     def __init__(self, gen: Generator, dt: float, functionals: np.ndarray, k: int,
-                 sample_stride: int, state_stride: int):
+                 sample_stride: int):
         d = gen.k.shape[0]
         f = gen.superoperator()
-        p_half = _taylor4(f, 0.5 * dt)
         self.k = k
-        self.p = p_half @ p_half
-        self.p_err = _taylor4(f, dt) - self.p
-        # a stride of `stride` steps holds `per` blocks of K steps, the last one shorter
-        self.stride = state_stride if state_stride % k else k
-        self.per = -(-self.stride // k)
-        step = gcd(k, state_stride, sample_stride)
+        step = gcd(k, sample_stride)
         self.offsets = np.arange(step, k, step)
         self.n_watch = n_watch = functionals.shape[0]
         self.rows = k + n_watch * self.offsets.size
         self.stack = np.empty((self.rows, d * d), dtype=complex)
         watched = self.stack[k:].reshape(self.offsets.size, n_watch, d * d)
-        # An unstable step overflows the high powers; the per-step guard reports the
+        # An unstable step overflows P or its high powers; the per-step guard reports the
         # first non-finite or drifting trace, which comes from the low powers. The
         # transposed powers advance states held as rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.squares = {m: [np.linalg.matrix_power(self.p, m).T] for m in {k, self.stride}}
+            p_half = _taylor4(f, 0.5 * dt)
+            self.p = p_half @ p_half
+            self.p_err = _taylor4(f, dt) - self.p
+            self.squares = [np.linalg.matrix_power(self.p, k).T]
             self.stack[0] = np.eye(d, dtype=complex).reshape(-1) @ self.p
             _fill_powers(self.stack[:k], [self.p])
             if watched.size:
@@ -298,20 +299,16 @@ class _PropagatorBlocks:
                 watched[0] = functionals @ p_step
                 _fill_powers(watched, [p_step])
 
-    def ends(self, out: np.ndarray, lengths: np.ndarray) -> None:
-        """Set out[1:] to the state after each block of ``lengths`` steps, from out[0].
+    def ends(self, out: np.ndarray, last: int) -> None:
+        """Set out[1:] to the state after each block from out[0]; the final block has ``last`` steps.
 
-        A chunk starts on a stride mark or lies inside one stride, so out[a * per + j]
-        is P^(a * stride + j * K) out[0]; a last block shorter than K takes one more product.
+        Every other block has K, so out[j] is P^(j * K) out[0]; a final block shorter
+        than K takes one more product.
         """
-        b, per = lengths.size, self.per
-        grid = b + 1 if lengths[-1] == self.k else b
-        full = grid // per * per
-        _fill_powers(out[:grid:per], self.squares[self.stride])
-        _fill_powers(out[:full].reshape(-1, per, out.shape[1]).swapaxes(0, 1), self.squares[self.k])
-        _fill_powers(out[full:grid], self.squares[self.k])
-        if grid == b:
-            out[b] = np.linalg.matrix_power(self.p, lengths[-1]) @ out[b - 1]
+        full = len(out) if last == self.k else len(out) - 1
+        _fill_powers(out[:full], self.squares)
+        if full < len(out):
+            out[-1] = np.linalg.matrix_power(self.p, last) @ out[-2]
 
     def records(self, states: np.ndarray):
         """Per-step traces (blocks x K) and interior values (blocks x offsets x watched).
@@ -330,16 +327,16 @@ class _PropagatorBlocks:
 class _StageSteps:
     """One step per block, two classical 4th-order half steps on the d x d state."""
 
-    k = per = stride = rows = 1
+    k = rows = 1
     offsets = np.empty(0, dtype=int)
 
     def __init__(self, gen: Generator, dt: float):
         self.gen, self.dt = gen, dt
         self.d = gen.k.shape[0]
 
-    def ends(self, out: np.ndarray, lengths: np.ndarray) -> None:
+    def ends(self, out: np.ndarray, last: int) -> None:
         """Set out[1:] to the state after each one-step block, each from the one before."""
-        for i in range(lengths.size):
+        for i in range(len(out) - 1):
             half = _rk4_step(self.gen.apply, out[i].reshape(self.d, self.d), 0.5 * self.dt)
             out[i + 1] = _rk4_step(self.gen.apply, half, 0.5 * self.dt).reshape(-1)
 
@@ -412,8 +409,8 @@ def _drift_error(what: str, step: int, drift: float, dt: float, tolerance: float
 
 
 def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, n: int, dt: float,
-                     cfg: IntegratorConfig, blocks, table: np.ndarray, states: np.ndarray,
-                     diag_stride: int):
+                     tolerance: float, blocks, table: np.ndarray, states: np.ndarray,
+                     diag_stride: int, sample_stride: int, state_stride: int):
     """Step one decaying excitation (see :func:`_cascade_amplitudes`) as its amplitudes c on A.
 
     Each step is T = (the degree-4 Taylor polynomial of exp(-iK[A, A] dt/2))^2, the
@@ -430,9 +427,10 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     size, d = amps.size, rho.shape[0]
     cut = np.ix_(amps, amps)
     f = -1j * gen.k[cut]
-    half = _taylor4(f, 0.5 * dt)
-    step = half @ half
-    step_err = _taylor4(f, dt) - step
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports an overflowing step
+        half = _taylor4(f, 0.5 * dt)
+        step = half @ half
+        step_err = _taylor4(f, dt) - step
     on_a = np.array([block[cut] for block in blocks], dtype=complex).reshape(-1, size, size)
     on_g = np.array([block[g, g] for block in blocks], dtype=complex)[:, None]
     weights = on_a.diagonal(axis1=1, axis2=2) - on_g
@@ -465,10 +463,10 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
             norms = pops.sum(axis=0)
             rises = np.diff(norms)
         # a non-finite norm makes its rise inf or nan, which fails "<=" as well
-        bad = np.flatnonzero(~(rises <= cfg.tolerance))
+        bad = np.flatnonzero(~(rises <= tolerance))
         if bad.size:
             raise _drift_error("rise of the excitation norm |c|^2", start + int(bad[0]) + 1,
-                               float(rises[bad[0]]), dt, cfg.tolerance)
+                               float(rises[bad[0]]), dt, tolerance)
 
         def columns(stride: int) -> np.ndarray:
             # the chunk's columns at the multiples of stride, and at step n
@@ -487,7 +485,7 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
             full_norms = np.square(np.abs(fulls)).sum(axis=0)
             max_err = max(max_err, float(np.max(np.abs(outer))), float(np.max(np.abs(full_norms - norm))))
 
-        keep = columns(cfg.sample_stride)
+        keep = columns(sample_stride)
         kept = np.take(pops, keep, axis=1)
         values = table[:, sample:sample + keep.size]
         values.real = weights.real @ kept + on_g.real
@@ -496,8 +494,8 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
             sampled = np.take(block, keep, axis=1)
             values += coherences @ (sampled[rows].conj() * sampled[cols])
         sample += keep.size
-        if cfg.record_states_stride:
-            at = columns(cfg.record_states_stride)
+        if state_stride:
+            at = columns(state_stride)
             place(block[:, at], 1.0 - norms[at], states[recorded:recorded + at.size])
             recorded += at.size
         c[:, 0] = block[:, m]
@@ -538,8 +536,9 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         raise DomainError(f"rate_scale {cfg.rate_scale:.3e} leaves the scaled generator non-finite")
     n, dt = _resolve_grid(cfg, scale)
     diag_stride = max(1, n // 256)
-    sample_stride = cfg.sample_stride
-    state_stride = cfg.record_states_stride
+    # a stride of n or more records steps 0 and n only
+    sample_stride = min(cfg.sample_stride, n)
+    state_stride = min(cfg.record_states_stride, n)
 
     support = _closed_support(gen, rho0.matrix)
     cut = np.ix_(support, support)
@@ -552,7 +551,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         state_steps = _steps(n, state_stride) if state_stride else np.empty(0, dtype=int)
         table = np.empty((len(watch_ops), sample_steps.size), dtype=complex)
         states = np.empty((state_steps.size, d, d), dtype=complex)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise DomainError(f"the step grid of {n} steps is too large to allocate") from exc
 
     def lowest_eigenvalue(r: np.ndarray) -> float:
@@ -580,7 +579,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     if cascade is not None:
         # |i><i| on |S| >= 2 states has the lowest eigenvalue 0, where the amplitudes' minimum starts
         rho, (max_trace_drift, min_eig, max_double_err) = _step_amplitudes(
-            gen, *cascade, rho, n, dt, cfg, blocks, table, states, diag_stride)
+            gen, *cascade, rho, n, dt, cfg.tolerance, blocks, table, states,
+            diag_stride, sample_stride, state_stride)
     elif stationary:
         # Stationary input (dark state or trivial generator): the exact
         # solution is constant, so every sample repeats the first.
@@ -592,29 +592,27 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         if d <= _PROPAGATOR_MAX_DIM:
             k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
                               d * d * np.dtype(complex).itemsize)
-            stepper = _PropagatorBlocks(gen, dt, functionals, k, sample_stride, state_stride)
+            stepper = _PropagatorBlocks(gen, dt, functionals, k, sample_stride)
         else:
             stepper = _StageSteps(gen, dt)
-        offsets, k, per, stride = stepper.offsets, stepper.k, stepper.per, stepper.stride
-        chunk = _chunk_blocks(stepper.rows + stepper.k, d)  # K per-step traces are copied out
+        offsets, k = stepper.offsets, stepper.k
+        chunk = _chunk_blocks(stepper.rows + k, d)  # K per-step traces are copied out
         boundary = np.empty((chunk + 1, d * d), dtype=complex)  # states at one chunk's block ends
         boundary[0] = rho.reshape(-1)
 
-        sample, start, recorded, block = 1, 0, 1, 0
+        sample, start, recorded = 1, 0, 1
         while start < n:
-            # the chunk's blocks by number: whole strides, or blocks inside one stride
-            g = np.arange(block, min(block + chunk, (block // per + max(1, chunk // per)) * per))
-            ends = np.minimum(g // per * stride + np.minimum((g % per + 1) * k, stride), n)
+            # every block is K steps long but the run's last
+            ends = np.minimum(start + k * np.arange(1, chunk + 1), n)
             ends = ends[:np.searchsorted(ends, n) + 1]
             starts = np.concatenate(([start], ends[:-1]))
-            block += ends.size
             vs = boundary[:ends.size + 1]
             # A chunk may run past an unstable step; the guard below reports the first one.
             with np.errstate(over="ignore", invalid="ignore"):
-                stepper.ends(vs, ends - starts)
+                stepper.ends(vs, int(ends[-1] - starts[-1]))
                 traces, values = stepper.records(vs)
-                # the chunk's steps in order: block b holds its first ends[b] - starts[b] traces
-                traces = traces[np.arange(traces.shape[1]) < (ends - starts)[:, None]]
+                # the chunk's steps in order; only the run's last block holds fewer than K
+                traces = traces.reshape(-1)[:ends[-1] - start]
                 drifts = abs(np.diff(traces, prepend=trace_prev))
 
             # a non-finite trace makes its drift inf or nan, which fails "<=" as well

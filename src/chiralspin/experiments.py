@@ -103,6 +103,9 @@ def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
     ratios = tuple(float(r) for r in delta_over_g)
     if any(r < 10.0 for r in ratios):
         raise DomainError(f"all detuning ratios must be >= 10, got {ratios}")
+    # the constant divides by g^2
+    if g != 0.0 and not np.finfo(float).tiny <= g * g <= np.finfo(float).max:
+        raise DomainError(f"g {g:.3e} rad/s leaves g^2 outside the normal floats")
     spins = (SpinSite(0.5, 0.0, "A"), SpinSite(0.5, 1.0, "B"))
 
     def run_point(ratio: float):
@@ -117,7 +120,7 @@ def elimination_validation(g: float = 1.0, delta_over_g=(25.0, 50.0, 100.0),
         watch = [("pop_B", n_ops[1]), ("phonon_n", phonon), ("total_excitation", total_excitation(space))]
         rho0 = one_excited_state(space, 0)
         rate_scale = delta if delta > 0 else 1.0
-        t_final = 1.25 * (math.pi / 2.0) * ratio ** 2 if g > 0 else 10.0
+        t_final = 1.25 * (math.pi / 2.0) * ratio * ratio if g > 0 else 10.0
         cfg = IntegratorConfig(t_final=t_final, rate_scale=rate_scale, dt=0.05, sample_stride=16)
         traj = evolve(model, rho0, cfg, watch)
         point = {"trajectory": traj, "cfg": cfg}

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class ModeSpec:
             raise DomainError(f"momentum_sign must be +-1, got {self.momentum_sign}")
         if self.pam not in (-1, 1):
             raise DomainError(f"pseudoangular momentum must be +-1, got {self.pam}")
+        if not (isfinite(self.detuning) and isfinite(self.g)):
+            raise DomainError(f"detuning and coupling must be finite, got {self.detuning}, {self.g}")
         if self.g < 0:
             raise DomainError(f"coupling must be non-negative, got {self.g}")
         boson_factor(self.fock_cutoff)  # rejects a cutoff that is not a positive integer
@@ -115,15 +117,17 @@ class CascadeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
-        if not all(np.isfinite(r) and r >= 0 for r in (self.gamma, self.gamma_prime)):
+        if not all(isfinite(r) and r >= 0 for r in (self.gamma, self.gamma_prime)):
             raise DomainError(f"rates must be finite and non-negative, got {self.gamma}, {self.gamma_prime}")
-        if not np.isfinite(self.k_z):
-            raise DomainError(f"k_z must be finite, got {self.k_z}")
         if not self.sites:
             raise DomainError("a cascade needs at least one site")
         positions = [s.position_z for s in self.sites]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise DomainError(f"site positions must be strictly increasing, got {positions}")
+        # the largest propagation phase, k_z times the chain's length (NaN for a non-finite k_z)
+        if not isfinite(self.k_z * (positions[-1] - positions[0])):
+            raise DomainError(f"k_z {self.k_z:.3e} rad/m over sites {positions[0]} to {positions[-1]} m "
+                              "leaves a non-finite phase")
 
 
 @dataclass(frozen=True)

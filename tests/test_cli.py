@@ -54,6 +54,9 @@ MALFORMED = [
     *(pytest.param(["experiment", "cascade_chain"], [override], id=f"cascade_chain:{override}")
       for override in ("cascade.k_z_d=abc", "cascade.k_z_rad_m=null",
                        'spin.positions_m=[0,"a"]', 'spin.s="x"')),
+    # an integer beyond the float range is no finite number
+    pytest.param(["simulate", "{config}"], ["integrator.t_final=1" + "0" * 400],
+                 id="simulate:integrator.t_final=10^400"),
     pytest.param(["simulate", "{config}"], ['integrator.sample_stride="x"'],
                  id="simulate:integrator.sample_stride"),
     pytest.param(["simulate", "{config}"], ["modes=[5]"], id="simulate:modes=[5]"),
@@ -67,8 +70,9 @@ MALFORMED = [
                  id="couplings:material_without_density"),
 ]
 
-# (experiment, overrides) with a model or step grid far beyond what the program can hold:
-# each must exit 2 before anything of that size is allocated.
+# (experiment, overrides) with a model or step grid far beyond what the program can hold, or
+# with numbers whose products leave the floats: each must exit 2 before anything of that size
+# is allocated.
 _POSITIONS = [i * 1e-7 for i in range(40)]
 OVERSIZED = [
     pytest.param("simulate", [f"spin.positions_m={_POSITIONS}"], id="simulate:40_positions"),
@@ -80,6 +84,19 @@ OVERSIZED = [
     pytest.param("simulate", ["integrator.t_final=1e30"], id="simulate:t_final=1e30"),
     pytest.param("elimination_validation", ["experiment.parameters.delta_over_g=[1e12]"],
                  id="elimination_validation:delta_over_g=1e12"),
+    # a window of 1e400 overflows to inf, which the integrator config rejects
+    pytest.param("elimination_validation", ["experiment.parameters.delta_over_g=[1e200]"],
+                 id="elimination_validation:delta_over_g=1e200"),
+    pytest.param("elimination_validation", ["experiment.parameters.g_hz=1e-300"],
+                 id="elimination_validation:g^2_underflows"),
+    pytest.param("elimination_validation", ["experiment.parameters.delta_over_g=[1e300]",
+                                            f"experiment.parameters.g_hz={2 ** 62}"],
+                 id="elimination_validation:detuning_overflows"),
+    pytest.param("simulate", ["integrator.t_final=1e300", "integrator.dt=1e-300"],
+                 id="simulate:step_count_overflows"),
+    pytest.param("simulate", [f"integrator.t_final={2 ** 63}", f"integrator.sample_stride={2 ** 63}"],
+                 id="simulate:steps_beyond_int64"),
+    pytest.param("simulate", ["spin.positions_m=[0,1e-300,1e300]"], id="simulate:phase_overflows"),
     pytest.param("simulate", ["integrator.rate_scale_hz=1e-310"], id="simulate:rate_scale_hz=1e-310"),
 ]
 
@@ -199,6 +216,18 @@ class TestRunAndEmit:
         lines = (tmp_path / "out" / "simulation.csv").read_text().strip().splitlines()
         n_steps = round(config["integrator"]["t_final"] / config["integrator"]["dt"])
         assert len(lines) == n_steps + 2  # header + t=0 + every step
+
+    @pytest.mark.parametrize("initial", [[], ['spin.initial=["up","up"]']],
+                             ids=["amplitude_path", "density_path"])
+    def test_sample_stride_beyond_the_run_samples_its_ends(self, tmp_path, initial):
+        # any stride of the run's 3000 steps or more samples steps 0 and 3000; 2^63 overflows int64
+        path, _ = write_config(tmp_path)
+        csvs = []
+        for stride in (3000, 2 ** 63):
+            out = tmp_path / str(stride)
+            assert run(path, [*initial, f"integrator.sample_stride={stride}"], output_dir=out) == 0
+            csvs.append((out / "simulation.csv").read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 3
 
     def test_csv_bytes_match_per_value_format(self, tmp_path, monkeypatch):
         special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1 / 3, 2.0 ** 60]
@@ -377,6 +406,19 @@ class TestRunAndEmit:
         path, _ = write_config(tmp_path, integrator={"t_final": 400.0, "dt": 8.0})
         assert run(path) == 3
         assert "trace_drift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [[], ['spin.initial=["up","up"]'],
+                                           ["spin.s=1", "spin.positions_m=[0,1,2]"]],
+                             ids=["amplitude_path", "propagator_path", "stage_path"])
+    def test_overflowing_step_is_reported_without_warnings(self, tmp_path, capsys, overrides):
+        # a generator of about 1e300 at dt = 1 overflows the step polynomial; the per-step
+        # guard reports it, and no RuntimeWarning reaches stderr (warnings are errors here)
+        argv = ["experiment", "simulate", "--set", "integrator.dt=1",
+                "--set", "integrator.rate_scale_hz=1e-300", "--output", str(tmp_path / "t")]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("ERROR invariant=trace_drift step=1 ")
 
     def test_io_failure_exit_code(self, tmp_path):
         target = tmp_path / "blocked"

@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -88,6 +90,12 @@ class TestEvolveBasics:
         rho0 = DensityMatrix.maximally_mixed(two_spin_space)
         with pytest.raises(DomainError):
             evolve(model, rho0, IntegratorConfig(t_final=1.0, rate_scale=1.0))
+
+    @pytest.mark.parametrize("changes", [{"t_final": math.nan}, {"t_final": math.inf},
+                                         {"rate_scale": math.inf}, {"dt": math.nan}])
+    def test_non_finite_config_rejected(self, changes):
+        with pytest.raises(DomainError, match=f"{next(iter(changes))} must be finite"):
+            IntegratorConfig(**{"t_final": 1.0, "rate_scale": 1.0, **changes})
 
     def test_invalid_initial_state_rejected(self, two_spin_space):
         model = LindbladModel(zero(two_spin_space), (), two_spin_space)
@@ -376,7 +384,7 @@ class TestBlockStepping:
                 assert np.max(np.abs(mine.matrix - theirs.matrix)) <= 1e-10
         assert np.max(np.abs(blocked.final_state.matrix - stepped.final_state.matrix)) <= 1e-10
 
-    @pytest.mark.parametrize("state_stride", [0, 13, 20, 29])
+    @pytest.mark.parametrize("state_stride", [0, 13, 20, 26, 29, 30])
     @pytest.mark.parametrize("sample_stride", [1, 7, 16])
     def test_evolve_matches_stage_path_and_expm(self, two_spins, stepped_reference,
                                                  sample_stride, state_stride):
@@ -385,7 +393,8 @@ class TestBlockStepping:
                                sample_stride=sample_stride, record_states_stride=state_stride)
         k = dynamics_module._block_length(N_BLOCKED // 256, sample_stride, state_stride,
                                           len(watch), 16 * 16)
-        assert k > 1
+        # K divides the state stride and is at most 13: one step per block at the prime 29
+        assert (k > 1) == (state_stride != 29)
         blocked = evolve(model, rho0, cfg, watch)
 
         # the per-step run holds every step: subsample it on the strides' grids
@@ -421,9 +430,10 @@ class TestBlockStepping:
     @pytest.mark.parametrize("sample_stride, state_stride, k, cap", [
         (1, 0, 4000, None),  # n < K: the run is one short block
         (7, 0, 40, None),  # n not a multiple of K, K not a multiple of the sample stride
-        (16, 13, 40, None),  # a state stride smaller than K
-        (1, 29, 10, 1 << 13),  # strides of 10 + 10 + 9 steps, whole strides per chunk
-        (16, 29, 2, 1280),  # chunks of 3 or 4 blocks inside 15-block strides
+        (16, 13, 13, None),  # one block per state stride, K not a multiple of the sample stride
+        (1, 30, 10, 1 << 13),  # three blocks per state stride, several strides per chunk
+        (16, 30, 2, 1280),  # chunks of 4 blocks across the marks of 15-block strides
+        (16, 29, 1, 1280),  # a prime state stride: one step per block
     ])
     @pytest.mark.parametrize("watched", [True, False])
     def test_block_patterns_match_stage_path_and_expm(self, two_spins, stepped_reference, monkeypatch,
@@ -432,12 +442,18 @@ class TestBlockStepping:
             monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", cap)
         monkeypatch.setattr(dynamics_module, "_block_length", lambda *args: k)
         chunks = chunk_spy(monkeypatch)
+        lasts = []
+        ends = dynamics_module._PropagatorBlocks.ends
+        monkeypatch.setattr(dynamics_module._PropagatorBlocks, "ends",
+                            lambda self, out, last: lasts.append(last) or ends(self, out, last))
         model, rho0, watch = blocked_pair(two_spins)
         cfg = IntegratorConfig(t_final=N_BLOCKED * 1e-3, rate_scale=1.0, dt=1e-3,
                                sample_stride=sample_stride, record_states_stride=state_stride)
         blocked = evolve(model, rho0, cfg, watch if watched else [])
         assert {chunk_k for chunk_k, _, _ in chunks} == {k}
         assert len(chunks) > 1 or not cap
+        # only the run's last block is shorter than K
+        assert lasts == [k] * (len(chunks) - 1) + [N_BLOCKED % k or k]
 
         stepped, exact = stepped_reference
         reference = subsampled(stepped, sample_stride, state_stride)
@@ -451,10 +467,28 @@ class TestBlockStepping:
         # K = 95, 383, 1532 carried watched rows at every 1st, 1st and 4th offset
         ks = [dynamics_module._block_length(limit, 16, 0, 3, 9 * 16) for limit in (95, 383, 1532)]
         assert ks == [80, 368, 1520]
-        # evened out over a state stride of 200 as 80 + 80 + 40 rather than 67 + 67 + 66
-        assert dynamics_module._block_length(100, 16, 200, 2, 256) == 80
+        # with recorded states K divides the state stride: a multiple of the sample stride
+        # where one does (40 of 200 at stride 8), else the largest divisor (100 at stride 16)
+        assert dynamics_module._block_length(100, 8, 200, 2, 256) == 40
+        assert dynamics_module._block_length(100, 16, 200, 2, 256) == 100
         # a sample stride above the limit leaves K free
         assert dynamics_module._block_length(13, 16, 0, 2, 256) == 13
+
+    def test_block_length_is_the_largest_valid_divisor(self, monkeypatch):
+        # brute force over a grid: the largest K <= limit that divides the state stride (any K
+        # without one) and whose stack fits the cap, a multiple of the sample stride if one is
+        monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", 1 << 14)
+        for limit, sample_stride, state_stride, n_watch, row_bytes in itertools.product(
+                (1, 2, 13, 40, 100), (1, 3, 7, 16), (0, 1, 12, 13, 26, 29, 30, 200), (0, 2, 5),
+                (144, 256, 4096)):
+            valid = [k for k in range(1, limit + 1)
+                     if (state_stride == 0 or state_stride % k == 0)
+                     and (k + n_watch * (k // math.gcd(k, sample_stride) - 1)) * row_bytes <= 1 << 14]
+            multiples = [k for k in valid if k % sample_stride == 0]
+            k = dynamics_module._block_length(limit, sample_stride, state_stride, n_watch, row_bytes)
+            assert k == max(multiples or valid or [1]), (limit, sample_stride, state_stride, n_watch,
+                                                         row_bytes)
+            assert state_stride % k == 0
 
     def test_mid_block_drift_reports_the_sequential_step(self, pair_spec, monkeypatch):
         # A 1e-90 admixture of |up,down> on the stationary ground state grows about 1e4-fold per
@@ -496,9 +530,11 @@ def chunk_spy(monkeypatch, stepper=dynamics_module._PropagatorBlocks):
 class TestChunkedDriver:
     """Runs whose blocks span several chunks against the per-step stage path."""
 
-    @pytest.mark.parametrize("sample_stride, state_stride", [(1, 0), (7, 13), (16, 29)])
+    # K is the largest divisor of the state stride whose stack fits the cap: 1 at the primes
+    @pytest.mark.parametrize("sample_stride, state_stride, k", [
+        (1, 0, 10), (7, 13, 1), (16, 29, 1), (7, 26, 2), (16, 30, 10)])
     def test_chunks_match_stage_path(self, two_spins, stepped_reference, monkeypatch,
-                                     sample_stride, state_stride):
+                                     sample_stride, state_stride, k):
         monkeypatch.setattr(dynamics_module, "_STACK_MAX_BYTES", 1 << 12)
         chunks = chunk_spy(monkeypatch)
         model, rho0, watch = blocked_pair(two_spins)
@@ -506,7 +542,8 @@ class TestChunkedDriver:
                                sample_stride=sample_stride, record_states_stride=state_stride)
         chunked = evolve(model, rho0, cfg, watch)
         assert len(chunks) >= 3
-        assert all(k > 1 for k, _, _ in chunks) and max(blocks for _, blocks, _ in chunks) > 1
+        assert {chunk_k for chunk_k, _, _ in chunks} == {k}
+        assert max(blocks for _, blocks, _ in chunks) > 1
 
         stepped, _ = stepped_reference
         reference = subsampled(stepped, sample_stride, state_stride)
@@ -570,7 +607,7 @@ class TestChunkedDriver:
             def counted(self, *args):
                 before = sum(products)
                 method(self, *args)
-                calls[name].append((self.k, args[1].size if name == "ends" else None,
+                calls[name].append((self.k, len(args[0]) - 1 if name == "ends" else None,
                                     sum(products) - before))
             return counted
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,11 @@ class TestModeSpec:
         with pytest.raises(DomainError):
             ModeSpec(+1, +1, 1.0, -0.1, 2)
 
+    @pytest.mark.parametrize("detuning, g", [(math.inf, 0.1), (1.0, math.nan)])
+    def test_non_finite_mode_rejected(self, detuning, g):
+        with pytest.raises(DomainError, match="must be finite"):
+            ModeSpec(+1, +1, detuning, g, 2)
+
 
 class TestDenseGuard:
     @pytest.mark.parametrize("build", [
@@ -173,6 +180,15 @@ class TestCascadeSpec:
     def test_negative_rate_rejected(self, two_spins):
         with pytest.raises(DomainError):
             CascadeSpec(-1.0, 0.0, 1.0, two_spins)
+
+    def test_integer_wavenumber_beyond_int64_accepted(self, two_spins):
+        assert CascadeSpec(1.0, 0.0, 2 ** 64, two_spins).k_z == 2 ** 64
+
+    def test_non_finite_phase_rejected(self):
+        # k_z times the chain's length overflows, though each factor is finite
+        sites = [SpinSite(0.5, 0.0), SpinSite(0.5, 1e-300), SpinSite(0.5, 1e300)]
+        with pytest.raises(DomainError, match="non-finite phase"):
+            CascadeSpec(1.0, 0.0, 7e299, sites)
 
 
 class TestOneSiteCascade:
