@@ -159,8 +159,8 @@ class Operator:
 
     def antihermiticity(self) -> float:
         """max|A - A^dag| relative to max|A|; 0 for the zero operator."""
-        scale = float(np.max(np.abs(self.matrix)))
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) / scale if scale else 0.0
+        scale = float(np.abs(self.matrix).max())
+        return float(np.abs(self.matrix - self.matrix.conj().T).max()) / scale if scale else 0.0
 
     def is_hermitian(self) -> bool:
         return self.antihermiticity() <= 1e-12
@@ -323,8 +323,7 @@ def _embedded(matrix: np.ndarray, site: int, dims: tuple[int, ...]) -> np.ndarra
     # the (left, d, right) x (left, d, right) block diagonal of I_left (x) matrix (x) I_right
     left, d, right = prod(dims[:site]), dims[site], prod(dims[site + 1:])
     out = np.zeros((left, d, right, left, d, right), dtype=complex)
-    i, j = np.arange(left)[:, None], np.arange(right)
-    out[i, :, j, i, :, j] = matrix
+    np.einsum("iajibj->ijab", out)[...] = matrix  # a writable view of the (i, :, j, i, :, j) blocks
     return out.reshape(left * d * right, left * d * right)
 
 

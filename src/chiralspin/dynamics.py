@@ -104,6 +104,9 @@ _PROPAGATOR_MAX_DIM = 16
 # records and boundary states of one chunk of blocks (see _chunk_blocks).
 _STACK_MAX_BYTES = 1 << 19
 
+# The most steps a run may take (20 s at 0.2 us, the cheapest step), whatever its sample grid
+_MAX_STEPS = 10 ** 8
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -125,7 +128,7 @@ class IntegratorConfig:
     module docstring); the guard still checks every step, and the more
     expensive hermiticity/positivity/step-doubling diagnostics run at the
     ends of ~256 evenly spaced blocks (on the amplitude path, steps) per run.
-    ``t_final``, ``rate_scale`` and ``dt`` must be finite.
+    ``t_final``, ``rate_scale`` and ``dt`` must be finite; a run over 10^8 steps is refused.
     """
 
     t_final: float
@@ -191,7 +194,7 @@ def _generator_scale(h_scaled: np.ndarray, sandwiches) -> float:
 
 
 def _resolve_grid(cfg: IntegratorConfig, scale) -> tuple[int, float]:
-    """Step count and step; ``scale()``, the generator magnitude, is called only without ``cfg.dt``."""
+    """Step count (at most _MAX_STEPS) and step; ``scale()`` is called only without ``cfg.dt``."""
     dt = cfg.dt
     if dt is None:
         magnitude = scale()
@@ -202,6 +205,8 @@ def _resolve_grid(cfg: IntegratorConfig, scale) -> tuple[int, float]:
     if steps > float_info.max:
         raise DomainError(f"t_final {cfg.t_final:.3e} over dt {dt:.3e} is too many steps to count")
     n = max(1, int(round(steps)))
+    if n > _MAX_STEPS:
+        raise DomainError(f"the step grid of {n} steps is too large to run: the budget is {_MAX_STEPS} steps")
     return n, cfg.t_final / n
 
 
@@ -354,8 +359,8 @@ class _StageSteps:
 def _closure(links: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """The mask ``inside`` grown by the rows ``links`` reaches from its columns, until nothing is added."""
     while True:
-        grown = inside | np.any(links[:, inside], axis=1)
-        if np.array_equal(grown, inside):
+        grown = inside | links[:, inside].any(axis=1)
+        if np.count_nonzero(grown) == np.count_nonzero(inside):  # grown holds inside
             return inside
         inside = grown
 
@@ -370,7 +375,7 @@ def _closed_support(gen: Generator, rho0: np.ndarray) -> np.ndarray:
     links = gen.k != 0
     for _, z in gen.sandwiches:
         links = links | (z != 0)
-    return np.flatnonzero(_closure(links, np.any(rho0 != 0, axis=0) | np.any(rho0 != 0, axis=1)))
+    return np.flatnonzero(_closure(links, (rho0 != 0).any(axis=0) | (rho0 != 0).any(axis=1)))
 
 
 def _cascade_amplitudes(gen: Generator, rho: np.ndarray):
@@ -389,8 +394,8 @@ def _cascade_amplitudes(gen: Generator, rho: np.ndarray):
     inside = _closure(gen.k != 0, diagonal != 0)
     reached = np.zeros_like(inside)
     for _, z in gen.sandwiches:
-        hit = np.any(z[:, inside] != 0, axis=1)
-        if np.any(hit & inside):
+        hit = (z[:, inside] != 0).any(axis=1)
+        if (hit & inside).any():
             return None
         reached |= hit
     ground = np.flatnonzero(reached)
@@ -409,7 +414,7 @@ def _drift_error(what: str, step: int, drift: float, dt: float, tolerance: float
 
 
 def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, n: int, dt: float,
-                     tolerance: float, blocks, table: np.ndarray, states: np.ndarray,
+                     tolerance: float, blocks, hermitian, table: np.ndarray, states: np.ndarray,
                      diag_stride: int, sample_stride: int, state_stride: int):
     """Step one decaying excitation (see :func:`_cascade_amplitudes`) as its amplitudes c on A.
 
@@ -421,8 +426,9 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     formed by doubling. A watched value is
     tr(O rho) = O_gg + sum_a (O_aa - O_gg) |c_a|^2 + sum_(a != b) O_ab conj(c_a) c_b,
     read from the populations |c_a|^2 of every step and the products at the
-    watches' nonzero off-diagonal (a, b). Returns the final state on the run's
-    support and (max_trace_drift, min_eigenvalue, max_step_doubling_error).
+    watches' nonzero off-diagonal (a, b); ``hermitian`` watches skip the imaginary part.
+    Returns the final state on the run's support and (max_trace_drift,
+    min_eigenvalue, max_step_doubling_error).
     """
     size, d = amps.size, rho.shape[0]
     cut = np.ix_(amps, amps)
@@ -434,6 +440,7 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     on_a = np.array([block[cut] for block in blocks], dtype=complex).reshape(-1, size, size)
     on_g = np.array([block[g, g] for block in blocks], dtype=complex)[:, None]
     weights = on_a.diagonal(axis1=1, axis2=2) - on_g
+    skew = np.flatnonzero(np.logical_not(hermitian))
     rows, cols = np.nonzero(np.any(on_a != 0, axis=0) & ~np.eye(size, dtype=bool))
     coherences = on_a[:, rows, cols]
     # where |c><c| and p_G sit in a row-major state on S
@@ -485,15 +492,16 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
             full_norms = np.square(np.abs(fulls)).sum(axis=0)
             max_err = max(max_err, float(np.max(np.abs(outer))), float(np.max(np.abs(full_norms - norm))))
 
-        keep = columns(sample_stride)
-        kept = np.take(pops, keep, axis=1)
-        values = table[:, sample:sample + keep.size]
+        keep = slice(1, m + 1) if sample_stride == 1 else columns(sample_stride)
+        kept = pops[:, keep]
+        values = table[:, sample:sample + kept.shape[1]]
         values.real = weights.real @ kept + on_g.real
-        values.imag = weights.imag @ kept + on_g.imag
+        if skew.size:
+            values.imag[skew] = weights.imag[skew] @ kept + on_g.imag[skew]
         if rows.size:
-            sampled = np.take(block, keep, axis=1)
+            sampled = block[:, keep]
             values += coherences @ (sampled[rows].conj() * sampled[cols])
-        sample += keep.size
+        sample += kept.shape[1]
         if state_stride:
             at = columns(state_stride)
             place(block[:, at], 1.0 - norms[at], states[recorded:recorded + at.size])
@@ -510,7 +518,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
 
     It first checks that every watched operator acts on the state's space, that
     the scaled generator is finite (a tiny ``rate_scale`` overflows it) and that
-    numpy can size the step grid's arrays, raising :class:`DomainError` if not.
+    the step grid is within _MAX_STEPS and sizable, raising :class:`DomainError` if not.
 
     ``scale()`` returns the generator magnitude that sets the default step; it
     is called only when ``cfg.dt`` is None. The loop
@@ -549,7 +557,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     try:
         sample_steps = _steps(n, sample_stride)
         state_steps = _steps(n, state_stride) if state_stride else np.empty(0, dtype=int)
-        table = np.empty((len(watch_ops), sample_steps.size), dtype=complex)
+        table = np.zeros((len(watch_ops), sample_steps.size), dtype=complex)
         states = np.empty((state_steps.size, d, d), dtype=complex)
     except (ValueError, MemoryError, OverflowError) as exc:
         raise DomainError(f"the step grid of {n} steps is too large to allocate") from exc
@@ -562,6 +570,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
 
     labels = [label for label, _ in watch_ops]
     blocks = [op.matrix[cut] for _, op in watch_ops]  # O[S, S], all of O that tr(O rho) reads
+    hermitian = [np.array_equal(block, block.conj().T) for block in blocks]
     functionals = np.array([block.T.reshape(-1) for block in blocks],
                            dtype=complex).reshape(len(labels), d * d)
 
@@ -579,7 +588,7 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     if cascade is not None:
         # |i><i| on |S| >= 2 states has the lowest eigenvalue 0, where the amplitudes' minimum starts
         rho, (max_trace_drift, min_eig, max_double_err) = _step_amplitudes(
-            gen, *cascade, rho, n, dt, cfg.tolerance, blocks, table, states,
+            gen, *cascade, rho, n, dt, cfg.tolerance, blocks, hermitian, table, states,
             diag_stride, sample_stride, state_stride)
     elif stationary:
         # Stationary input (dark state or trivial generator): the exact
@@ -654,7 +663,6 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     diagnostics = {"max_hermiticity_dev": max_herm_dev, "min_eigenvalue": min_eig,
                    "max_step_doubling_error": max_double_err, "n_steps": float(n),
                    "dt": dt, "stationary": float(stationary), "max_trace_drift": max_trace_drift}
-    hermitian = [np.array_equal(block, block.conj().T) for block in blocks]
     table.imag[hermitian] = 0.0
     traj = Trajectory(sample_steps * dt, dict(zip(labels, table)),
                       StateStack(space, support, rho[None])[0], cfg.rate_scale, diagnostics)

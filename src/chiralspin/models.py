@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite, prod
+from math import isfinite
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class Generator:
     sandwiches: tuple[tuple[float, np.ndarray], ...]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) on a raw matrix, without integrating."""
+        """L(rho) on a raw matrix, or on each matrix of a (..., d, d) stack, without integrating."""
         out = -1j * (self.k @ rho - rho @ self.k.conj().T)
         for rate, z in self.sandwiches:
             out = out + rate * (z @ rho @ z.conj().T)
@@ -270,14 +270,19 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
     z^dag z itself (the product conj(c_j) c_l of the jump weights), so in
     K = H - i r z^dag z the upstream entries cancel exactly, not only to
     rounding: the effective Hamiltonian never moves an excitation against
-    the channel. The builder holds one embedded ladder at a time.
+    the channel. In the descending-m, row-major basis an entry of S_j^+ S_l^-
+    has row - column = stride_l - stride_j, negative exactly when j comes before
+    l, so the forward hops are the strict upper triangle of z^dag z
+    (``np.triu(zz, 1)``) and the backward hops the strict lower one
+    (``np.tril(zz, -1)``). The builder holds one embedded ladder at a time.
     """
     sites = spec.sites
     space = _dense_space(spin_factor(site.s) for site in sites)
     dims, n = space.dims, len(sites)
     h = _zeros(space)
     jumps = []
-    for rate, order in ((spec.gamma, range(n)), (spec.gamma_prime, range(n - 1, -1, -1))):
+    upper = np.arange(space.dim)[:, None] < np.arange(space.dim)  # the strict upper triangle
+    for rate, order, hops in ((spec.gamma, range(n), upper), (spec.gamma_prime, range(n)[::-1], upper.T)):
         if rate <= 0:
             continue
         head = sites[order[0]].position_z
@@ -286,30 +291,10 @@ def build_cascade_model(spec: CascadeSpec) -> LindbladModel:
             weight = complex(np.exp(-1j * spec.k_z * abs(sites[j].position_z - head)))
             z += _embedded(_spin_ladders(sites[j].s)[1], j, dims) * weight
         zz = z.conj().T @ z  # the same product LindbladModel.generator forms
-        t = (1j * rate) * np.where(_upstream_hops(dims, order), zz, 0)
+        t = (1j * rate) * np.where(hops, zz, 0)
         h += t + t.conj().T
         jumps.append((2.0 * rate, Operator(space, z)))
     return LindbladModel(Operator(space, h), tuple(jumps), space)
-
-
-def _upstream_hops(dims: tuple[int, ...], order) -> np.ndarray:
-    """The entries (a, b) where S_j^+ S_l^- is nonzero for a site j before a site l in ``order``.
-
-    Such an entry moves one quantum from l to j: in the descending-m basis, b has a
-    digit above 0 at j and below the top at l, and a is b with the digit at j lowered
-    by one and the digit at l raised by one. Every ladder coefficient is at least 1,
-    so no such entry is zero, and no two site pairs share one.
-    """
-    index = np.arange(prod(dims))
-    strides = [prod(dims[i + 1:]) for i in range(len(dims))]
-    raisable = [index // stride % d > 0 for stride, d in zip(strides, dims)]
-    lowerable = [index // stride % d < d - 1 for stride, d in zip(strides, dims)]
-    mask = np.zeros((index.size, index.size), dtype=bool)
-    for at, j in enumerate(order):
-        for l in order[at + 1:]:
-            b = np.flatnonzero(raisable[j] & lowerable[l])
-            mask[b - strides[j] + strides[l], b] = True
-    return mask
 
 
 def site_number_operators(space: HilbertSpace, sites) -> list[Operator]:

@@ -574,6 +574,21 @@ class TestMainSubcommands:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "t").exists()
 
+    def test_step_budget_exits_2_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # 10^9 steps with two samples: the sample grid is small, the step budget refuses the run;
+        # every stepper fails here, so a run that is let through never steps
+        def stepped(*args, **kwargs):
+            raise AssertionError("the run stepped")
+
+        for name in ("_step_amplitudes", "_PropagatorBlocks", "_StageSteps"):
+            monkeypatch.setattr(dynamics_module, name, stepped)
+        code = main(["experiment", "simulate", "--set", "integrator.t_final=1e6",
+                     "--set", "integrator.sample_stride=1000000000000", "--output", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=") and "the budget is 100000000 steps" in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("name, override", [
         ("decoherence_budget", "cascade.gamma_hz=5"),
         ("decoherence_budget", 'modes=[{"detuning_hz": 1, "g_hz": 1}]'),

@@ -24,6 +24,7 @@ from chiralspin import (
     spin_state,
     tensor_product,
 )
+from chiralspin import validation
 from chiralspin.core import HilbertSpace, _spin_ladders, boson_factor, identity, spin_factor
 from chiralspin.validation import (
     boson_truncation,
@@ -210,6 +211,38 @@ class TestPartialTrace:
     def test_out_of_range_keep_rejected(self, two_spin_space, random_state_factory):
         with pytest.raises(DomainError):
             partial_trace(random_state_factory(two_spin_space), {0, 5})
+
+
+class TestRandomDraws:
+    """The measures draw their random states and operators as one stack each."""
+
+    @staticmethod
+    def sequential_gaussian(rng, dim):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    # the seeds of the validate measures, at the stack sizes they draw (generator forms, the
+    # Liouvillian trace, the partial trace) and as a single draw
+    @pytest.mark.parametrize("seed", [validation._SEED + i for i in range(6)])
+    @pytest.mark.parametrize("count, dim", [(5, 4), (20, 4), (5, 12), (1, 2)])
+    def test_stacked_densities_equal_sequential_draws_bit_for_bit(self, seed, count, dim):
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        stacked = validation._random_densities(rngs[0], count, dim)
+        one_by_one = np.array([random_density(rngs[1], dim) for _ in range(count)])
+        longhand = []
+        for _ in range(count):
+            g = self.sequential_gaussian(rngs[2], dim)
+            rho = g @ g.conj().T
+            longhand.append(rho / np.trace(rho))
+        assert stacked.tobytes() == one_by_one.tobytes() == np.array(longhand).tobytes()
+        # the stacks leave each generator where the sequential draws leave it
+        assert len({rng.standard_normal() for rng in rngs}) == 1
+
+    @pytest.mark.parametrize("seed", [validation._SEED, validation._SEED + 2])
+    @pytest.mark.parametrize("count, dim", [(10, 3), (5, 4)])
+    def test_stacked_gaussians_equal_sequential_draws_bit_for_bit(self, seed, count, dim):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = validation._gaussians(rng, count, dim)
+        assert stacked.tobytes() == np.array([self.sequential_gaussian(ref, dim) for _ in range(count)]).tobytes()
 
 
 # spin-1/2, spin-1 and boson factors in different orders

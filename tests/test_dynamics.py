@@ -174,6 +174,28 @@ class TestEvolveBasics:
             with pytest.raises(DomainError, match=f"grid of {round(t_final / 1e-3)} steps is too large"):
                 run(IntegratorConfig(t_final=t_final, rate_scale=1.0, dt=1e-3))
 
+    @pytest.mark.parametrize("path", ["amplitude", "density"])
+    def test_step_budget_refuses_before_stepping(self, pair_spec, monkeypatch, path):
+        # a large sample stride keeps the sample grid small, so only the step budget bounds
+        # the run; every stepper fails here, so a run that is let through never steps
+        def stepped(*args, **kwargs):
+            raise AssertionError("the run stepped")
+
+        for name in ("_step_amplitudes", "_PropagatorBlocks", "_StageSteps"):
+            monkeypatch.setattr(dynamics_module, name, stepped)
+        if path == "density":
+            force_density_path(monkeypatch)
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
+        rho0 = pure(model.space, UD)
+        with pytest.raises(DomainError, match=r"steps is too large to run: the budget is 100000000 steps"):
+            evolve(model, rho0, IntegratorConfig(t_final=1e6, rate_scale=1.0, sample_stride=10 ** 12))
+        with pytest.raises(DomainError, match="grid of 100000001 steps is too large to run"):
+            evolve(model, rho0, IntegratorConfig(t_final=100000.001, rate_scale=1.0, dt=1e-3,
+                                                 sample_stride=10 ** 12))
+        # the budget itself is allowed: the run reaches its stepper
+        with pytest.raises(AssertionError, match="the run stepped"):
+            evolve(model, rho0, IntegratorConfig(t_final=1e5, rate_scale=1.0, dt=1e-3, sample_stride=10 ** 12))
+
     def test_state_recording(self, pair_spec):
         model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2, record_states_stride=10)
