@@ -3,8 +3,10 @@
 Every evolution integrates one encoding of the generator,
 :class:`~chiralspin.models.Generator`: L(rho) = -i(K rho - rho K^dag) plus
 sandwich terms r z rho z^dag, with K = H - (i/2) sum r z^dag z (for a cascade
-channel, the paper's non-Hermitian H_nh). One step driver serves every run,
-and every run preserves the trace.
+channel, the paper's non-Hermitian H_nh). One step driver, :func:`evolve`,
+serves every run with exactly one of three steppers chosen below, and every run
+preserves the trace. No run is short-cut: a stationary start (L(rho0) = 0
+exactly) is stepped like any other, and the diagnostic ``stationary`` flags it.
 
 All evolutions are nondimensionalized by ``rate_scale`` so step sizes stay
 O(1) across many orders of magnitude of physical rates. The stepper is a
@@ -27,7 +29,8 @@ which :func:`~chiralspin.core.partial_trace_stack` reduces as a whole and
 which embeds a state into the full space only when it is read. The final
 state is a full-space density matrix, zero outside S x S.
 
-For small supports the one-step map P is precomputed as a dense
+For small supports (:class:`_PropagatorBlocks`, up to _PROPAGATOR_MAX_DIM
+states) the one-step map P is precomputed as a dense
 superoperator matrix (the 4th-order Taylor polynomial of exp(h*L), which is
 exactly what the classical 4th-order step evaluates for a linear autonomous
 system), and a block of K steps is one product with P^K. Every per-step
@@ -36,8 +39,8 @@ block's start state, so one product with a precomputed row stack records
 them all. K follows from the sample and state strides, the diagnostics
 stride and a cap on the stack's memory; it divides the state stride, so
 every recorded state is a block end, and only the run's last block is
-shorter. For larger supports a block is one step, with the stages evaluated
-directly.
+shorter. For larger supports (:class:`_StageSteps`) a block is one step,
+with the stages evaluated directly.
 
 The loop runs over chunks of blocks. Each iteration first forms a chunk's
 block-end states by doubling, x[m:2m] = x[:m] Q^m with Q = P^K, in O(log)
@@ -53,7 +56,7 @@ step-doubling diagnostics run at about 256 block ends per run. Both paths
 implement the same method, and the choice depends only on |S|, the step
 count and the strides, so results stay deterministic run to run.
 
-One kind of :func:`evolve` run takes neither path: a single excitation
+The third stepper (:func:`_step_amplitudes`) serves a single excitation
 decaying into one dark state. When rho0 = |i><i| for a basis state i, every
 jump maps A (the closure of {i} under K alone) into one common state g
 outside A, and g is dark (K and every z vanish on its row and column), the
@@ -62,17 +65,17 @@ state is exactly rho(t) = |c><c| + (1 - |c|^2)|g><g| (Gardiner; Carmichael
 the master equation rewritten as H_nh plus jumps (Dalibard, Castin & Molmer
 1992), with the jumped population recycled into g. The rule reads only
 nonzero patterns, like the closed support, and every one-excitation basis
-start of a cascade model meets it. This amplitude path
-advances the |A| amplitudes with the same two degree-4 Taylor half steps,
-every step's amplitudes formed by doubling in chunks under the same memory
-cap, and it builds no superoperator and runs no eigensolver: watched values
-are c^dag O[A,A] c + O[g,g] (1 - |c|^2), the states are recorded as the same
+start of a cascade model meets it. This amplitude path advances the |A|
+amplitudes with the same two degree-4 Taylor half steps, every step's
+amplitudes formed by doubling in chunks under the same memory cap, and it
+builds no superoperator and runs no eigensolver: watched values are
+c^dag O[A,A] c + O[g,g] (1 - |c|^2), the states are recorded as the same
 stack on S, and the diagnostics come from the exact spectrum
-{|c|^2, 0, 1 - |c|^2}. Its per-step guard reports the first step where |c|^2 rises by more
-than the tolerance, which a trace-preserving generator never does. The two
-paths truncate the same exponential differently, so their results agree to
-about 1e-11, not bit for bit. Mixed, multi-excitation and spin-s > 1/2
-top-state starts and jump-free models take the density path.
+{|c|^2, 0, 1 - |c|^2}. Its per-step guard reports the first step where |c|^2
+rises by more than the tolerance, which a trace-preserving generator never
+does. The two paths truncate the same exponential differently, so their
+results agree to about 1e-11, not bit for bit. Mixed, multi-excitation and
+spin-s > 1/2 top-state starts and jump-free models take the density path.
 """
 
 from __future__ import annotations
@@ -95,9 +98,11 @@ __all__ = [
     "fit_exchange_rate",
 ]
 
-# Above this closed-support size the stages are evaluated directly. A d^2 x d^2
-# propagator takes d^4 * 16 bytes: 16 MB at d=32, against a 5-spin cascade_chain run
-# that peaks at about 52 MB resident and a 5% peak-memory bound.
+# Above this closed-support size the stages are evaluated directly. It caps memory, not
+# time: a d^2 x d^2 propagator takes d^4 * 16 bytes (16 MB at d=32, against a 5-spin
+# cascade_chain peak of about 52 MB and a 5% bound), and building one peaks at 90 /
+# 258 MiB traced at d = 27 / 36 (1 MiB staged), yet it steps faster than the stages well
+# past 16: 12x at 16, 1.4x at 27, with the crossover near 30 (ROADMAP item 8).
 _PROPAGATOR_MAX_DIM = 16
 
 # Cap on the row stack of one propagator block (see _block_length), and on the
@@ -106,6 +111,9 @@ _STACK_MAX_BYTES = 1 << 19
 
 # The most steps a run may take (20 s at 0.2 us, the cheapest step), whatever its sample grid
 _MAX_STEPS = 10 ** 8
+
+# The most bytes a run's sample table and recorded-state stack may take, times included
+_MAX_RECORD_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,8 @@ class IntegratorConfig:
     module docstring); the guard still checks every step, and the more
     expensive hermiticity/positivity/step-doubling diagnostics run at the
     ends of ~256 evenly spaced blocks (on the amplitude path, steps) per run.
-    ``t_final``, ``rate_scale`` and ``dt`` must be finite; a run over 10^8 steps is refused.
+    ``t_final``, ``rate_scale`` and ``dt`` must be finite; a run over 10^8 steps, or whose
+    samples and states would take over 256 MiB, is refused.
     """
 
     t_final: float
@@ -193,11 +202,11 @@ def _generator_scale(h_scaled: np.ndarray, sandwiches) -> float:
     return scale
 
 
-def _resolve_grid(cfg: IntegratorConfig, scale) -> tuple[int, float]:
-    """Step count (at most _MAX_STEPS) and step; ``scale()`` is called only without ``cfg.dt``."""
+def _resolve_grid(cfg: IntegratorConfig, model: LindbladModel, gen: Generator) -> tuple[int, float]:
+    """Step count (at most _MAX_STEPS) and step; the generator scale is formed only without ``cfg.dt``."""
     dt = cfg.dt
     if dt is None:
-        magnitude = scale()
+        magnitude = _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches)
         dt = 1e-3 / magnitude if magnitude > 0 else cfg.t_final / 1000.0
     if dt <= 0:
         dt = cfg.t_final / 1000.0 if cfg.t_final > 0 else 1.0
@@ -217,6 +226,26 @@ def _taylor4(f: np.ndarray, h: float) -> np.ndarray:
     return eye + hf @ (eye + hf @ (eye / 2.0 + hf @ (eye / 6.0 + hf / 24.0)))
 
 
+def _check_records(n: int, sample_stride: int, state_stride: int, n_watch: int, d: int) -> None:
+    """Refuse a run whose records exceed _MAX_RECORD_BYTES, counted before :func:`_steps` allocates."""
+    item = np.dtype(complex).itemsize
+    samples = -(-n // sample_stride) + 1
+    states = -(-n // state_stride) + 1 if state_stride else 0
+    size = samples * (n_watch * item + 8) + states * (d * d * item + 8)
+    if size > _MAX_RECORD_BYTES:
+        raise DomainError(f"the records of {samples} samples and {states} states take {size / 2 ** 20:.0f} MiB, "
+                          f"over the budget of {_MAX_RECORD_BYTES >> 20} MiB: raise integrator.sample_stride")
+
+
+def _two_half_steps(f: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """P = (the degree-4 Taylor polynomial of exp(f dt/2))^2, the one-step map, and that
+    polynomial of exp(f dt) minus P; an overflow is left to the caller's per-step guard."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _taylor4(f, 0.5 * dt)
+        step = half @ half
+        return step, _taylor4(f, dt) - step
+
+
 def _rk4_step(rhs, y, h):
     k1 = rhs(y)
     k2 = rhs(y + (0.5 * h) * k1)
@@ -226,7 +255,7 @@ def _rk4_step(rhs, y, h):
 
 
 def _steps(n: int, stride: int) -> np.ndarray:
-    """Step indices 0, stride, 2*stride, ... plus the last step ``n``; OverflowError past intp."""
+    """Step indices 0, stride, 2*stride, ... plus the last step ``n``."""
     keep = np.arange(0, n + 1, stride, dtype=np.intp)
     return keep if keep[-1] == n else np.append(keep, n)
 
@@ -281,7 +310,6 @@ class _PropagatorBlocks:
     def __init__(self, gen: Generator, dt: float, functionals: np.ndarray, k: int,
                  sample_stride: int):
         d = gen.k.shape[0]
-        f = gen.superoperator()
         self.k = k
         step = gcd(k, sample_stride)
         self.offsets = np.arange(step, k, step)
@@ -289,13 +317,11 @@ class _PropagatorBlocks:
         self.rows = k + n_watch * self.offsets.size
         self.stack = np.empty((self.rows, d * d), dtype=complex)
         watched = self.stack[k:].reshape(self.offsets.size, n_watch, d * d)
+        self.p, self.p_err = _two_half_steps(gen.superoperator(), dt)
         # An unstable step overflows P or its high powers; the per-step guard reports the
         # first non-finite or drifting trace, which comes from the low powers. The
         # transposed powers advance states held as rows.
         with np.errstate(over="ignore", invalid="ignore"):
-            p_half = _taylor4(f, 0.5 * dt)
-            self.p = p_half @ p_half
-            self.p_err = _taylor4(f, dt) - self.p
             self.squares = [np.linalg.matrix_power(self.p, k).T]
             self.stack[0] = np.eye(d, dtype=complex).reshape(-1) @ self.p
             _fill_powers(self.stack[:k], [self.p])
@@ -351,9 +377,9 @@ class _StageSteps:
         return np.trace(ends, axis1=1, axis2=2).real[:, None], None
 
     def doubling_error(self, starts: np.ndarray, ends: np.ndarray) -> float:
-        d = self.d
-        full = [_rk4_step(self.gen.apply, v.reshape(d, d), self.dt).reshape(-1) for v in starts]
-        return float(np.max(np.abs(np.array(full) - ends)))
+        """One full step against two half steps, from every block's start state at once."""
+        full = _rk4_step(self.gen.apply, starts.reshape(-1, self.d, self.d), self.dt)
+        return float(np.max(np.abs(full.reshape(len(starts), -1) - ends)))
 
 
 def _closure(links: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -427,16 +453,12 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     tr(O rho) = O_gg + sum_a (O_aa - O_gg) |c_a|^2 + sum_(a != b) O_ab conj(c_a) c_b,
     read from the populations |c_a|^2 of every step and the products at the
     watches' nonzero off-diagonal (a, b); ``hermitian`` watches skip the imaginary part.
-    Returns the final state on the run's support and (max_trace_drift,
-    min_eigenvalue, max_step_doubling_error).
+    Returns the final state on the run's support and (max_trace_drift, the lowest
+    eigenvalue over the diagnosed steps, max_step_doubling_error).
     """
     size, d = amps.size, rho.shape[0]
     cut = np.ix_(amps, amps)
-    f = -1j * gen.k[cut]
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports an overflowing step
-        half = _taylor4(f, 0.5 * dt)
-        step = half @ half
-        step_err = _taylor4(f, dt) - step
+    step, step_err = _two_half_steps(-1j * gen.k[cut], dt)
     on_a = np.array([block[cut] for block in blocks], dtype=complex).reshape(-1, size, size)
     on_g = np.array([block[g, g] for block in blocks], dtype=complex)[:, None]
     weights = on_a.diagonal(axis1=1, axis2=2) - on_g
@@ -457,7 +479,7 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     c = np.empty((size, chunk + 1), dtype=complex)
     c[:, 0] = rho.diagonal()[amps]  # rho = |i><i|, so c = e_i
     squares = [step.T]  # the transposed powers advance the columns as rows
-    max_drift, low, max_err = 0.0, 0.0, 0.0
+    max_drift, low, max_err = 0.0, np.inf, 0.0
     sample, recorded, start = 1, 1, 0
     while start < n:
         m = min(chunk, n - start)
@@ -513,36 +535,37 @@ def _step_amplitudes(gen: Generator, amps: np.ndarray, g: int, rho: np.ndarray, 
     return final[0], (max_drift, low, max_err)
 
 
-def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_ops) -> Trajectory:
-    """The fixed-step driver behind every evolution.
+def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
+           watch=()) -> Trajectory:
+    """Integrate the master equation and record watched expectation values.
 
-    It first checks that every watched operator acts on the state's space, that
-    the scaled generator is finite (a tiny ``rate_scale`` overflows it) and that
-    the step grid is within _MAX_STEPS and sizable, raising :class:`DomainError` if not.
+    ``watch`` is a sequence of (label, Operator) pairs sampled along the way. The
+    entry checks raise :class:`DomainError` unless the model, the start state (which
+    must satisfy the density-matrix invariants) and every watched operator share one
+    space, the scaled generator is finite (a tiny ``rate_scale`` overflows it), and the
+    step grid and its records are within _MAX_STEPS and _MAX_RECORD_BYTES.
 
-    ``scale()`` returns the generator magnitude that sets the default step; it
-    is called only when ``cfg.dt`` is None. The loop
-    evolves the block of rho on the generator's closed support S (see the module
-    docstring) and records states on S, in one preallocated stack. Watched
-    values are linear functionals of vec(rho): tr(O rho) = vec(O^T) . vec(rho),
-    so one stacked product records them all. Where the block O[S,S] is
-    Hermitian the recorded imaginary part is set to exactly 0, which leaves
-    Re tr(O rho) = tr(O (rho + rho^dag)/2). Each iteration forms the block-end
-    states of a chunk of blocks of K steps (K = 1 on the stage path, one step
-    at a time) and then handles the chunk with array operations: it checks the trace drift
-    of every step, records the samples and states, and runs the diagnostics on
-    the blocks that reach each multiple of ``n // 256`` steps. A run of one
-    decaying excitation (:func:`_cascade_amplitudes`) is stepped as amplitudes
-    instead (:func:`_step_amplitudes`), with the same records.
+    The block of rho on the closed support S is stepped by exactly one stepper (see
+    the module docstring). Watched values are linear functionals of vec(rho),
+    tr(O rho) = vec(O^T) . vec(rho), so one stacked product records them all; where
+    O[S,S] is Hermitian the recorded imaginary part is exactly 0. The run aborts with
+    :class:`IntegrationError` if the per-step trace drift, or on the amplitude path the
+    per-step rise of |c|^2, ever exceeds ``cfg.tolerance``. The diagnostic
+    ``stationary`` flags a start with L(rho0) = 0 exactly.
     """
     space = rho0.space
-    for label, op in watch_ops:
+    if model.space != space:
+        raise DomainError("initial state space does not match model space")
+    rho0.validate()
+    gen = model.generator(cfg.rate_scale)
+    watch = list(watch)
+    for label, op in watch:
         if op.space != space:
             raise DomainError(f"watched operator {label!r} acts on a different space")
     if not (np.isfinite(gen.k).all()
             and all(np.isfinite(rate) and np.isfinite(z).all() for rate, z in gen.sandwiches)):
         raise DomainError(f"rate_scale {cfg.rate_scale:.3e} leaves the scaled generator non-finite")
-    n, dt = _resolve_grid(cfg, scale)
+    n, dt = _resolve_grid(cfg, model, gen)
     diag_stride = max(1, n // 256)
     # a stride of n or more records steps 0 and n only
     sample_stride = min(cfg.sample_stride, n)
@@ -551,25 +574,17 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     support = _closed_support(gen, rho0.matrix)
     cut = np.ix_(support, support)
     d = support.size
+    _check_records(n, sample_stride, state_stride, len(watch), d)
     if d < space.dim:
         gen = Generator(gen.k[cut], tuple((rate, z[cut]) for rate, z in gen.sandwiches))
 
-    try:
-        sample_steps = _steps(n, sample_stride)
-        state_steps = _steps(n, state_stride) if state_stride else np.empty(0, dtype=int)
-        table = np.zeros((len(watch_ops), sample_steps.size), dtype=complex)
-        states = np.empty((state_steps.size, d, d), dtype=complex)
-    except (ValueError, MemoryError, OverflowError) as exc:
-        raise DomainError(f"the step grid of {n} steps is too large to allocate") from exc
+    sample_steps = _steps(n, sample_stride)
+    state_steps = _steps(n, state_stride) if state_stride else np.empty(0, dtype=int)
+    table = np.zeros((len(watch), sample_steps.size), dtype=complex)
+    states = np.empty((state_steps.size, d, d), dtype=complex)
 
-    def lowest_eigenvalue(r: np.ndarray) -> float:
-        # the lowest eigenvalue over one state or a stack of them; outside S x S the
-        # state is exactly zero, which adds the eigenvalue 0
-        low = float(np.linalg.eigvalsh(0.5 * (r + np.swapaxes(r, -1, -2).conj()))[..., 0].min())
-        return low if d == space.dim else min(low, 0.0)
-
-    labels = [label for label, _ in watch_ops]
-    blocks = [op.matrix[cut] for _, op in watch_ops]  # O[S, S], all of O that tr(O rho) reads
+    labels = [label for label, _ in watch]
+    blocks = [op.matrix[cut] for _, op in watch]  # O[S, S], all of O that tr(O rho) reads
     hermitian = [np.array_equal(block, block.conj().T) for block in blocks]
     functionals = np.array([block.T.reshape(-1) for block in blocks],
                            dtype=complex).reshape(len(labels), d * d)
@@ -581,23 +596,18 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
     max_trace_drift = 0.0
     max_herm_dev = 0.0
     max_double_err = 0.0
+    # zero outside S x S, which the start's value counts and the diagnosed blocks on S do not
+    min_eig = rho0.min_eigenvalue()
     trace_prev = float(np.trace(rho).real)
 
     stationary = not np.count_nonzero(gen.apply(rho))
-    cascade = None if stationary else _cascade_amplitudes(gen, rho)
+    cascade = _cascade_amplitudes(gen, rho)
     if cascade is not None:
-        # |i><i| on |S| >= 2 states has the lowest eigenvalue 0, where the amplitudes' minimum starts
-        rho, (max_trace_drift, min_eig, max_double_err) = _step_amplitudes(
+        rho, (max_trace_drift, low, max_double_err) = _step_amplitudes(
             gen, *cascade, rho, n, dt, cfg.tolerance, blocks, hermitian, table, states,
             diag_stride, sample_stride, state_stride)
-    elif stationary:
-        # Stationary input (dark state or trivial generator): the exact
-        # solution is constant, so every sample repeats the first.
-        min_eig = lowest_eigenvalue(rho)
-        table[:, 1:] = table[:, :1]
-        states[1:] = rho
+        min_eig = min(min_eig, low)
     else:
-        min_eig = lowest_eigenvalue(rho)
         if d <= _PROPAGATOR_MAX_DIM:
             k = _block_length(diag_stride, sample_stride, state_stride, len(labels),
                               d * d * np.dtype(complex).itemsize)
@@ -638,7 +648,8 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
                 r = vs[diag + 1].reshape(-1, d, d)
                 max_herm_dev = max(max_herm_dev,
                                    float(np.max(np.abs(r - r.conj().transpose(0, 2, 1)))))
-                min_eig = min(min_eig, lowest_eigenvalue(r))
+                lows = np.linalg.eigvalsh(0.5 * (r + np.swapaxes(r, -1, -2).conj()))[:, 0]
+                min_eig = min(min_eig, float(lows.min()))
 
             # samples in step order: each block's interior offsets, then its end; when all
             # blocks are full and aligned to the sample stride, every entry is a sample
@@ -670,26 +681,6 @@ def _integrate_density(gen: Generator, scale, rho0: DensityMatrix, cfg, watch_op
         traj.states = StateStack(space, support, states)
         traj.state_times = state_steps * dt
     return traj
-
-
-def evolve(model: LindbladModel, rho0: DensityMatrix, cfg: IntegratorConfig,
-           watch=()) -> Trajectory:
-    """Integrate the master equation and record watched expectation values.
-
-    ``watch`` is a sequence of (label, Operator) pairs sampled along the way.
-    The initial state must satisfy the density-matrix invariants; the run
-    aborts with :class:`IntegrationError` if the per-step trace drift ever
-    exceeds ``cfg.tolerance``, or, for one excitation decaying into a dark
-    state (stepped as amplitudes, see the module docstring), if the
-    excitation norm |c|^2 ever rises by more than it in one step.
-    """
-    if model.space != rho0.space:
-        raise DomainError("initial state space does not match model space")
-    rho0.validate()
-    gen = model.generator(cfg.rate_scale)
-    return _integrate_density(
-        gen, lambda: _generator_scale(model.hamiltonian.matrix / cfg.rate_scale, gen.sandwiches),
-        rho0, cfg, list(watch))
 
 
 def fit_exchange_rate(traj: Trajectory, observable_label: str) -> float:

@@ -77,9 +77,6 @@ class ExperimentReport:
                 raise DomainError(f"pass flag {key!r} references missing metric {metric!r}")
         return self
 
-    def all_passed(self) -> bool:
-        return all(bool(v) for v in self.pass_flags.values())
-
 
 def one_excited_state(space: HilbertSpace, excited_index: int) -> DensityMatrix:
     """:func:`~chiralspin.core.spin_state` with only factor ``excited_index`` up, as a density matrix."""

@@ -58,11 +58,7 @@ COUNTER_ROTATING = "counter_rotating"
 class ModeSpec:
     """One phonon mode: momentum sign, angular-momentum label, detuning and coupling.
 
-    ``coupling_class`` is derived from the angular-momentum label when omitted:
-    the +1 label pairs spin lowering with phonon creation (rotating), the -1
-    label pairs spin raising with phonon creation (counter-rotating, strongly
-    energy-violating). ``detuning`` is the energy mismatch of the mode's
-    phonon-creation process, rad/s.
+    ``detuning`` is the energy mismatch of the mode's phonon-creation process, rad/s.
     """
 
     momentum_sign: int
@@ -70,7 +66,6 @@ class ModeSpec:
     detuning: float
     g: float
     fock_cutoff: int
-    coupling_class: str = ""
 
     def __post_init__(self):
         if self.momentum_sign not in (-1, 1):
@@ -82,12 +77,12 @@ class ModeSpec:
         if self.g < 0:
             raise DomainError(f"coupling must be non-negative, got {self.g}")
         boson_factor(self.fock_cutoff)  # rejects a cutoff that is not a positive integer
-        derived = ROTATING if self.pam == 1 else COUNTER_ROTATING
-        if self.coupling_class == "":
-            object.__setattr__(self, "coupling_class", derived)
-        elif self.coupling_class != derived:
-            raise DomainError(
-                f"coupling_class {self.coupling_class!r} inconsistent with angular-momentum label {self.pam:+d}")
+
+    @property
+    def coupling_class(self) -> str:
+        """The +1 label pairs spin lowering with phonon creation (rotating), the -1 label
+        spin raising with phonon creation (counter-rotating, strongly energy-violating)."""
+        return ROTATING if self.pam == 1 else COUNTER_ROTATING
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import chiralspin.dynamics as dynamics_module
 from chiralspin import CascadeSpec, DensityMatrix, LindbladModel, Operator, SpinSite
 from chiralspin.core import HilbertSpace, spin_factor
 from chiralspin.validation import random_density
@@ -67,3 +68,21 @@ def random_state_factory(rng):
         return DensityMatrix(space, random_density(rng, space.dim))
 
     return make
+
+
+@pytest.fixture
+def stepper_builds(monkeypatch):
+    """Record every stepper an evolution builds, as (kind, |S|) in build order.
+
+    The kind is "amplitude", "propagator" or "stage", and |S| the size of the run's
+    closed support, the dimension of the generator the stepper receives.
+    """
+    builds = []
+    for kind, name in (("amplitude", "_step_amplitudes"), ("propagator", "_PropagatorBlocks"),
+                       ("stage", "_StageSteps")):
+        def spy(gen, *args, kind=kind, build=getattr(dynamics_module, name)):
+            builds.append((kind, gen.k.shape[0]))
+            return build(gen, *args)
+
+        monkeypatch.setattr(dynamics_module, name, spy)
+    return builds

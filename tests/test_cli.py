@@ -15,6 +15,7 @@ import pytest
 import chiralspin
 import chiralspin.cli as cli_module
 import chiralspin.dynamics as dynamics_module
+import chiralspin.experiments as experiments_module
 from chiralspin import DensityMatrix, DomainError, Trajectory, one_excited_state, spin_state
 from chiralspin import validation
 from chiralspin.cli import RunConfig, emit_report, main, run
@@ -290,17 +291,16 @@ class TestRunAndEmit:
                 checked += 1
         assert checked == 3 + 2 + 12  # elimination, chain5, pair_mix
 
-    def test_benchmark_reports_match_the_density_path(self, tmp_path, monkeypatch, capsys):
+    def test_benchmark_reports_match_the_density_path(self, tmp_path, monkeypatch, capsys,
+                                                      stepper_builds):
         # every benchmark invocation (seed 1) with the amplitude path and with it forced off:
         # identical pass flags, metrics within 1e-9 relative; rounding-level metrics such as
         # prefix_supnorm (1e-16 against 1e-13) within 1e-12
         workloads = benchmark_workloads()
-        runs = {"amplitude": [], "evolutions": []}
-        step, integrate = dynamics_module._step_amplitudes, dynamics_module._integrate_density
-        monkeypatch.setattr(dynamics_module, "_step_amplitudes",
-                            lambda *args: runs["amplitude"].append(1) or step(*args))
-        monkeypatch.setattr(dynamics_module, "_integrate_density", lambda *args, **kwargs: (
-            runs["evolutions"].append(1) or integrate(*args, **kwargs)))
+        evolutions = []
+        for module in (cli_module, experiments_module, validation):
+            monkeypatch.setattr(module, "evolve", lambda *args, evolve=module.evolve, **kwargs: (
+                evolutions.append(1) or evolve(*args, **kwargs)))
         emit = cli_module.emit_report
 
         def reports(workload):
@@ -311,17 +311,26 @@ class TestRunAndEmit:
                 assert main(item["argv"]) == 0
             return emitted
 
-        # (amplitude runs, evolutions) per pass, validate's five included
-        traffic = {"elimination": (4, 8), "chain5": (10, 11), "pair_mix": (40, 41)}
+        def kinds():
+            return tuple(sum(kind == name for kind, _ in stepper_builds)
+                         for name in ("amplitude", "propagator", "stage"))
+
+        # steppers built per pass (amplitude, propagator, stage), validate's five runs included;
+        # every propagator run is on a closed support of 3 states
+        traffic = {"elimination": (4, 4, 0), "chain5": (10, 1, 0), "pair_mix": (40, 1, 0)}
         for workload in workloads.WORKLOADS:
-            for counted in runs.values():
-                counted.clear()
+            stepper_builds.clear()
+            evolutions.clear()
             amplitudes = reports(workload)
-            assert (len(runs["amplitude"]), len(runs["evolutions"])) == traffic[workload]
+            assert kinds() == traffic[workload]
+            assert len(stepper_builds) == len(evolutions)  # exactly one stepper per evolution
+            assert {size for kind, size in stepper_builds if kind == "propagator"} == {3}
+            stepper_builds.clear()
+            evolutions.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(dynamics_module, "_cascade_amplitudes", lambda gen, rho: None)
                 densities = reports(workload)
-            assert len(runs["amplitude"]) == traffic[workload][0]
+            assert kinds()[0] == 0 and len(stepper_builds) == len(evolutions)
             assert len(amplitudes) == len(densities) > 0
             for mine, theirs in zip(amplitudes, densities):
                 assert mine.pass_flags == theirs.pass_flags and all(mine.pass_flags.values())
@@ -587,6 +596,22 @@ class TestMainSubcommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR invariant=") and "the budget is 100000000 steps" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_record_budget_exits_2_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # the auto mode at a 3.592 Hz rate scale takes 22,403,720 steps, within the step budget,
+        # but its 3 watches at sample stride 1 would fill a table of over 1 GiB
+        def stepped(*args, **kwargs):
+            raise AssertionError("the run stepped")
+
+        for name in ("_step_amplitudes", "_PropagatorBlocks", "_StageSteps"):
+            monkeypatch.setattr(dynamics_module, name, stepped)
+        code = main(["experiment", "simulate", "--set", 'modes="auto"', "--set", "integrator.rate_scale_hz=3.592",
+                     "--output", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=") and "22403721 samples" in err
+        assert "over the budget of 256 MiB: raise integrator.sample_stride" in err
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("name, override", [

@@ -196,6 +196,34 @@ class TestEvolveBasics:
         with pytest.raises(AssertionError, match="the run stepped"):
             evolve(model, rho0, IntegratorConfig(t_final=1e5, rate_scale=1.0, dt=1e-3, sample_stride=10 ** 12))
 
+    @pytest.mark.parametrize("path", ["amplitude", "density"])
+    def test_record_budget_refuses_before_stepping(self, pair_spec, monkeypatch, path):
+        # 2e7 steps are within the step budget, but one watch at sample stride 1 takes
+        # 2e7 * (16 + 8) bytes; every stepper fails here, so only a run let through raises
+        # "the run stepped"
+        def stepped(*args, **kwargs):
+            raise AssertionError("the run stepped")
+
+        for name in ("_step_amplitudes", "_PropagatorBlocks", "_StageSteps"):
+            monkeypatch.setattr(dynamics_module, name, stepped)
+        if path == "density":
+            force_density_path(monkeypatch)
+        model = build_cascade_model(pair_spec(gamma=1.0, kd=0.4))
+        rho0 = pure(model.space, UD)
+        watch = [("pop_A", site_number_operators(model.space, chain_sites(2))[0])]
+        with pytest.raises(DomainError, match=r"20000001 samples and 0 states take 458 MiB, over the budget "
+                                              r"of 256 MiB: raise integrator.sample_stride"):
+            evolve(model, rho0, IntegratorConfig(t_final=2e4, rate_scale=1.0, dt=1e-3), watch)
+        # the budget counts each sample's watched values and time, and each state on the
+        # closed support {ud, du, dd} and its time: 1001 * 24 + 101 * (9 * 16 + 8) bytes
+        cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-3, record_states_stride=10)
+        monkeypatch.setattr(dynamics_module, "_MAX_RECORD_BYTES", 1001 * 24 + 101 * 152 - 1)
+        with pytest.raises(DomainError, match="1001 samples and 101 states"):
+            evolve(model, rho0, cfg, watch)
+        monkeypatch.setattr(dynamics_module, "_MAX_RECORD_BYTES", 1001 * 24 + 101 * 152)
+        with pytest.raises(AssertionError, match="the run stepped"):
+            evolve(model, rho0, cfg, watch)
+
     def test_state_recording(self, pair_spec):
         model = build_cascade_model(pair_spec())
         cfg = IntegratorConfig(t_final=1.0, rate_scale=1.0, dt=1e-2, record_states_stride=10)
@@ -778,16 +806,28 @@ class TestNonHermitianEvolution:
         # both populations, Lindblad form against the H_nh-plus-jump rewrite
         assert jump_rewrite(pair_spec(gamma=1.0, kd=0.4), t_final=5.0)["deviation"] <= 1e-9
 
-    def test_jump_rewrite_compares_the_two_paths(self, monkeypatch, amplitude_runs):
+    def test_jump_rewrite_compares_the_two_paths(self, amplitude_runs, stepper_builds):
         # one amplitude-path run (the rewrite) and one density-path run (the Lindblad form),
         # so the measure never compares a path with itself
-        runs = []
-        integrate = dynamics_module._integrate_density
-        monkeypatch.setattr(dynamics_module, "_integrate_density",
-                            lambda *args: (runs.append(args), integrate(*args))[1])
         jump_rewrite()
-        assert len(runs) == 2
+        assert [kind for kind, _ in stepper_builds] == ["amplitude", "propagator"]
         assert amplitude_runs == [2]
+
+    @pytest.mark.parametrize("max_dim, kind", [(16, "propagator"), (0, "stage")])
+    def test_non_basis_dark_start_is_stepped(self, monkeypatch, stepper_builds, two_spins, max_dim, kind):
+        # the balanced pair at kd = 0 has H = 0 and z = S_A^- + S_B^- in both channels, so the
+        # singlet (|ud> - |du>)/sqrt(2) is dark, L(rho0) = 0 exactly, without being a basis
+        # state; it is stepped on its closed support {ud, du, dd} like any other start
+        monkeypatch.setattr(dynamics_module, "_PROPAGATOR_MAX_DIM", max_dim)
+        model = build_cascade_model(CascadeSpec(1.0, 1.0, 0.0, two_spins))
+        space = model.space
+        rho0 = DensityMatrix.from_pure(space, (basis_vector(space, UD) - basis_vector(space, DU)) / math.sqrt(2))
+        cfg = IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=1e-3, record_states_stride=10)
+        traj = evolve(model, rho0, cfg)
+        assert traj.diagnostics["stationary"] == 1.0
+        assert stepper_builds == [(kind, 3)]
+        assert traj.state_times[-1] == 8.0
+        assert max(np.max(np.abs(state.matrix - rho0.matrix)) for state in traj.states) <= 1e-12
 
     def test_unnormalized_initial_rejected(self, pair_spec):
         model = build_cascade_model(pair_spec())

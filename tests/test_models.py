@@ -99,10 +99,6 @@ class TestModeSpec:
         assert ModeSpec(+1, +1, 1.0, 0.1, 2).coupling_class == "rotating"
         assert ModeSpec(+1, -1, 1.0, 0.1, 2).coupling_class == "counter_rotating"
 
-    def test_inconsistent_class_rejected(self):
-        with pytest.raises(DomainError):
-            ModeSpec(+1, -1, 1.0, 0.1, 2, coupling_class="rotating")
-
     def test_negative_coupling_rejected(self):
         with pytest.raises(DomainError):
             ModeSpec(+1, +1, 1.0, -0.1, 2)
