@@ -12,7 +12,6 @@ the lone decaying spin of a one-site prefix included, comes from
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .core import (
 )
 from .dynamics import IntegratorConfig, evolve, fit_exchange_rate
 from .errors import DomainError, FitError
-from .materials import effective_gamma
+from .materials import _dispersive_rate
 from .models import (
     CascadeSpec,
     ModeSpec,
@@ -348,40 +347,44 @@ def decoherence_budget(gamma0: float, drive_u, xi: float = 1e6,
     amplitudes = tuple(float(u) for u in drive_u)
     if not amplitudes or any(u <= 0 for u in amplitudes):
         raise DomainError("drive_u must be a non-empty list of positive strain amplitudes")
-    if gamma0 < 0:
-        raise DomainError("gamma0 must be non-negative")
+    if not 0.0 <= gamma0 < math.inf:
+        raise DomainError(f"gamma0 must be finite and non-negative, got {gamma0}")
     g_ref = xi * amplitudes[0]
     delta = delta_hz if delta_hz is not None else 10.0 * g_ref
     if delta <= 0:
         raise DomainError("the pinned detuning must be positive")
+    # the sweep's amplitudes, then twice the first one for the quadratic ratio
+    sweep = (*amplitudes, 2.0 * amplitudes[0])
+    rates = [_dispersive_rate(xi * u, delta) for u in sweep]
+    for u, (gamma, _) in zip(sweep, rates):
+        if not 0.0 < gamma < math.inf:
+            raise DomainError(f"amplitude {u:.3g} with xi_hz {xi:.3g} and delta_hz {delta:.3g} puts "
+                              "2 g^2/Delta outside the positive floats: adjust drive_u or xi_hz")
+    gammas = [gamma for gamma, _ in rates[:-1]]
+    crossover = math.sqrt(gamma0 * delta / 2.0) / xi if gamma0 > 0 else 0.0
+    if not math.isfinite(crossover) or gamma0 > 0 and not math.isfinite(max(gammas) / gamma0):
+        raise DomainError(f"gamma0_hz {gamma0:.3g} puts gamma/gamma0 or the crossover amplitude "
+                          "beyond the floats")
 
     metrics: dict = {}
     flags: dict = {}
-    for i, u in enumerate(amplitudes):
-        g = xi * u
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gamma = effective_gamma(g, delta)
+    for i, (u, (gamma, marginal)) in enumerate(zip(amplitudes, rates)):
         tag = f"u{i}"
-        metrics[f"g_hz_{tag}"] = g
+        metrics[f"g_hz_{tag}"] = xi * u
         metrics[f"gamma_hz_{tag}"] = gamma
         metrics[f"gamma_over_gamma0_{tag}"] = gamma / gamma0 if gamma0 > 0 else math.inf
-        if caught:
+        if marginal:
             metrics[f"dispersive_marginal_{tag}"] = 1.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g1 = xi * amplitudes[0]
-        quad = effective_gamma(xi * (2.0 * amplitudes[0]), delta) / effective_gamma(g1, delta)
+    quad = rates[-1][0] / gammas[0]
     metrics["quadratic_ratio"] = quad
     flags["quadratic_ratio__exact4"] = quad == 4.0
 
-    crossover = math.sqrt(gamma0 * delta / 2.0) / xi if gamma0 > 0 else 0.0
     metrics["crossover_u"] = crossover
     if gamma0 > 0:
-        above = [u for u in amplitudes if 2.0 * (xi * u) ** 2 / delta >= gamma0]
-        metrics["crossover_reached"] = 1.0 if above else 0.0
-        flags["crossover_reached__at_some_amplitude"] = bool(above) or crossover > max(amplitudes)
+        reached = max(gammas) >= gamma0
+        metrics["crossover_reached"] = 1.0 if reached else 0.0
+        flags["crossover_reached__at_some_amplitude"] = reached or crossover > max(amplitudes)
 
     report = ExperimentReport(
         "decoherence_budget",

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
-from math import pi, sqrt
+from math import inf, isfinite, pi, sqrt
 
 from .errors import DispersiveLimitWarning, DomainError, ResonanceError
 
@@ -66,6 +68,8 @@ class MaterialParams:
     provenance: str = ""
 
     def __post_init__(self):
+        if not all(map(isfinite, (self.density, self.v_plus, self.v_minus, self.xi_S, self.xi_I))):
+            raise DomainError("material constants must be finite")
         if self.density <= 0 or self.v_plus <= 0 or self.v_minus <= 0:
             raise DomainError("density and velocities must be positive")
 
@@ -91,8 +95,8 @@ class ResonatorGeometry:
     h: float
 
     def __post_init__(self):
-        if min(self.l, self.w, self.h) <= 0:
-            raise DomainError("all dimensions must be positive")
+        if not all(isfinite(x) and x > 0 for x in (self.l, self.w, self.h)):
+            raise DomainError(f"all dimensions must be positive and finite, got {(self.l, self.w, self.h)}")
         if self.l < self.w or self.l < self.h:
             raise DomainError("the beam axis l must be the longest dimension")
 
@@ -102,19 +106,10 @@ class ResonatorGeometry:
         return self.l * self.w * self.h
 
 
-def _load_table() -> dict:
+@cache
+def _table() -> dict:
     with resources.files("chiralspin.data").joinpath("materials.json").open("r") as fh:
         return json.load(fh)
-
-
-_TABLE = None
-
-
-def _table() -> dict:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _load_table()
-    return _TABLE
 
 
 def builtin_material_names() -> tuple[str, ...]:
@@ -136,7 +131,7 @@ def builtin_material(name: str) -> MaterialParams:
 
 def resonator_mode(geom: ResonatorGeometry, velocity: float, n: int = 1) -> tuple[float, float]:
     """Wavenumber and angular frequency of standing mode ``n``: k = n*pi/l, omega = v*k."""
-    if int(n) != n or n < 1:
+    if not isfinite(n) or int(n) != n or n < 1:
         raise DomainError(f"mode index must be a positive integer, got {n}")
     if velocity <= 0:
         raise DomainError(f"velocity must be positive, got {velocity}")
@@ -145,10 +140,20 @@ def resonator_mode(geom: ResonatorGeometry, velocity: float, n: int = 1) -> tupl
 
 
 def zero_point_strain(omega: float, density: float, velocity: float, volume: float) -> float:
-    """Vacuum strain amplitude sqrt(hbar*omega / (2 rho v^2 V)); omega in rad/s."""
+    """Vacuum strain amplitude sqrt(hbar*omega / (2 rho v^2 V)); omega in rad/s.
+
+    A strain that leaves the floats raises :class:`DomainError`.
+    """
     if omega < 0 or density <= 0 or velocity <= 0 or volume <= 0:
         raise DomainError("zero_point_strain needs omega >= 0 and positive density/velocity/volume")
-    return sqrt(HBAR * omega / (2.0 * density * velocity ** 2 * volume))
+    try:
+        u = sqrt(HBAR * omega / (2.0 * density * velocity ** 2 * volume))
+    except (OverflowError, ZeroDivisionError):  # v^2 overflows, or the denominator underflows to zero
+        u = inf
+    if not isfinite(u):
+        raise DomainError(f"the vacuum strain of omega {omega:.3g} rad/s at density {density:.3g} kg/m^3, "
+                          f"velocity {velocity:.3g} m/s and volume {volume:.3g} m^3 leaves the floats")
+    return u
 
 
 def coupling_g(xi: float, u: float) -> float:
@@ -158,18 +163,24 @@ def coupling_g(xi: float, u: float) -> float:
     return xi * u
 
 
+def _dispersive_rate(g: float, delta: float) -> tuple[float, bool]:
+    """The rate 2 g^2 / Delta, and whether |Delta| < 10 |g| makes it marginal."""
+    if delta == 0:
+        raise ResonanceError("effective rate undefined at zero detuning (large-detuning limit violated)")
+    return 2.0 * g * g / delta, abs(delta) < 10.0 * abs(g)
+
+
 def effective_gamma(g: float, delta: float) -> float:
     """Dispersive exchange rate 2 g^2 / Delta, Hz in / Hz out.
 
     Invalid on resonance; warns when |Delta| < 10 g because the large-detuning
     assumption behind the formula is then marginal.
     """
-    if delta == 0:
-        raise ResonanceError("effective rate undefined at zero detuning (large-detuning limit violated)")
-    if abs(delta) < 10.0 * abs(g):
+    gamma, marginal = _dispersive_rate(g, delta)
+    if marginal:
         warnings.warn(f"detuning {delta:.3g} Hz is below 10x the coupling {g:.3g} Hz; "
                       "the dispersive rate is marginal here", DispersiveLimitWarning, stacklevel=2)
-    return 2.0 * g * g / delta
+    return gamma
 
 
 def detuning_prime(delta: float, omega_plus: float, omega_minus: float) -> float:
@@ -261,9 +272,12 @@ class CouplingBudget:
         }
 
 
+# One velocity branch's mode, strain and coupling; the h-quantum variants are None when driven.
+_Branch = namedtuple("_Branch", "velocity k_z omega u g u_alt g_alt")
+
+
 def coupling_table(material, geom: ResonatorGeometry, spin_kind: str, delta_hz: float,
-                   drive_u: float | None = None, n: int = 1,
-                   g_prime_hz: float | None = None) -> CouplingBudget:
+                   drive_u: float | None = None, n: int = 1) -> CouplingBudget:
     """Budget for the four mode classes of one resonator.
 
     ``material`` is a built-in name or a :class:`MaterialParams`. ``delta_hz``
@@ -272,82 +286,75 @@ def coupling_table(material, geom: ResonatorGeometry, spin_kind: str, delta_hz: 
     rates then scale exactly as drive_u^2 and the 2*pi quantum-convention
     variants do not apply.
 
-    The backward (-k,+L) coupling defaults to the forward one (the two are
-    comparable; their own zero-point strains differ by under ~10%) and can be
-    overridden via ``g_prime_hz``. The row still records its own vacuum
-    strain in ``u_strain``.
+    The four rows ride on two branches: (+k,+L) and (-k,-L) propagate at
+    v_plus, (-k,+L) and (+k,-L) at v_minus (:meth:`MaterialParams.velocity`).
+    Each branch's mode, strain and coupling are computed once, and each row
+    reads its branch by momentum_sign * pam. The backward (-k,+L) row takes
+    the forward coupling (the two are comparable; their own zero-point
+    strains differ by under ~10%) and records its own vacuum strain in
+    ``u_strain``. A non-finite input, or a budget whose numbers would leave
+    the floats, raises :class:`DomainError`.
     """
     params = builtin_material(material) if isinstance(material, str) else material
     xi = params.xi(spin_kind)
-    if delta_hz <= 0:
-        raise DomainError(f"the (+k,+L) detuning must be positive, got {delta_hz}")
-    if drive_u is not None and drive_u < 0:
-        raise DomainError("drive amplitude must be non-negative")
+    if not (isfinite(delta_hz) and delta_hz > 0):
+        raise DomainError(f"the (+k,+L) detuning must be positive and finite, got {delta_hz}")
+    driven = drive_u is not None
+    if driven and not (isfinite(drive_u) and drive_u >= 0):
+        raise DomainError(f"drive amplitude must be finite and non-negative, got {drive_u}")
 
-    volume = geom.volume
-    k_plus, omega_plus = resonator_mode(geom, params.velocity(+1, +1), n)
-    _, omega_minus = resonator_mode(geom, params.velocity(-1, +1), n)
-    spin_frequency_hz = omega_plus / (2.0 * pi) + delta_hz
-    delta_prime_hz = detuning_prime(delta_hz, omega_plus, omega_minus)
+    branches = {}
+    for sign in (+1, -1):
+        v = params.velocity(sign, +1)
+        k_z, omega = resonator_mode(geom, v, n)
+        u = drive_u if driven else zero_point_strain(omega, params.density, v, geom.volume)
+        u_alt = None if driven else u * sqrt(2.0 * pi)
+        branches[sign] = _Branch(v, k_z, omega, u, coupling_g(xi, u), u_alt,
+                                 None if driven else coupling_g(xi, u_alt))
+    fast = branches[+1]
+    spin_frequency_hz = fast.omega / (2.0 * pi) + delta_hz
+    delta_prime_hz = detuning_prime(delta_hz, fast.omega, branches[-1].omega)
     delta_cr_hz = 2.0 * spin_frequency_hz + delta_hz
 
     rows = []
     notes = []
-    forward_g = forward_g_alt = None
     for momentum_sign, pam in _MODE_ORDER:
-        v = params.velocity(momentum_sign, pam)
-        k_z, omega = resonator_mode(geom, v, n)
-        k_z = momentum_sign * k_z
-        driven = drive_u is not None
-        u = drive_u if driven else zero_point_strain(omega, params.density, v, volume)
-        g = coupling_g(xi, u)
-        row_flags = []
-        if driven:
-            row_flags.append("driven")
-            u_alt = g_alt = gamma_alt = None
-        else:
-            u_alt = u * sqrt(2.0 * pi)
-            g_alt = coupling_g(xi, u_alt)
-            gamma_alt = None
-        if momentum_sign == +1 and pam == +1:
-            forward_g, forward_g_alt = g, g_alt
-        elif momentum_sign == -1 and pam == +1:
-            # the backward coupling defaults to the forward one; u_strain
-            # keeps the row's own zero-point value for reference
-            if g_prime_hz is not None:
-                g = g_prime_hz
-                row_flags.append("g_prime_overridden")
-            else:
-                g, g_alt = forward_g, forward_g_alt
-                row_flags.append("g_prime_equals_g")
-
+        branch = branches[momentum_sign * pam]
+        g, g_alt, gamma_alt = branch.g, branch.g_alt, None
+        row_flags = ["driven"] if driven else []
         if pam == +1:
             coupling_class = "rotating"
-            detuning = delta_hz if momentum_sign == +1 else delta_prime_hz
+            detuning = delta_hz
+            if momentum_sign == -1:
+                # the backward coupling is the forward one; u_strain keeps the
+                # row's own zero-point value for reference
+                g, g_alt = fast.g, fast.g_alt
+                row_flags.append("g_prime_equals_g")
+                detuning = delta_prime_hz
             if detuning == 0:
                 raise ResonanceError("rotating-mode detuning is exactly zero; dispersive budget invalid")
             if detuning < 0:
                 row_flags.append("detuning_negative_spin_above_branch")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                gamma = abs(effective_gamma(g, detuning))
-                if g_alt is not None:
-                    gamma_alt = abs(effective_gamma(g_alt, detuning))
-            if any(issubclass(w.category, DispersiveLimitWarning) for w in caught):
-                # recorded on the row instead of warning the budget caller
+            gamma, marginal = _dispersive_rate(g, detuning)
+            gamma = abs(gamma)
+            if g_alt is not None:
+                gamma_alt, marginal_alt = _dispersive_rate(g_alt, detuning)
+                gamma_alt, marginal = abs(gamma_alt), marginal or marginal_alt
+            if marginal:
                 row_flags.append("dispersive_marginal")
             suppression = None
         else:
             coupling_class = "counter_rotating"
             detuning = delta_cr_hz
             gamma = None
-            # order-of-magnitude suppression estimate only; the dispersive
-            # formula is not meaningful for an energy-violating process.
-            suppression = 2.0 * g * g / detuning
+            # 2 g^2 / Delta at the mismatch as an order-of-magnitude bound only:
+            # no dispersive exchange exists for an energy-violating process
+            suppression, _ = _dispersive_rate(g, detuning)
             row_flags.append("counter_rotating_negligible")
         rows.append(ModeBudget(momentum_sign, pam, coupling_class,
-                               _TERMS[(momentum_sign, pam)], v, k_z, omega, u, g,
-                               detuning, gamma, suppression, u_alt, g_alt, gamma_alt,
+                               _TERMS[(momentum_sign, pam)], branch.velocity,
+                               momentum_sign * branch.k_z, branch.omega, branch.u, g,
+                               detuning, gamma, suppression, branch.u_alt, g_alt, gamma_alt,
                                tuple(row_flags)))
 
     forward = rows[0]
@@ -368,6 +375,12 @@ def coupling_table(material, geom: ResonatorGeometry, spin_kind: str, delta_hz: 
                      "collective decay grows with them")
     notes.append("u_strain uses the hbar*omega mode quantum; *_hplanck fields record the "
                  "h*omega variant (one factor 2*pi larger in energy)")
+    # finite inputs whose products leave the floats are refused, never reported as inf or nan
+    numbers = (spin_frequency_hz, gamma_ratio, *(x for r in rows for x in (
+        r.omega, r.g_hz, r.detuning_hz, r.gamma_hz, r.suppression_bound_hz, r.g_hz_hplanck, r.gamma_hz_hplanck)))
+    if not all(isfinite(x) for x in numbers if x is not None):
+        raise DomainError(f"the budget of {params.name} at delta_hz {delta_hz:.3g}, drive_u {drive_u} "
+                          f"and mode {n} of a {geom.l:.3g} m beam leaves the floats")
     return CouplingBudget(params.name, spin_kind, geom, n, delta_hz, drive_u,
                           spin_frequency_hz, tuple(rows), gamma_ratio,
                           tuple(budget_flags), tuple(notes))

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -69,6 +70,17 @@ MALFORMED = [
     pytest.param(["experiment", "couplings"],
                  ['material={"v_plus_m_s": 5e3, "v_minus_m_s": 4e3, "xi_S_hz": 1e9, "xi_I_hz": 1e6}'],
                  id="couplings:material_without_density"),
+]
+
+# budget commands whose finite inputs make a strain, coupling or rate beyond the floats
+BUDGET_OVERFLOWS = [
+    pytest.param(["experiment", "decoherence_budget", "--set", "experiment.parameters.drive_u=[1e300]"],
+                 id="decoherence_budget:drive_u=1e300"),
+    pytest.param(["experiment", "decoherence_budget", "--set", "experiment.parameters.xi_hz=1e300"],
+                 id="decoherence_budget:xi_hz=1e300"),
+    pytest.param(["experiment", "couplings", "--set", 'material={"density_kg_m3": 2650, "v_plus_m_s": 1e300, '
+                  '"v_minus_m_s": 5e3, "xi_S_hz": 1e10, "xi_I_hz": 1e6}'], id="couplings:v_plus_m_s=1e300"),
+    pytest.param(["couplings", "--drive-u", "1e300"], id="couplings_command:drive_u=1e300"),
 ]
 
 # (experiment, overrides) with a model or step grid far beyond what the program can hold, or
@@ -581,6 +593,16 @@ class TestMainSubcommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ERROR invariant=")
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("argv", BUDGET_OVERFLOWS)
+    def test_budget_beyond_the_floats_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        code = main([*argv, "--output", str(tmp_path / "t")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(re.fullmatch(r'(INFO|WARN|ERROR)( \w+=("[^"]*"|\S+))+', line) for line in lines)
         assert not (tmp_path / "t").exists()
 
     def test_step_budget_exits_2_before_stepping(self, tmp_path, capsys, monkeypatch):

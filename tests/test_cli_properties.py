@@ -13,6 +13,7 @@ import json
 import re
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,12 @@ count = st.integers(-2, 4) | st.integers(2 ** 62, 2 ** 70) | extreme | malformed
 SPIN = {"spin.s": st.sampled_from([0, 0.5, 1, -0.5, 0.3]) | extreme | malformed,
         "spin.positions_m": st.lists(ordinary | extreme, max_size=3) | malformed}
 CASCADE = {"cascade.gamma_hz": number, "cascade.gamma_prime_hz": number, "cascade.k_z_d": number}
+# an inline material's constants are mostly of the built-in tables' magnitudes, so that one
+# extreme among them reaches the budget arithmetic rather than the schema check
+constant = st.sampled_from([2650.0, 4.2e3, 5e3, 1e10, 1e6]) | number
+MATERIAL = st.sampled_from(["alpha-SiO2", "quartz", "alpha-TeO2", "x"]) | malformed | st.fixed_dictionaries(
+    {"density_kg_m3": constant, "v_plus_m_s": constant, "v_minus_m_s": constant, "xi_S_hz": constant,
+     "xi_I_hz": constant})
 KEYS = {
     "simulate": {
         **SPIN, **CASCADE,
@@ -48,6 +55,15 @@ KEYS = {
             st.sampled_from([10, 25, 0.5, -1, 1e-300, 1e200, 1e300, 2 ** 63, -2 ** 70]), max_size=3)
         | malformed,
         "experiment.parameters.cutoff": count},
+    "couplings": {
+        "material": MATERIAL, "geometry.l_m": number, "geometry.w_m": number, "geometry.h_m": number,
+        "spin.kind": st.sampled_from(["electron", "nuclear", "x"]) | malformed,
+        "experiment.parameters.delta_hz": number, "experiment.parameters.drive_u": number,
+        "experiment.parameters.n": count},
+    "decoherence_budget": {
+        "experiment.parameters.gamma0_hz": number, "experiment.parameters.xi_hz": number,
+        "experiment.parameters.delta_hz": number,
+        "experiment.parameters.drive_u": st.lists(ordinary | extreme, max_size=3) | malformed},
 }
 
 
@@ -71,9 +87,13 @@ def test_exit_code_contract(name):
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([*argv, "--output", f"{out}/run"])
+            report = Path(out, "run", "report.json")
+            reported = report.read_text() if report.exists() else ""
         assert code in (0, 2, 3, 4), err.getvalue()
         assert not caught, [str(w.message) for w in caught]
         lines = err.getvalue().splitlines()
         assert lines and all(LINE.fullmatch(line) for line in lines), lines
+        # a number that left the floats is refused, never reported as "nan"
+        assert '"nan"' not in reported
 
     check()

@@ -201,3 +201,15 @@ class TestDecoherenceBudget:
     def test_empty_amplitudes_rejected(self):
         with pytest.raises(DomainError):
             decoherence_budget(1.0, ())
+
+    @pytest.mark.parametrize("gamma0, amplitudes, kwargs", [
+        pytest.param(1.0, (1e300,), {}, id="rate_overflows"),
+        pytest.param(1.0, (1e-4,), {"xi": 1e-300, "delta_hz": 1.0}, id="rate_underflows"),
+        pytest.param(1.0, (1e-4,), {"xi": 0.0, "delta_hz": 1.0}, id="zero_response"),
+        pytest.param(1e-20, (1e-4,), {"delta_hz": 1e-290}, id="ratio_overflows"),
+        pytest.param(1e300, (1e-4,), {"delta_hz": 1e10}, id="crossover_overflows"),
+        pytest.param(math.nan, (1e-4,), {}, id="gamma0_nan"),
+    ])
+    def test_products_beyond_the_floats_rejected(self, gamma0, amplitudes, kwargs):
+        with pytest.raises(DomainError):
+            decoherence_budget(gamma0, amplitudes, **kwargs)

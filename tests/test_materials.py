@@ -65,6 +65,12 @@ class TestZeroPointStrain:
         with pytest.raises(DomainError):
             zero_point_strain(1e10, -1.0, 4.2e3, 1e-20)
 
+    @pytest.mark.parametrize("velocity, volume", [(1e300, 1e-20), (4.2e3, 1e-310)])
+    def test_strain_beyond_the_floats_rejected(self, velocity, volume):
+        # v^2 overflows, or the denominator underflows to zero
+        with pytest.raises(DomainError, match="leaves the floats"):
+            zero_point_strain(1e10, 1e-300, velocity, volume)
+
 
 class TestCouplingG:
     def test_driven_nuclear_value(self):
@@ -204,10 +210,6 @@ class TestCouplingTable:
         assert budget.row(-1, +1).g_hz == budget.row(+1, +1).g_hz
         assert "g_prime_equals_g" in budget.row(-1, +1).flags
 
-    def test_g_prime_override(self):
-        budget = self.quartz_budget(g_prime_hz=123.0)
-        assert budget.row(-1, +1).g_hz == 123.0
-
     def test_nonchiral_control_collapses_rates(self):
         q = builtin_material("alpha-SiO2")
         flat = MaterialParams("flat", q.density, q.v_plus, q.v_plus, q.xi_S, q.xi_I)
@@ -251,6 +253,31 @@ class TestCouplingTable:
             ResonatorGeometry(1e-7, 1e-6, 1e-7)  # l not the longest
         with pytest.raises(DomainError):
             ResonatorGeometry(1e-6, -1e-7, 1e-7)
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(DomainError):
+            ResonatorGeometry(math.nan, 1e-7, 1e-7)
+        with pytest.raises(DomainError):
+            ResonatorGeometry(math.inf, 1e-7, 1e-7)
+        with pytest.raises(DomainError):
+            MaterialParams("x", math.nan, 4.2e3, 5e3, 1e10, 1e6)
+        with pytest.raises(DomainError):
+            MaterialParams("x", 2650.0, 4.2e3, 5e3, math.inf, 1e6)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                coupling_table("alpha-SiO2", MICRON_BEAM, "electron", delta)
+        with pytest.raises(DomainError):
+            coupling_table("alpha-SiO2", MICRON_BEAM, "electron", 1e4, drive_u=math.nan)
+        for n in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                coupling_table("alpha-SiO2", MICRON_BEAM, "electron", 1e4, n=n)
+
+    def test_budget_beyond_the_floats_rejected(self):
+        # a finite drive whose coupling overflows, and a detuning whose rate ratio overflows
+        with pytest.raises(DomainError, match="leaves the floats"):
+            self.quartz_budget(drive_u=1e300)
+        with pytest.raises(DomainError, match="leaves the floats"):
+            coupling_table("alpha-SiO2", MICRON_BEAM, "electron", 1e-300, drive_u=1e-7)
 
     def test_unknown_spin_kind(self):
         with pytest.raises(DomainError):
