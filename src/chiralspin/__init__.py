@@ -59,7 +59,6 @@ from .experiments import (
     ExperimentReport,
     cascade_chain,
     one_excited_state,
-    decoherence_budget,
     elimination_validation,
     reciprocity_sweep,
     transfer_asymmetry,

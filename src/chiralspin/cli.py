@@ -29,7 +29,6 @@ from .errors import DomainError, FitError, IntegrationError
 from .experiments import (
     ExperimentReport,
     cascade_chain,
-    decoherence_budget,
     elimination_validation,
     reciprocity_sweep,
     transfer_asymmetry,
@@ -463,12 +462,6 @@ _EXPERIMENTS = {
         {"g_hz": "number", "delta_over_g": "numbers", "cutoff": "count"}, lambda config: partial(
             elimination_validation, TWO_PI * config.parameter("g_hz", 1.0),
             config.parameter("delta_over_g", (25.0, 50.0, 100.0)), config.parameter("cutoff", 2))),
-    "decoherence_budget": (
-        {"gamma0_hz": "number", "drive_u": "numbers", "xi_hz": "number", "delta_hz": "number"},
-        lambda config: partial(
-            decoherence_budget, config.parameter("gamma0_hz", 1.0),
-            config.parameter("drive_u", (1e-4, 2e-4)), xi=config.parameter("xi_hz", 1e6),
-            delta_hz=config.parameter("delta_hz"))),
 }
 
 

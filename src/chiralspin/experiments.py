@@ -1,4 +1,4 @@
-"""Named, deterministic experiments tying models, dynamics and budgets together.
+"""Named, deterministic experiments tying models and dynamics together.
 
 Every experiment is a pure function of its inputs: no randomness enters the
 pipeline, configs are owned by the experiment and recorded in its report, and
@@ -26,7 +26,6 @@ from .core import (
 )
 from .dynamics import IntegratorConfig, evolve, fit_exchange_rate
 from .errors import DomainError, FitError
-from .materials import _dispersive_rate
 from .models import (
     CascadeSpec,
     ModeSpec,
@@ -44,7 +43,6 @@ __all__ = [
     "transfer_asymmetry",
     "reciprocity_sweep",
     "cascade_chain",
-    "decoherence_budget",
 ]
 
 # Backward/forward peak ratios are floored here to avoid division blow-ups;
@@ -334,60 +332,3 @@ def cascade_chain(n_sites: int, spec: CascadeSpec) -> ExperimentReport:
         metrics, flags, trajectories=trajectories)
     return report.validate()
 
-
-def decoherence_budget(gamma0: float, drive_u, xi: float = 1e6,
-                       delta_hz: float | None = None) -> ExperimentReport:
-    """Driven-amplitude sweep of the mediated rate against a fixed decoherence floor.
-
-    g(u) = xi*u and gamma(u) = 2 g^2 / Delta with Delta pinned (by default to
-    ten times the coupling at the first amplitude), so gamma scales exactly as
-    u^2 across the sweep. Reports gamma/gamma0 per amplitude (infinity
-    sentinel when gamma0 = 0) and the crossover amplitude where gamma = gamma0.
-    """
-    amplitudes = tuple(float(u) for u in drive_u)
-    if not amplitudes or any(u <= 0 for u in amplitudes):
-        raise DomainError("drive_u must be a non-empty list of positive strain amplitudes")
-    if not 0.0 <= gamma0 < math.inf:
-        raise DomainError(f"gamma0 must be finite and non-negative, got {gamma0}")
-    g_ref = xi * amplitudes[0]
-    delta = delta_hz if delta_hz is not None else 10.0 * g_ref
-    if delta <= 0:
-        raise DomainError("the pinned detuning must be positive")
-    # the sweep's amplitudes, then twice the first one for the quadratic ratio
-    sweep = (*amplitudes, 2.0 * amplitudes[0])
-    rates = [_dispersive_rate(xi * u, delta) for u in sweep]
-    for u, (gamma, _) in zip(sweep, rates):
-        if not 0.0 < gamma < math.inf:
-            raise DomainError(f"amplitude {u:.3g} with xi_hz {xi:.3g} and delta_hz {delta:.3g} puts "
-                              "2 g^2/Delta outside the positive floats: adjust drive_u or xi_hz")
-    gammas = [gamma for gamma, _ in rates[:-1]]
-    crossover = math.sqrt(gamma0 * delta / 2.0) / xi if gamma0 > 0 else 0.0
-    if not math.isfinite(crossover) or gamma0 > 0 and not math.isfinite(max(gammas) / gamma0):
-        raise DomainError(f"gamma0_hz {gamma0:.3g} puts gamma/gamma0 or the crossover amplitude "
-                          "beyond the floats")
-
-    metrics: dict = {}
-    flags: dict = {}
-    for i, (u, (gamma, marginal)) in enumerate(zip(amplitudes, rates)):
-        tag = f"u{i}"
-        metrics[f"g_hz_{tag}"] = xi * u
-        metrics[f"gamma_hz_{tag}"] = gamma
-        metrics[f"gamma_over_gamma0_{tag}"] = gamma / gamma0 if gamma0 > 0 else math.inf
-        if marginal:
-            metrics[f"dispersive_marginal_{tag}"] = 1.0
-
-    quad = rates[-1][0] / gammas[0]
-    metrics["quadratic_ratio"] = quad
-    flags["quadratic_ratio__exact4"] = quad == 4.0
-
-    metrics["crossover_u"] = crossover
-    if gamma0 > 0:
-        reached = max(gammas) >= gamma0
-        metrics["crossover_reached"] = 1.0 if reached else 0.0
-        flags["crossover_reached__at_some_amplitude"] = reached or crossover > max(amplitudes)
-
-    report = ExperimentReport(
-        "decoherence_budget",
-        {"gamma0_hz": gamma0, "drive_u": list(amplitudes), "xi_hz": xi, "delta_hz": delta},
-        metrics, flags)
-    return report.validate()

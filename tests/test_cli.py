@@ -74,13 +74,13 @@ MALFORMED = [
 
 # budget commands whose finite inputs make a strain, coupling or rate beyond the floats
 BUDGET_OVERFLOWS = [
-    pytest.param(["experiment", "decoherence_budget", "--set", "experiment.parameters.drive_u=[1e300]"],
-                 id="decoherence_budget:drive_u=1e300"),
-    pytest.param(["experiment", "decoherence_budget", "--set", "experiment.parameters.xi_hz=1e300"],
-                 id="decoherence_budget:xi_hz=1e300"),
     pytest.param(["experiment", "couplings", "--set", 'material={"density_kg_m3": 2650, "v_plus_m_s": 1e300, '
                   '"v_minus_m_s": 5e3, "xi_S_hz": 1e10, "xi_I_hz": 1e6}'], id="couplings:v_plus_m_s=1e300"),
     pytest.param(["couplings", "--drive-u", "1e300"], id="couplings_command:drive_u=1e300"),
+    pytest.param(["experiment", "couplings", "--set", "experiment.parameters.drive_u=1e300"],
+                 id="couplings:drive_u=1e300"),
+    pytest.param(["experiment", "couplings", "--set", 'material={"density_kg_m3": 2650, "v_plus_m_s": 5e3, '
+                  '"v_minus_m_s": 4e3, "xi_S_hz": 1e300, "xi_I_hz": 1e6}'], id="couplings:xi_S_hz=1e300"),
 ]
 
 # (experiment, overrides) with a model or step grid far beyond what the program can hold, or
@@ -540,12 +540,29 @@ class TestMainSubcommands:
 
     def test_experiment_subcommand_with_config(self, tmp_path):
         path, _ = write_config(
-            tmp_path, integrator=None, spin=None, cascade=None,
-            experiment={"name": "decoherence_budget",
-                        "parameters": {"gamma0_hz": 1.0, "drive_u": [1e-4, 2e-4]}})
-        assert main(["experiment", "decoherence_budget", "--config", str(path)]) == 0
+            tmp_path, integrator=None, cascade={"gamma_hz": 1.0, "k_z_d": 0.7},
+            experiment={"name": "reciprocity_sweep", "parameters": {"ratios": [0.25, 1.0]}})
+        assert main(["experiment", "reciprocity_sweep", "--config", str(path)]) == 0
         data = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert data["metrics"]["quadratic_ratio"] == 4.0
+        assert data["parameters"]["ratios"] == [0.25, 1.0]
+        assert data["metrics"]["asymmetry_at_1"] == pytest.approx(1.0, abs=0.01)
+        assert data["metrics"]["asymmetry_at_0.25"] > data["metrics"]["asymmetry_at_1"]
+
+    def test_removed_experiment_name_exits_2(self, tmp_path, capsys):
+        # the driven u^2 law lives in the couplings budget alone; its old experiment name is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "decoherence_budget", "--output", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'decoherence_budget'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_config_naming_removed_experiment_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema_version": 1, "experiment": {"name": "decoherence_budget"}}))
+        assert run(path, output_dir=str(tmp_path / "t")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR invariant=config_schema") and "unknown experiment 'decoherence_budget'" in err
+        assert not (tmp_path / "t").exists()
 
     def test_experiment_subcommand_inline(self, tmp_path, capsys):
         code = main(["experiment", "transfer_asymmetry",
@@ -637,8 +654,7 @@ class TestMainSubcommands:
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("name, override", [
-        ("decoherence_budget", "cascade.gamma_hz=5"),
-        ("decoherence_budget", 'modes=[{"detuning_hz": 1, "g_hz": 1}]'),
+        ("transfer_asymmetry", 'modes=[{"detuning_hz": 1, "g_hz": 1}]'),
         ("elimination_validation", "cascade.gamma_hz=5"),
         ("transfer_asymmetry", "geometry.l_m=1e-6"),
         ("cascade_chain", "material=alpha-SiO2"),

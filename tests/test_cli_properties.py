@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiralspin.cli import main
+from chiralspin.cli import _EXPERIMENTS, main
 
 # derandomized and without an example database, so a run is repeatable and writes no files
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -60,10 +60,10 @@ KEYS = {
         "spin.kind": st.sampled_from(["electron", "nuclear", "x"]) | malformed,
         "experiment.parameters.delta_hz": number, "experiment.parameters.drive_u": number,
         "experiment.parameters.n": count},
-    "decoherence_budget": {
-        "experiment.parameters.gamma0_hz": number, "experiment.parameters.xi_hz": number,
-        "experiment.parameters.delta_hz": number,
-        "experiment.parameters.drive_u": st.lists(ordinary | extreme, max_size=3) | malformed},
+    "reciprocity_sweep": {
+        **SPIN, **CASCADE, "cascade.k_z_rad_m": number,
+        "experiment.parameters.ratios": st.lists(ordinary | extreme, max_size=4) | malformed},
+    "cascade_chain": {**SPIN, **CASCADE, "cascade.k_z_rad_m": number, "experiment.parameters.n_sites": count},
 }
 
 
@@ -97,3 +97,8 @@ def test_exit_code_contract(name):
         assert '"nan"' not in reported
 
     check()
+
+
+def test_every_experiment_is_covered():
+    # a new experiment joins the contract above, and a deleted one leaves it
+    assert sorted(KEYS) == sorted(_EXPERIMENTS)

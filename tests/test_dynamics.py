@@ -813,8 +813,17 @@ class TestNonHermitianEvolution:
         assert [kind for kind, _ in stepper_builds] == ["amplitude", "propagator"]
         assert amplitude_runs == [2]
 
-    @pytest.mark.parametrize("max_dim, kind", [(16, "propagator"), (0, "stage")])
-    def test_non_basis_dark_start_is_stepped(self, monkeypatch, stepper_builds, two_spins, max_dim, kind):
+    @pytest.mark.parametrize("max_dim, kind, dt, bound", [
+        pytest.param(16, "propagator", 1e-3, 1e-12, id="16-propagator"),
+        pytest.param(0, "stage", 1e-3, 1e-12, id="0-stage"),
+        # the propagator path drifts from the singlet by rounding that grows with the step
+        # count (4.7e-14 / 2.1e-13 / 3.3e-12 at 800 / 8,000 / 80,000 steps); the stage path
+        # keeps it exactly
+        pytest.param(16, "propagator", 1e-4, 1e-11, id="propagator_80000_steps"),
+        pytest.param(0, "stage", 1e-2, 0.0, id="stage_800_steps"),
+    ])
+    def test_non_basis_dark_start_is_stepped(self, monkeypatch, stepper_builds, two_spins,
+                                             max_dim, kind, dt, bound):
         # the balanced pair at kd = 0 has H = 0 and z = S_A^- + S_B^- in both channels, so the
         # singlet (|ud> - |du>)/sqrt(2) is dark, L(rho0) = 0 exactly, without being a basis
         # state; it is stepped on its closed support {ud, du, dd} like any other start
@@ -822,12 +831,13 @@ class TestNonHermitianEvolution:
         model = build_cascade_model(CascadeSpec(1.0, 1.0, 0.0, two_spins))
         space = model.space
         rho0 = DensityMatrix.from_pure(space, (basis_vector(space, UD) - basis_vector(space, DU)) / math.sqrt(2))
-        cfg = IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=1e-3, record_states_stride=10)
+        cfg = IntegratorConfig(t_final=8.0, rate_scale=1.0, dt=dt, record_states_stride=10)
         traj = evolve(model, rho0, cfg)
         assert traj.diagnostics["stationary"] == 1.0
+        assert traj.diagnostics["n_steps"] == round(8.0 / dt)
         assert stepper_builds == [(kind, 3)]
         assert traj.state_times[-1] == 8.0
-        assert max(np.max(np.abs(state.matrix - rho0.matrix)) for state in traj.states) <= 1e-12
+        assert max(np.max(np.abs(state.matrix - rho0.matrix)) for state in traj.states) <= bound
 
     def test_unnormalized_initial_rejected(self, pair_spec):
         model = build_cascade_model(pair_spec())

@@ -7,7 +7,6 @@ from chiralspin import (
     DomainError,
     SpinSite,
     cascade_chain,
-    decoherence_budget,
     elimination_validation,
     reciprocity_sweep,
     transfer_asymmetry,
@@ -168,48 +167,3 @@ class TestCascadeChain:
         with pytest.raises(DomainError, match="gamma_prime"):
             cascade_chain(2, chain_spec(2, gamma_prime=0.5))
 
-
-class TestDecoherenceBudget:
-    def test_reference_arithmetic(self):
-        # g = 100 Hz at u = 1e-4 with the nuclear response; Delta = 10 g
-        report = decoherence_budget(1.0, (1e-4,))
-        assert report.metrics["g_hz_u0"] == 100.0
-        assert report.metrics["gamma_hz_u0"] == pytest.approx(20.0)
-
-    def test_quadratic_scaling_exact(self):
-        report = decoherence_budget(1.0, (1e-4, 2e-4))
-        assert report.metrics["quadratic_ratio"] == 4.0
-        assert report.metrics["gamma_hz_u1"] == 4.0 * report.metrics["gamma_hz_u0"]
-        assert report.pass_flags["quadratic_ratio__exact4"]
-
-    def test_zero_floor_gives_infinite_ratio(self):
-        report = decoherence_budget(0.0, (1e-4,))
-        assert report.metrics["gamma_over_gamma0_u0"] == math.inf
-
-    def test_crossover_amplitude(self):
-        gamma0 = 5.0
-        report = decoherence_budget(gamma0, (1e-5, 1e-4))
-        u_star = report.metrics["crossover_u"]
-        delta = report.parameters["delta_hz"]
-        # at the crossover the mediated rate equals the decoherence floor
-        assert 2.0 * (1e6 * u_star) ** 2 / delta == pytest.approx(gamma0, rel=1e-12)
-
-    def test_pinned_detuning_override(self):
-        report = decoherence_budget(1.0, (1e-4,), delta_hz=2000.0)
-        assert report.metrics["gamma_hz_u0"] == pytest.approx(10.0)
-
-    def test_empty_amplitudes_rejected(self):
-        with pytest.raises(DomainError):
-            decoherence_budget(1.0, ())
-
-    @pytest.mark.parametrize("gamma0, amplitudes, kwargs", [
-        pytest.param(1.0, (1e300,), {}, id="rate_overflows"),
-        pytest.param(1.0, (1e-4,), {"xi": 1e-300, "delta_hz": 1.0}, id="rate_underflows"),
-        pytest.param(1.0, (1e-4,), {"xi": 0.0, "delta_hz": 1.0}, id="zero_response"),
-        pytest.param(1e-20, (1e-4,), {"delta_hz": 1e-290}, id="ratio_overflows"),
-        pytest.param(1e300, (1e-4,), {"delta_hz": 1e10}, id="crossover_overflows"),
-        pytest.param(math.nan, (1e-4,), {}, id="gamma0_nan"),
-    ])
-    def test_products_beyond_the_floats_rejected(self, gamma0, amplitudes, kwargs):
-        with pytest.raises(DomainError):
-            decoherence_budget(gamma0, amplitudes, **kwargs)

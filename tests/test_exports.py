@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-MODULES = ("core", "models", "dynamics", "materials", "experiments", "validation", "cli")
+MODULES = ("core", "models", "dynamics", "materials", "experiments", "validation", "cli", "g17")
 
 
 @pytest.mark.parametrize("name", MODULES)

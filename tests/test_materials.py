@@ -282,3 +282,51 @@ class TestCouplingTable:
     def test_unknown_spin_kind(self):
         with pytest.raises(DomainError):
             coupling_table("alpha-SiO2", MICRON_BEAM, "muon", 1e4)
+
+
+class TestDrivenBudget:
+    """The u^2 law of an externally pumped wave, read from the nuclear budget of a quartz beam."""
+
+    def driven(self, drive_u, delta_hz=1e3, geom=MM_BEAM):
+        return coupling_table("alpha-SiO2", geom, "nuclear", delta_hz, drive_u=drive_u)
+
+    def test_reference_arithmetic(self):
+        # g = xi_I * u = 1e6 * 1e-4 = 100 Hz, and 2 g^2 / Delta = 20 Hz at Delta = 10 g
+        fwd = self.driven(1e-4).row(+1, +1)
+        assert fwd.g_hz == 100.0
+        assert fwd.gamma_hz == 20.0
+        assert fwd.flags == ("driven",)
+
+    def test_pinned_detuning(self):
+        assert self.driven(1e-4, delta_hz=2000.0).row(+1, +1).gamma_hz == 10.0
+
+    def test_crossover_amplitude(self):
+        # the drive at which the mediated rate reaches a decoherence floor gamma0
+        gamma0, delta = 5.0, 1e3
+        u_star = math.sqrt(gamma0 * delta / 2.0) / builtin_material("alpha-SiO2").xi_I
+        assert self.driven(u_star, delta).row(+1, +1).gamma_hz == pytest.approx(gamma0, rel=1e-12)
+
+    def test_zero_drive_gives_zero_rates(self):
+        budget = self.driven(0.0)
+        assert [r.g_hz for r in budget.rows] == [0.0] * 4
+        assert [r.gamma_hz for r in budget.rows[:2]] == [0.0, 0.0]
+        assert [r.suppression_bound_hz for r in budget.rows[2:]] == [0.0, 0.0]
+        assert budget.flags == ("too_weak", "driven")
+
+    def test_drive_replaces_the_vacuum_strain_of_every_branch(self):
+        # the pumped strain is the same on both velocity branches and in any beam
+        for geom in (MICRON_BEAM, MM_BEAM):
+            budget = self.driven(1e-4, geom=geom)
+            assert [(r.u_strain, r.g_hz) for r in budget.rows] == [(1e-4, 100.0)] * 4
+            assert budget.row(+1, +1).gamma_hz == 20.0
+
+    def test_strong_drive_flags_the_marginal_row(self):
+        # g = 1 kHz at Delta = 1 kHz breaks the large-detuning limit on the forward row only
+        budget = self.driven(1e-3)
+        assert "dispersive_marginal" in budget.row(+1, +1).flags
+        assert "dispersive_marginal" not in budget.row(-1, +1).flags
+
+    @pytest.mark.parametrize("drive_u", [-1e-4, math.inf, -math.inf], ids=["negative", "inf", "-inf"])
+    def test_invalid_drive_rejected(self, drive_u):
+        with pytest.raises(DomainError, match="drive amplitude"):
+            self.driven(drive_u)

@@ -1,12 +1,14 @@
 """Property test: the two-branch coupling table against the four-row loop it replaced.
 
-``four_row_table`` and ``old_decoherence_metrics`` are copies of the budget code as it was
-before each row read its velocity branch and before the dispersive rule got one helper:
-every row computed its own mode, strain and coupling, and the marginal flag was recovered
-by recording the warning of ``effective_gamma``. Both sides must agree bit for bit.
+``four_row_table`` is a copy of the budget code as it was before each row read its velocity
+branch and before the dispersive rule got one helper: every row computed its own mode, strain
+and coupling, and the marginal flag was recovered by recording the warning of
+``effective_gamma``. Both sides must agree bit for bit.
+
+A driven table follows the u^2 law of an externally pumped wave exactly: doubling the drive
+quadruples every rotating rate and counter-rotating bound, bit for bit.
 """
 
-import itertools
 import math
 import warnings
 
@@ -19,7 +21,6 @@ from chiralspin import (
     builtin_material,
     coupling_g,
     coupling_table,
-    decoherence_budget,
     detuning_prime,
     effective_gamma,
     resonator_mode,
@@ -137,40 +138,17 @@ def test_two_branch_table_equals_four_row_loop(params, geom, spin_kind, delta_hz
     assert new.to_dict() == old.to_dict()
 
 
-def old_decoherence_metrics(gamma0, amplitudes, xi, delta):
-    """The metrics and flags of ``decoherence_budget`` from its warning-recording loop."""
-    metrics, flags = {}, {}
-    for i, u in enumerate(amplitudes):
-        g = xi * u
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            gamma = effective_gamma(g, delta)
-        metrics[f"g_hz_u{i}"] = g
-        metrics[f"gamma_hz_u{i}"] = gamma
-        metrics[f"gamma_over_gamma0_u{i}"] = gamma / gamma0 if gamma0 > 0 else math.inf
-        if caught:
-            metrics[f"dispersive_marginal_u{i}"] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        quad = effective_gamma(xi * (2.0 * amplitudes[0]), delta) / effective_gamma(xi * amplitudes[0], delta)
-    metrics["quadratic_ratio"] = quad
-    flags["quadratic_ratio__exact4"] = quad == 4.0
-    crossover = math.sqrt(gamma0 * delta / 2.0) / xi if gamma0 > 0 else 0.0
-    metrics["crossover_u"] = crossover
-    if gamma0 > 0:
-        above = [u for u in amplitudes if 2.0 * (xi * u) ** 2 / delta >= gamma0]
-        metrics["crossover_reached"] = 1.0 if above else 0.0
-        flags["crossover_reached__at_some_amplitude"] = bool(above) or crossover > max(amplitudes)
-    return metrics, flags
-
-
-def test_decoherence_budget_equals_its_recording_loop():
-    # gamma0 = 20 Hz ties the rate of 1e-4 at xi = 1e6 and the default detuning
-    sweeps = [(1e-4,), (1e-4, 2e-4), (1e-5, 1e-4, 3.7e-3), (2.2e-6, 9e-5, 1.3e-4, 6e-4)]
-    for gamma0, amplitudes, xi, delta_hz in itertools.product(
-            (0.0, 0.5, 1.0, 5.0, 20.0, 1e3), sweeps, (1e6, 3e7, 1e10), (None, 50.0, 2000.0, 3.3e6)):
-        report = decoherence_budget(gamma0, amplitudes, xi=xi, delta_hz=delta_hz)
-        delta = report.parameters["delta_hz"]
-        metrics, flags = old_decoherence_metrics(gamma0, amplitudes, xi, delta)
-        assert repr(report.metrics) == repr(metrics)
-        assert report.pass_flags == flags
+@SETTINGS
+@given(params=material, geom=geometry, spin_kind=st.sampled_from(["electron", "nuclear"]),
+       delta_hz=detuning, drive_u=decade(-10, -3), n=st.integers(1, 3))
+def test_driven_rates_follow_the_u_squared_law(params, geom, spin_kind, delta_hz, drive_u, n):
+    once = coupling_table(params, geom, spin_kind, delta_hz, drive_u=drive_u, n=n)
+    twice = coupling_table(params, geom, spin_kind, delta_hz, drive_u=2.0 * drive_u, n=n)
+    g = params.xi(spin_kind) * drive_u
+    for row, doubled in zip(once.rows, twice.rows):
+        assert row.u_strain == drive_u and row.g_hz == g and doubled.g_hz == 2.0 * g
+        if row.coupling_class == "rotating":
+            assert row.gamma_hz == abs(2.0 * g * g / row.detuning_hz)
+            assert doubled.gamma_hz == 4.0 * row.gamma_hz
+        else:
+            assert doubled.suppression_bound_hz == 4.0 * row.suppression_bound_hz
